@@ -6,19 +6,12 @@
 //! cargo run -p jsplit-bench --release --bin repro table4 --paper-scale
 //! ```
 //!
-//! Sections: `table1`, `table2`, `table3`, `table4`, `ablation`, `mixed`
-//! (the §6 heterogeneous-cluster and mid-run-join demonstrations), `all`.
+//! Sections: `table1`, `table2`, `table3`, `table4`, `claims`, `ablation`,
+//! `mixed` (the §6 heterogeneous-cluster and mid-run-join demonstrations),
+//! `all`. Anything else prints the section list and exits 2.
 //!
-//! `repro perf [--smoke] [--backend sim|threads|sockets]
-//! [--lookahead global|per_pair] [--sync epoch|async|both] [--no-batch]`
-//! is separate from `all`: it measures *host* wall-clock and ops/sec
-//! (nondeterministic) and writes `BENCH_PERF.json` at the repo root — or,
-//! with `--backend threads` (one OS thread per node) or `--backend
-//! sockets` (one OS *process* per node over localhost TCP),
-//! real-parallel-execution numbers with per-app 8-vs-1-node speedups and
-//! synchronization counters to `BENCH_LIVE.json`. Live runs default to
-//! `--sync both`: one row set per sync protocol, so the barrier-epoch and
-//! async-promise drivers are always measured side by side.
+//! Everything `all` prints is deterministic virtual time; host wall-clock
+//! is measured by `benchmark/run.sh`, not here.
 //!
 //! `repro trace <app> [--smoke]` runs one app (tsp/series/raytracer) with
 //! full tracing, writes `TRACE_<app>.json` (Chrome trace-event format) at
@@ -34,129 +27,38 @@
 //! retired-opcode counting and prints the hot opcode / hot pair tables
 //! that motivate the predecoder's superinstruction selection.
 
-use jsplit_bench::{ablation, heat, measure, perf, table1, table2, table3, table4, tracecmd};
+use jsplit_bench::{ablation, heat, measure, table1, table2, table3, table4, tracecmd};
 use jsplit_mjvm::cost::JvmProfile;
 use jsplit_runtime::exec::run_cluster;
-use jsplit_runtime::{Backend, ClusterConfig, Lookahead, NodeSpec, SyncMode};
+use jsplit_runtime::{ClusterConfig, NodeSpec};
+
+/// `all` runs the seven sections after it; the last three take an app
+/// argument (and two write a file), so they only run when named.
+const SECTIONS: [&str; 11] = [
+    "all", "table1", "table2", "table3", "table4", "claims", "ablation", "mixed", "trace", "heat", "opstats",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-
-    // `repro perf --backend sockets` spawns one process per node by
-    // re-executing the current binary — this one — with a `worker`
-    // subcommand, exactly like `jsplit worker`.
-    if args.first().map(String::as_str) == Some("worker") {
-        if let Err(e) = jsplit_runtime::sockets::worker_main(&args[1..]) {
-            eprintln!("repro worker: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-
     let paper_scale = args.iter().any(|a| a == "--paper-scale");
     let smoke = args.iter().any(|a| a == "--smoke");
-    let section = args.iter().find(|a| !a.starts_with("--")).map(String::as_str).unwrap_or("all");
+    let mut words = args.iter().filter(|a| !a.starts_with("--")).map(String::as_str);
+    let section = words.next().unwrap_or("all");
+    let app = words.next().unwrap_or("tsp");
 
-    if section == "perf" {
-        // Host-performance harness: nondeterministic wall-clock numbers, so
-        // never part of `all` (whose output doubles as a determinism
-        // reference).
-        let backend = match args.iter().position(|a| a == "--backend") {
-            None => Backend::Sim,
-            Some(i) => match args.get(i + 1).map(String::as_str) {
-                Some("sim") => Backend::Sim,
-                Some("threads") => Backend::Threads,
-                Some("sockets") => Backend::Sockets,
-                other => {
-                    eprintln!("repro perf: unknown --backend {other:?} (want sim|threads|sockets)");
-                    std::process::exit(2);
-                }
-            },
-        };
-        let lookahead = match args.iter().position(|a| a == "--lookahead") {
-            None => Lookahead::default(),
-            Some(i) => match args.get(i + 1).map(String::as_str) {
-                Some("global") => Lookahead::Global,
-                Some("per_pair") => Lookahead::PerPair,
-                other => {
-                    eprintln!("repro perf: unknown --lookahead {other:?} (want global|per_pair)");
-                    std::process::exit(2);
-                }
-            },
-        };
-        let wire_batch = !args.iter().any(|a| a == "--no-batch");
-        // Sync protocol only exists on the threads backend; there the
-        // default is measuring both, so BENCH_LIVE.json always carries the
-        // epoch-vs-async comparison.
-        let syncs: Vec<SyncMode> = match args.iter().position(|a| a == "--sync") {
-            None => match backend {
-                Backend::Sim => vec![SyncMode::Epoch],
-                Backend::Threads | Backend::Sockets => vec![SyncMode::Epoch, SyncMode::Async],
-            },
-            Some(i) => match args.get(i + 1).map(String::as_str) {
-                Some("epoch") => vec![SyncMode::Epoch],
-                Some("async") => vec![SyncMode::Async],
-                Some("both") => vec![SyncMode::Epoch, SyncMode::Async],
-                other => {
-                    eprintln!("repro perf: unknown --sync {other:?} (want epoch|async|both)");
-                    std::process::exit(2);
-                }
-            },
-        };
-        // `--classic` pins the pre-predecode enum-decode interpreter for
-        // same-host A/B throughput comparison; rows carry `"predecode"`.
-        let classic = args.iter().any(|a| a == "--classic");
-        let pts = perf::run(smoke, backend, lookahead, wire_batch, classic, &syncs);
-        print!("{}", perf::render(&pts));
-        let speedup = perf::live_speedup(&pts);
-        if let Some(sp) = &speedup {
-            println!(
-                "tsp live speedup: 1 node {:.3}s / 8 nodes {:.3}s = {:.2}x",
-                sp.wall_1node_secs,
-                sp.wall_8node_secs,
-                sp.speedup()
-            );
-        }
-        match perf::write_json(&pts, smoke, backend, lookahead, wire_batch, speedup.as_ref()) {
-            Ok(path) => println!("\nwrote {}", path.display()),
-            Err(e) => eprintln!("\nfailed to write perf json: {e}"),
-        }
-        return;
+    if !SECTIONS.contains(&section) {
+        eprintln!("repro: unknown section {section:?}\nsections: {}", SECTIONS.join(" "));
+        std::process::exit(2);
     }
 
-    if section == "trace" {
-        // Observability harness: like perf, never part of `all` (its output
-        // is a file at the repo root, not a table).
-        let app = args
-            .iter()
-            .filter(|a| !a.starts_with("--"))
-            .nth(1)
-            .map(String::as_str)
-            .unwrap_or("tsp");
-        match tracecmd::run(app, smoke) {
+    if section == "trace" || section == "heat" {
+        // Observability harnesses: never part of `all` (their output is a
+        // file at the repo root, not a table).
+        let written = if section == "trace" { tracecmd::run(app, smoke) } else { heat::run(app, smoke) };
+        match written {
             Ok(path) => println!("wrote {}", path.display()),
             Err(e) => {
-                eprintln!("repro trace: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    if section == "heat" {
-        // Per-object DSM sharing profiler: deterministic (sim backend, and
-        // the objprof report is backend-invariant anyway), but its output is
-        // a file at the repo root, so — like trace — not part of `all`.
-        let app = args
-            .iter()
-            .filter(|a| !a.starts_with("--"))
-            .nth(1)
-            .map(String::as_str)
-            .unwrap_or("tsp");
-        match heat::run(app, smoke) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("repro heat: {e}");
+                eprintln!("repro {section}: {e}");
                 std::process::exit(1);
             }
         }
@@ -170,14 +72,7 @@ fn main() {
         // the superinstruction selection in jsplit-mjvm's pcode module.
         // Deterministic (sim backend, counts merged across nodes), so the
         // tables can be committed to EXPERIMENTS.md verbatim.
-        let app = args
-            .iter()
-            .filter(|a| !a.starts_with("--"))
-            .nth(1)
-            .map(String::as_str)
-            .unwrap_or("tsp");
-        let Some((_, program)) = perf::workloads(smoke).into_iter().find(|(a, _)| *a == app)
-        else {
+        let Some(program) = table4::app_program(app, table4::Scale::single_app(smoke), 16) else {
             eprintln!("repro opstats: unknown app {app:?} (want tsp|series|raytracer)");
             std::process::exit(2);
         };

@@ -19,13 +19,13 @@
 //! across the sim / threads / sockets backends (`objprof.rs` integration
 //! tests pin this).
 //!
-//! `--smoke` selects the CI-scale inputs (same as `repro perf --smoke`).
+//! `--smoke` selects the CI-scale inputs ([`Scale::Test`]).
 
 use std::io::Write as _;
 use std::path::PathBuf;
 
 use crate::measure::run_clean;
-use crate::perf::workloads;
+use crate::table4::{app_program, Scale};
 use jsplit_dsm::DsmStats;
 use jsplit_mjvm::cost::JvmProfile;
 use jsplit_runtime::ClusterConfig;
@@ -167,7 +167,7 @@ pub fn to_json(app: &str, rep: &ObjProfReport, total: &DsmStats) -> String {
 /// Run the profiled workload and write `HEAT_<app>.json` at the repo root.
 /// Returns an error string if any invariant fails.
 pub fn run(app: &str, smoke: bool) -> Result<PathBuf, String> {
-    let Some((_, prog)) = workloads(smoke).into_iter().find(|(a, _)| *a == app) else {
+    let Some(prog) = app_program(app, Scale::single_app(smoke), 16) else {
         return Err(format!("unknown app {app:?} (expected tsp, series or raytracer)"));
     };
 

@@ -13,13 +13,13 @@
 //!   vector timestamps / bounded vs full notice history, and the
 //!   local-object lock fast path on/off).
 //!
-//! `cargo run -p jsplit-bench --release --bin repro` prints everything;
-//! the criterion benches under `benches/` time the same workloads.
+//! `cargo run -p jsplit-bench --release --bin repro` prints everything.
+//! Host-time measurement lives in `benchmark/` (`benchmark/run.sh`), not
+//! here: this crate's output is deterministic virtual time.
 
 pub mod ablation;
 pub mod heat;
 pub mod measure;
-pub mod perf;
 pub mod table1;
 pub mod tracecmd;
 pub mod table2;

@@ -38,6 +38,18 @@ pub enum Scale {
     Paper,
 }
 
+impl Scale {
+    /// The scale behind the single-app commands (`repro trace|heat|opstats
+    /// <app> [--smoke]`): CI-sized inputs with `--smoke`, else the sweep's.
+    pub fn single_app(smoke: bool) -> Scale {
+        if smoke {
+            Scale::Test
+        } else {
+            Scale::Bench
+        }
+    }
+}
+
 /// One point of one plot.
 #[derive(Debug, Clone)]
 pub struct Point {
@@ -54,9 +66,10 @@ pub struct Point {
     pub kbytes: u64,
 }
 
-/// Program builder per app: `f(threads) -> Program`.
-fn app_program(app: &'static str, scale: Scale, threads: i32) -> Program {
-    match (app, scale) {
+/// The one app × scale → `Program` table (`None` for an app outside
+/// [`APPS`]); every harness command builds its workload here.
+pub fn app_program(app: &str, scale: Scale, threads: i32) -> Option<Program> {
+    Some(match (app, scale) {
         ("tsp", Scale::Test) => tsp::program(tsp::TspParams { n: 9, seed: 42, depth: 3, threads }),
         ("tsp", Scale::Bench) => tsp::program(tsp::TspParams { n: 13, seed: 42, depth: 3, threads }),
         ("tsp", Scale::Deep) => tsp::program(tsp::TspParams { n: 14, seed: 42, depth: 3, threads }),
@@ -81,8 +94,8 @@ fn app_program(app: &'static str, scale: Scale, threads: i32) -> Program {
             raytracer::program(raytracer::RayParams { size: 700, grid: 4, threads })
         }
         ("raytracer", Scale::Paper) => raytracer::program(raytracer::RayParams::paper_scale(threads)),
-        _ => unreachable!("unknown app {app}"),
-    }
+        _ => return None,
+    })
 }
 
 pub const APPS: [&str; 3] = ["tsp", "series", "raytracer"];
@@ -92,7 +105,7 @@ pub fn run(scale: Scale) -> Vec<Point> {
     run_subset(scale, &APPS, &PROFILES, &NODE_COUNTS)
 }
 
-/// Run a subset of the sweep (used by the criterion benches).
+/// Run a subset of the sweep.
 ///
 /// The (app × profile) sweeps are independent deterministic simulations, so
 /// they run on parallel OS threads (std::thread::scope); results are
@@ -116,14 +129,14 @@ pub fn run_subset(
             .map(|&(ord, app, profile)| {
                 s.spawn(move || {
                     // Baseline: the original program, 2 threads, one node.
-                    let base_prog = app_program(app, scale, 2);
+                    let base_prog = app_program(app, scale, 2).expect("app in APPS");
                     let baseline_ps =
                         run_clean(ClusterConfig::baseline(profile, 2), &base_prog).exec_time_ps;
                     let baseline_s = baseline_ps as f64 / 1e12;
                     let mut pts = Vec::new();
                     for &nodes in node_counts {
                         let threads = 2 * nodes as i32;
-                        let prog = app_program(app, scale, threads);
+                        let prog = app_program(app, scale, threads).expect("app in APPS");
                         let rep = run_clean(ClusterConfig::javasplit(profile, nodes), &prog);
                         let exec_s = rep.exec_time_ps as f64 / 1e12;
                         let net = rep.net_total();

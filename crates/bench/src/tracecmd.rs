@@ -10,36 +10,23 @@
 //!   sums *exactly* to `exec_time_ps × cpus` (nothing is dropped or
 //!   double-counted).
 //!
-//! `--smoke` selects the CI-scale inputs (same as `repro perf --smoke`).
+//! `--smoke` selects the CI-scale inputs ([`Scale::Test`]).
 
 use std::io::Write as _;
 use std::path::PathBuf;
 
 use crate::measure::run_clean;
-use jsplit_mjvm::class::Program;
+use crate::table4::{app_program, Scale};
 use jsplit_mjvm::cost::JvmProfile;
 use jsplit_runtime::ClusterConfig;
 use jsplit_trace::{chrome_trace, count_exported, validate_json, TraceMode};
 
 const NODES: usize = 8;
 
-fn workload(app: &str, smoke: bool) -> Option<Program> {
-    use jsplit_apps::{raytracer, series, tsp};
-    Some(match (app, smoke) {
-        ("tsp", true) => tsp::program(tsp::TspParams { n: 9, seed: 42, depth: 3, threads: 16 }),
-        ("tsp", false) => tsp::program(tsp::TspParams { n: 13, seed: 42, depth: 3, threads: 16 }),
-        ("series", true) => series::program(series::SeriesParams { n: 96, intervals: 1000, threads: 16 }),
-        ("series", false) => series::program(series::SeriesParams { n: 256, intervals: 4000, threads: 16 }),
-        ("raytracer", true) => raytracer::program(raytracer::RayParams { size: 48, grid: 4, threads: 16 }),
-        ("raytracer", false) => raytracer::program(raytracer::RayParams { size: 360, grid: 4, threads: 16 }),
-        _ => return None,
-    })
-}
-
 /// Run the traced workload and write `TRACE_<app>.json` at the repo root.
 /// Returns an error string if any invariant fails.
 pub fn run(app: &str, smoke: bool) -> Result<PathBuf, String> {
-    let Some(prog) = workload(app, smoke) else {
+    let Some(prog) = app_program(app, Scale::single_app(smoke), 16) else {
         return Err(format!("unknown app {app:?} (expected tsp, series or raytracer)"));
     };
 

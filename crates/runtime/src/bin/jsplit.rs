@@ -3,8 +3,8 @@
 //! ```text
 //! jsplit run prog.mjvm [--nodes N] [--profile sun|ibm] [--baseline]
 //!        [--protocol mts|classic] [--chunk ELEMS] [--balancer least|rr|pinned]
-//!        [--backend sim|threads|sockets] [--lookahead global|per_pair] [--sync epoch|async]
-//!        [--no-batch] [--trace out.json] [--stats] [--wall-profile] [--objprof]
+//!        [--backend sim|threads|sockets] [--sync epoch|async]
+//!        [--trace out.json] [--stats] [--wall-profile] [--objprof]
 //!        [--metrics out.jsonl] [--metrics-interval 50ms] [--watchdog 500ms]
 //!        [--listen HOST:PORT] [--no-spawn]
 //! jsplit worker --connect HOST:PORT [--node-id N] [--connect-timeout SECS]
@@ -25,7 +25,7 @@ use jsplit_dsm::ProtocolMode;
 use jsplit_mjvm::classfile_io;
 use jsplit_mjvm::cost::JvmProfile;
 use jsplit_runtime::exec::run_cluster;
-use jsplit_runtime::{Backend, Balancer, ClusterConfig, Lookahead, MetricsConfig, SyncMode};
+use jsplit_runtime::{Backend, Balancer, ClusterConfig, MetricsConfig, SyncMode};
 use std::time::Duration;
 
 /// Parse a human duration: a bare number is milliseconds; `us`, `ms` and
@@ -51,8 +51,8 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  jsplit run <prog.mjvm> [--nodes N] [--profile sun|ibm] [--baseline]\n\
          \x20          [--protocol mts|classic] [--chunk ELEMS] [--balancer least|rr|pinned]\n\
-         \x20          [--backend sim|threads|sockets] [--lookahead global|per_pair] [--sync epoch|async]\n\
-         \x20          [--no-batch] [--trace out.json] [--stats] [--wall-profile] [--objprof]\n\
+         \x20          [--backend sim|threads|sockets] [--sync epoch|async]\n\
+         \x20          [--trace out.json] [--stats] [--wall-profile] [--objprof]\n\
          \x20          [--metrics out.jsonl] [--metrics-interval 50ms] [--watchdog 500ms]\n\
          \x20          [--listen HOST:PORT] [--no-spawn]\n\
          \x20 jsplit worker --connect HOST:PORT [--node-id N] [--connect-timeout SECS]\n\
@@ -107,9 +107,7 @@ fn cmd_run(rest: &[String]) {
     let mut wall_profile = false;
     let mut objprof = false;
     let mut backend = Backend::Sim;
-    let mut lookahead = Lookahead::default();
     let mut sync = SyncMode::default();
-    let mut wire_batch = true;
     let mut metrics_out: Option<String> = None;
     let mut metrics_interval: Option<Duration> = None;
     let mut watchdog: Option<Duration> = None;
@@ -145,13 +143,6 @@ fn cmd_run(rest: &[String]) {
             }
             "--listen" => listen = Some(it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())),
             "--no-spawn" => spawn_workers = false,
-            "--lookahead" => {
-                lookahead = match it.next().map(String::as_str) {
-                    Some("global") => Lookahead::Global,
-                    Some("per_pair") => Lookahead::PerPair,
-                    _ => usage(),
-                }
-            }
             "--sync" => {
                 sync = match it.next().map(String::as_str) {
                     Some("epoch") => SyncMode::Epoch,
@@ -159,7 +150,6 @@ fn cmd_run(rest: &[String]) {
                     _ => usage(),
                 }
             }
-            "--no-batch" => wire_batch = false,
             "--metrics" => metrics_out = Some(it.next().cloned().unwrap_or_else(|| usage())),
             "--metrics-interval" => {
                 metrics_interval =
@@ -194,9 +184,7 @@ fn cmd_run(rest: &[String]) {
     cfg.array_chunk = chunk;
     cfg.balancer = balancer;
     cfg.backend = backend;
-    cfg.lookahead = lookahead;
     cfg.sync = sync;
-    cfg.wire_batch = wire_batch;
     cfg.sockets.listen = listen;
     cfg.sockets.spawn_workers = spawn_workers;
     // The sockets backend rejects tracing (per-node buffers would need

@@ -63,20 +63,6 @@ impl Default for SocketsConfig {
     }
 }
 
-/// How the threads backend bounds each synchronization window (sim runs are
-/// unaffected: the virtual-time queue is globally ordered there).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Lookahead {
-    /// One global window width: the minimum cross-node base latency over
-    /// all senders. Simple, but the cheapest link throttles everyone.
-    Global,
-    /// Null-message-style per-pair horizons: each node advances to the
-    /// minimum over peers of `peer's earliest send + peer's base latency`,
-    /// so lightly-coupled and idle peers don't constrain progress.
-    #[default]
-    PerPair,
-}
-
 /// How the threads backend's nodes agree on safe horizons.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncMode {
@@ -179,15 +165,9 @@ pub struct ClusterConfig {
     /// Which driver executes the run (sim by default; mid-run joins still
     /// require the sim backend).
     pub backend: Backend,
-    /// Window-bound strategy for the threads backend.
-    pub lookahead: Lookahead,
     /// Synchronization protocol for the threads backend (epoch barrier
     /// rounds vs asynchronous per-pair horizons; results are identical).
     pub sync: SyncMode,
-    /// Coalesce per-peer wire messages into frames (threads backend). Off
-    /// ships every message as its own frame; statistics and results are
-    /// identical either way.
-    pub wire_batch: bool,
     /// Live telemetry: lock-free registry + wall-clock sampler (+ watchdog
     /// and flight recorder on the threads backend). `None` = off, the
     /// zero-cost default; on or off, runs are bit-identical.
@@ -212,12 +192,13 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// The paper's "Original" configuration: one node, `cpus` CPUs.
-    pub fn baseline(profile: JvmProfile, cpus: usize) -> ClusterConfig {
+    /// Every field at its default; the one literal all constructors (and
+    /// the sockets wire-config decoder) start from.
+    pub(crate) fn base(mode: Mode, nodes: Vec<NodeSpec>, cpus_per_node: usize) -> ClusterConfig {
         ClusterConfig {
-            mode: Mode::Baseline,
-            nodes: vec![NodeSpec { profile }],
-            cpus_per_node: cpus,
+            mode,
+            nodes,
+            cpus_per_node,
             protocol: ProtocolMode::MtsHlrc,
             balancer: Balancer::LeastLoaded,
             fuel: 4096,
@@ -228,69 +209,28 @@ impl ClusterConfig {
             trace: None,
             profile: false,
             backend: Backend::default(),
-            lookahead: Lookahead::default(),
             sync: SyncMode::default(),
-            wire_batch: true,
             metrics: None,
             sockets: SocketsConfig::default(),
             classic_interp: false,
             opstats: false,
             objprof: false,
         }
+    }
+
+    /// The paper's "Original" configuration: one node, `cpus` CPUs.
+    pub fn baseline(profile: JvmProfile, cpus: usize) -> ClusterConfig {
+        ClusterConfig::base(Mode::Baseline, vec![NodeSpec { profile }], cpus)
     }
 
     /// A homogeneous JavaSplit cluster of `n` dual-CPU nodes.
     pub fn javasplit(profile: JvmProfile, n: usize) -> ClusterConfig {
-        ClusterConfig {
-            mode: Mode::JavaSplit,
-            nodes: (0..n).map(|_| NodeSpec { profile }).collect(),
-            cpus_per_node: 2,
-            protocol: ProtocolMode::MtsHlrc,
-            balancer: Balancer::LeastLoaded,
-            fuel: 4096,
-            max_ops: u64::MAX,
-            joins: Vec::new(),
-            disable_local_locks: false,
-            array_chunk: None,
-            trace: None,
-            profile: false,
-            backend: Backend::default(),
-            lookahead: Lookahead::default(),
-            sync: SyncMode::default(),
-            wire_batch: true,
-            metrics: None,
-            sockets: SocketsConfig::default(),
-            classic_interp: false,
-            opstats: false,
-            objprof: false,
-        }
+        ClusterConfig::base(Mode::JavaSplit, vec![NodeSpec { profile }; n], 2)
     }
 
     /// A heterogeneous cluster from explicit specs.
     pub fn heterogeneous(nodes: Vec<NodeSpec>) -> ClusterConfig {
-        ClusterConfig {
-            mode: Mode::JavaSplit,
-            nodes,
-            cpus_per_node: 2,
-            protocol: ProtocolMode::MtsHlrc,
-            balancer: Balancer::LeastLoaded,
-            fuel: 4096,
-            max_ops: u64::MAX,
-            joins: Vec::new(),
-            disable_local_locks: false,
-            array_chunk: None,
-            trace: None,
-            profile: false,
-            backend: Backend::default(),
-            lookahead: Lookahead::default(),
-            sync: SyncMode::default(),
-            wire_batch: true,
-            metrics: None,
-            sockets: SocketsConfig::default(),
-            classic_interp: false,
-            opstats: false,
-            objprof: false,
-        }
+        ClusterConfig::base(Mode::JavaSplit, nodes, 2)
     }
 
     pub fn with_array_chunk(mut self, elems: u32) -> Self {
@@ -342,21 +282,9 @@ impl ClusterConfig {
         self
     }
 
-    /// Select the threads backend's window-bound strategy.
-    pub fn with_lookahead(mut self, lookahead: Lookahead) -> Self {
-        self.lookahead = lookahead;
-        self
-    }
-
     /// Select the threads backend's synchronization protocol.
     pub fn with_sync(mut self, sync: SyncMode) -> Self {
         self.sync = sync;
-        self
-    }
-
-    /// Toggle wire batching on the threads backend.
-    pub fn with_wire_batch(mut self, on: bool) -> Self {
-        self.wire_batch = on;
         self
     }
 
@@ -416,17 +344,10 @@ mod tests {
         assert_eq!(th.backend, Backend::Threads);
         assert!(!th.profile);
         assert!(ClusterConfig::javasplit(JvmProfile::SunSim, 2).with_profile(true).profile);
-        assert_eq!(th.lookahead, Lookahead::PerPair);
         assert_eq!(th.sync, SyncMode::Epoch);
-        assert!(th.wire_batch);
         let asy = ClusterConfig::javasplit(JvmProfile::SunSim, 2).with_sync(SyncMode::Async);
         assert_eq!(asy.sync, SyncMode::Async);
-        let tuned = ClusterConfig::javasplit(JvmProfile::SunSim, 2)
-            .with_lookahead(Lookahead::Global)
-            .with_wire_batch(false);
-        assert_eq!(tuned.lookahead, Lookahead::Global);
-        assert!(!tuned.wire_batch);
-        assert!(tuned.metrics.is_none());
+        assert!(asy.metrics.is_none());
         let m = ClusterConfig::javasplit(JvmProfile::SunSim, 2).with_metrics(MetricsConfig {
             watchdog_budget: Some(std::time::Duration::from_millis(200)),
             ..MetricsConfig::default()

@@ -31,12 +31,10 @@
 //! process local events up to a horizon no in-flight or future message can
 //! undercut.
 //!
-//! ## Lookahead
+//! ## Per-pair horizons
 //!
-//! [`Lookahead::Global`] bounds every window by the cheapest sender's base
-//! latency: horizon = `min_next + min_base`. [`Lookahead::PerPair`] uses
-//! the published per-node promises (null-message style): node `j` advances
-//! to
+//! Horizons are per-pair, built from the published per-node promises
+//! (null-message style, [`Horizons::horizon`]): node `j` advances to
 //!
 //! ```text
 //! h_j = min( min_{i≠j} (next_i + base_i),          direct influence
@@ -58,14 +56,14 @@
 //! Within a window nodes run concurrently on real CPUs (the wall-clock
 //! speedup), yet each node's virtual-time execution is identical to what
 //! the sequential simulator would do — program output and protocol
-//! counters match the sim backend under either lookahead mode and under
-//! every backend (asserted by the cross-backend differential tests). The
+//! counters match the sim backend under every backend and sync mode
+//! (asserted by the cross-backend differential tests). The
 //! residual freedom is tie-ordering of *distinct nodes'* events at exactly
 //! equal virtual times, which the deterministic key resolves run-to-run
 //! reproducibly.
 
 use crate::balance::{BalancerState, LoadBalancer};
-use crate::config::{Lookahead, Mode};
+use crate::config::Mode;
 use crate::env::CONSOLE_NODE;
 use crate::node::{Effect, LocalEv, NodeRuntime};
 use jsplit_dsm::Msg;
@@ -97,24 +95,19 @@ pub(crate) fn make_node_sink(mode: TraceMode) -> Box<dyn TraceSink + Send> {
 /// cluster constants, owned (small vectors) by each node's engine.
 #[derive(Debug, Clone)]
 pub(crate) struct Horizons {
-    /// Global-mode window width: the minimum cross-node per-message base
-    /// latency (`u64::MAX` for a single node — one window runs everything).
-    pub window_ps: u64,
     /// Per-sender zero-byte latency (ps): the lookahead each node's
     /// promise is extended by.
     pub base_ps: Vec<u64>,
     /// `min_{i≠j} base_ps[i]` per node `j` (the self-echo return hop).
     pub min_peer_base: Vec<u64>,
-    pub lookahead: Lookahead,
     pub max_ops: u64,
 }
 
 impl Horizons {
     /// Derive the cluster's lookahead tables from its per-node base
     /// latencies.
-    pub fn new(base_ps: Vec<u64>, lookahead: Lookahead, max_ops: u64) -> Horizons {
+    pub fn new(base_ps: Vec<u64>, max_ops: u64) -> Horizons {
         let n = base_ps.len();
-        let window_ps = base_ps.iter().copied().min().unwrap_or(u64::MAX);
         let min_peer_base = (0..n)
             .map(|j| {
                 base_ps
@@ -126,7 +119,23 @@ impl Horizons {
                     .unwrap_or(u64::MAX)
             })
             .collect();
-        Horizons { window_ps, base_ps, min_peer_base, lookahead, max_ops }
+        Horizons { base_ps, min_peer_base, max_ops }
+    }
+
+    /// Node `me`'s safe horizon given every node's earliest possible send
+    /// time `next_of(i)` (module docs give the argument): the minimum of
+    /// each peer's `next_i + base_i` and the self-echo `next_me + base_me +
+    /// min_peer_base`. Idle peers (`next = ∞`) saturate and never bind; a
+    /// single node has `min_peer_base = ∞`, i.e. one unbounded window.
+    pub fn horizon(&self, me: usize, next_of: impl Fn(usize) -> u64) -> u64 {
+        let mut h =
+            next_of(me).saturating_add(self.base_ps[me]).saturating_add(self.min_peer_base[me]);
+        for (i, &base) in self.base_ps.iter().enumerate() {
+            if i != me {
+                h = h.min(next_of(i).saturating_add(base));
+            }
+        }
+        h
     }
 }
 
@@ -910,27 +919,8 @@ impl SyncEngine {
             }
             self.windows += 1;
             // The safe horizon: no message can be delivered to this node
-            // below it (module docs give the argument). n == 1 degenerates
-            // to one unbounded window.
-            let horizon = if n == 1 {
-                u64::MAX
-            } else {
-                match self.hz.lookahead {
-                    Lookahead::Global => min_next.saturating_add(self.hz.window_ps),
-                    Lookahead::PerPair => {
-                        let mut h = slots[me]
-                            .next_event
-                            .saturating_add(self.hz.base_ps[me])
-                            .saturating_add(self.hz.min_peer_base[me]);
-                        for (i, s) in slots.iter().enumerate() {
-                            if i != me {
-                                h = h.min(s.next_event.saturating_add(self.hz.base_ps[i]));
-                            }
-                        }
-                        h
-                    }
-                }
-            };
+            // below it.
+            let horizon = self.hz.horizon(me, |i| slots[i].next_event);
             if let Some(p) = &mut self.profiler {
                 p.mark(SpanKind::Decide);
                 if horizon != u64::MAX && min_next != u64::MAX {
@@ -1119,9 +1109,9 @@ impl SyncEngine {
     /// race by its park timeout. Only strict increases ship: a promise
     /// never retracts, and each frame both wakes the peer and advances
     /// its channel clock.
-    fn refresh_promises(&mut self, asy: &AsyncShared, promised: &mut [u64], horizon: u64, my_base: u64) {
-        let promise = self.async_next().min(horizon).saturating_add(my_base);
+    fn refresh_promises(&mut self, asy: &AsyncShared, promised: &mut [u64], horizon: u64) {
         let me = self.endpoint.id as usize;
+        let promise = self.async_next().min(horizon).saturating_add(self.hz.base_ps[me]);
         for (dst, sent) in promised.iter_mut().enumerate() {
             if dst == me || promise <= *sent {
                 continue;
@@ -1147,12 +1137,12 @@ impl SyncEngine {
     /// peer, unconditionally (classic eager Chandy–Misra–Bryant). The
     /// promise bound is the same: anything this node may still send is
     /// triggered by a queued event (≥ queue head) or a future arrival
-    /// (≥ the input horizon), and costs ≥ `my_base` in flight. Per-pair
+    /// (≥ the input horizon), and costs ≥ `base_ps[me]` in flight. Per-pair
     /// FIFO keeps it sound with records in flight: a promise written after
     /// a data record can only be read after it.
-    fn refresh_promises_wire(&mut self, promised: &mut [u64], horizon: u64, my_base: u64) {
-        let promise = self.queue_head().min(horizon).saturating_add(my_base);
+    fn refresh_promises_wire(&mut self, promised: &mut [u64], horizon: u64) {
         let me = self.endpoint.id as usize;
+        let promise = self.queue_head().min(horizon).saturating_add(self.hz.base_ps[me]);
         for (dst, sent) in promised.iter_mut().enumerate() {
             if dst == me || promise <= *sent {
                 continue;
@@ -1177,8 +1167,8 @@ impl SyncEngine {
 
     /// Epoch-grade horizon from the published snapshot — valid at every
     /// instant, records in flight or not. The published `next` values are
-    /// fed to the §12.2 per-pair (or global-window) horizon rule
-    /// verbatim; our own slot contributes the live pending-aware `next`.
+    /// fed to the §12.2 per-pair horizon rule verbatim; our own slot
+    /// contributes the live pending-aware `next`.
     ///
     /// Soundness rests on the send-coverage invariant (§14.4): a node's
     /// published `next` is at all times a lower bound on (a) every event
@@ -1194,31 +1184,9 @@ impl SyncEngine {
     /// stability, no counter bracketing. A straggler in a busy cluster
     /// advances its horizon with `n` atomic loads per burst, waking
     /// nobody.
-    fn snapshot_horizon(&self, asy: &AsyncShared, next_me: u64, next_buf: &mut Vec<u64>) -> u64 {
+    fn snapshot_horizon(&self, asy: &AsyncShared, next_me: u64) -> u64 {
         let me = self.endpoint.id as usize;
-        next_buf.clear();
-        for (i, s) in asy.slots.iter().enumerate() {
-            if i == me {
-                next_buf.push(next_me);
-            } else {
-                next_buf.push(s.next.load(Ordering::SeqCst));
-            }
-        }
-        match self.hz.lookahead {
-            Lookahead::Global => {
-                let min_next = next_buf.iter().copied().min().unwrap_or(u64::MAX);
-                min_next.saturating_add(self.hz.window_ps)
-            }
-            Lookahead::PerPair => {
-                let mut h = next_me.saturating_add(self.hz.base_ps[me]).saturating_add(self.hz.min_peer_base[me]);
-                for (i, nx) in next_buf.iter().enumerate() {
-                    if i != me {
-                        h = h.min(nx.saturating_add(self.hz.base_ps[i]));
-                    }
-                }
-                h
-            }
-        }
+        self.hz.horizon(me, |i| if i == me { next_me } else { asy.slots[i].next.load(Ordering::SeqCst) })
     }
 
     /// The in-process body under `--sync async` (DESIGN.md §14): no
@@ -1232,20 +1200,12 @@ impl SyncEngine {
         let me = self.endpoint.id as usize;
         let asy = self.asy.clone().expect("async shared state");
         let n = self.n_nodes;
-        // The lookahead this node's promises extend by: its own base link
-        // latency per-pair, the cluster-cheapest base under global mode
-        // (same conservatism as the epoch global window).
-        let my_base = match self.hz.lookahead {
-            Lookahead::PerPair => self.hz.base_ps[me],
-            Lookahead::Global => self.hz.window_ps,
-        };
         // chan[p] = channel clock for peer p: no future record from p can
         // deliver below it. Own entry pinned at ∞ so `min` skips it.
         let mut chan = vec![0u64; n];
         chan[me] = u64::MAX;
         let mut promised = vec![0u64; n];
         let mut vbuf: Vec<u64> = Vec::with_capacity(n);
-        let mut next_buf: Vec<u64> = Vec::with_capacity(n);
         // The main thread is prepaid in `AsyncShared::live`; baseline the
         // console node at 1 so its bootstrap burst publishes a zero delta.
         let mut last_live: u64 = if me == CONSOLE_NODE as usize { 1 } else { 0 };
@@ -1278,7 +1238,7 @@ impl SyncEngine {
                 // exceed it briefly (a data delivery outruns its sender's
                 // republished `next`), so take the max of both.
                 let next_me = self.async_next();
-                let h2 = self.snapshot_horizon(&asy, next_me, &mut next_buf);
+                let h2 = self.snapshot_horizon(&asy, next_me);
                 h = h.max(h2);
             }
             if h > horizon {
@@ -1306,7 +1266,7 @@ impl SyncEngine {
                 // on our promise (the skew scenario): refresh periodically
                 // as `next` climbs, not just at burst end.
                 if burst.is_multiple_of(256) {
-                    self.refresh_promises(&asy, &mut promised, horizon, my_base);
+                    self.refresh_promises(&asy, &mut promised, horizon);
                 }
             }
             if burst > 0 {
@@ -1357,7 +1317,7 @@ impl SyncEngine {
                 self.fly(FlightTag::BurstPublish, version, next);
                 self.publish_metrics(horizon, next, qhead);
             }
-            self.refresh_promises(&asy, &mut promised, horizon, my_base);
+            self.refresh_promises(&asy, &mut promised, horizon);
             self.endpoint.flush();
             if let Some(p) = &mut self.profiler {
                 p.mark(SpanKind::FrameFlush);
@@ -1405,7 +1365,7 @@ impl SyncEngine {
             // parking and spin straight into the next window if it moved —
             // this is the self-serve climb that replaces a null round-trip
             // per window with a handful of atomic loads.
-            if n > 1 && self.snapshot_horizon(&asy, self.async_next(), &mut next_buf) > horizon {
+            if n > 1 && self.snapshot_horizon(&asy, self.async_next()) > horizon {
                 continue;
             }
             // The parked bit is the demand signal `refresh_promises` gates
@@ -1465,10 +1425,6 @@ impl SyncEngine {
     pub fn run_async_wire(mut self, peers: &mut dyn WirePeers) -> NodeOutcome {
         let me = self.endpoint.id as usize;
         let n = self.n_nodes;
-        let my_base = match self.hz.lookahead {
-            Lookahead::PerPair => self.hz.base_ps[me],
-            Lookahead::Global => self.hz.window_ps,
-        };
         let mut chan = vec![0u64; n];
         chan[me] = u64::MAX;
         let mut promised = vec![0u64; n];
@@ -1498,7 +1454,7 @@ impl SyncEngine {
                 burst += 1;
                 // Long bursts must not starve peers hanging on our promise.
                 if burst.is_multiple_of(256) {
-                    self.refresh_promises_wire(&mut promised, horizon, my_base);
+                    self.refresh_promises_wire(&mut promised, horizon);
                 }
             }
             if burst > 0 {
@@ -1508,7 +1464,7 @@ impl SyncEngine {
             // The pump rate-limits itself, so calling it on quiet
             // iterations too keeps samples flowing while we idle-park.
             self.pump_metrics(false);
-            self.refresh_promises_wire(&mut promised, horizon, my_base);
+            self.refresh_promises_wire(&mut promised, horizon);
             // Flush *before* any state report: the report must ride the
             // stream behind every record it accounts for, or the
             // coordinator could observe "all drained" with our records
@@ -1555,5 +1511,28 @@ impl SyncEngine {
         self.publish_metrics(u64::MAX, self.async_next(), self.queue_head());
         self.pump_metrics(true);
         self.finish_outcome(outcome == async_done::DEADLOCK, outcome == async_done::ABORT)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn horizon_keeps_self_echo_and_ignores_idle_peers() {
+        let hz = Horizons::new(vec![700, 300, 500], u64::MAX);
+        assert_eq!(hz.min_peer_base, vec![300, 500, 300]);
+        // One busy node, every peer idle at ∞: only the self-echo term is
+        // finite, so dropping it would open an unbounded window.
+        let idle_peers = |i: usize| if i == 0 { 1_000 } else { u64::MAX };
+        assert_eq!(hz.horizon(0, idle_peers), 1_000 + 700 + 300);
+        // From a peer's side the busy node's `next + base` binds ...
+        assert_eq!(hz.horizon(1, idle_peers), 1_000 + 700);
+        // ... and an idle peer never does, however small its base.
+        let one_idle = |i: usize| [1_000, u64::MAX, 1_200][i];
+        assert_eq!(hz.horizon(2, one_idle), 1_000 + 700);
+        assert_eq!(hz.horizon(0, one_idle), 1_200 + 500);
+        // A single node has no peers: one unbounded window.
+        assert_eq!(Horizons::new(vec![700], u64::MAX).horizon(0, |_| 5), u64::MAX);
     }
 }

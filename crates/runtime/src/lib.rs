@@ -49,7 +49,7 @@ pub mod telemetry;
 pub mod threads;
 
 pub use balance::{Balancer, LoadBalancer};
-pub use config::{Backend, ClusterConfig, Lookahead, MetricsConfig, Mode, NodeSpec, SyncMode};
+pub use config::{Backend, ClusterConfig, MetricsConfig, Mode, NodeSpec, SyncMode};
 pub use driver::{ClusterError, Driver};
 pub use exec::Cluster;
 pub use node::NodeRuntime;

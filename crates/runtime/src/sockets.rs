@@ -60,7 +60,7 @@
 //! `tests/sockets.rs`).
 
 use crate::balance::{Balancer, BalancerState};
-use crate::config::{Backend, ClusterConfig, Lookahead, Mode, NodeSpec, SocketsConfig, SyncMode};
+use crate::config::{Backend, ClusterConfig, Mode, NodeSpec, SyncMode};
 use crate::driver::{self, ClusterError, Prepared};
 use crate::engine::{async_done, EpochPeers, EpochSlot, Horizons, SyncEngine, WirePeers};
 use crate::env::CONSOLE_NODE;
@@ -136,15 +136,10 @@ fn encode_wire_config(cfg: &ClusterConfig) -> Vec<u8> {
             w.u8(1).u32(c);
         }
     }
-    w.u8(match cfg.lookahead {
-        Lookahead::Global => 0,
-        Lookahead::PerPair => 1,
-    });
     w.u8(match cfg.sync {
         SyncMode::Epoch => 0,
         SyncMode::Async => 1,
     });
-    w.u8(cfg.wire_batch as u8);
     w.u8(cfg.classic_interp as u8);
     w.into_inner()
 }
@@ -156,7 +151,12 @@ fn decode_wire_config(bytes: &[u8]) -> Result<ClusterConfig, CodecError> {
         1 => Mode::JavaSplit,
         _ => return Err(CodecError("bad mode byte")),
     };
-    let n = r.varu()? as usize;
+    // The count comes from the peer: each node costs one byte, so anything
+    // above what is left is malformed — refuse before allocating for it.
+    let n = match usize::try_from(r.varu()?) {
+        Ok(n) if n <= r.remaining() => n,
+        _ => return Err(CodecError("node count exceeds message")),
+    };
     let mut nodes = Vec::with_capacity(n);
     for _ in 0..n {
         nodes.push(NodeSpec {
@@ -168,63 +168,40 @@ fn decode_wire_config(bytes: &[u8]) -> Result<ClusterConfig, CodecError> {
         });
     }
     let cpus_per_node = r.varu()? as usize;
-    let protocol = match r.u8()? {
+    // Everything the wire does not carry keeps its default: tracing,
+    // metrics and objprof are armed via `Welcome`, outside the hashed
+    // config (they never change virtual-time results); opstats counters
+    // have no berth in the worker report (opstats runs use the sim).
+    let mut cfg = ClusterConfig::base(mode, nodes, cpus_per_node);
+    cfg.backend = Backend::Sockets;
+    cfg.protocol = match r.u8()? {
         0 => ProtocolMode::MtsHlrc,
         1 => ProtocolMode::ClassicHlrc,
         _ => return Err(CodecError("bad protocol byte")),
     };
-    let balancer = match r.u8()? {
+    cfg.balancer = match r.u8()? {
         0 => Balancer::LeastLoaded,
         1 => Balancer::RoundRobin,
         2 => Balancer::Pinned,
         _ => return Err(CodecError("bad balancer byte")),
     };
-    let fuel = r.u32()?;
-    let max_ops = r.u64()?;
-    let disable_local_locks = r.u8()? != 0;
-    let array_chunk = match r.u8()? {
+    cfg.fuel = r.u32()?;
+    cfg.max_ops = r.u64()?;
+    cfg.disable_local_locks = r.u8()? != 0;
+    cfg.array_chunk = match r.u8()? {
         0 => None,
         _ => Some(r.u32()?),
     };
-    let lookahead = match r.u8()? {
-        0 => Lookahead::Global,
-        1 => Lookahead::PerPair,
-        _ => return Err(CodecError("bad lookahead byte")),
-    };
-    let sync = match r.u8()? {
+    cfg.sync = match r.u8()? {
         0 => SyncMode::Epoch,
         1 => SyncMode::Async,
         _ => return Err(CodecError("bad sync byte")),
     };
-    let wire_batch = r.u8()? != 0;
-    let classic_interp = r.u8()? != 0;
-    Ok(ClusterConfig {
-        mode,
-        nodes,
-        cpus_per_node,
-        protocol,
-        balancer,
-        fuel,
-        max_ops,
-        joins: Vec::new(),
-        disable_local_locks,
-        array_chunk,
-        trace: None,
-        profile: false,
-        backend: Backend::Sockets,
-        lookahead,
-        sync,
-        wire_batch,
-        metrics: None,
-        sockets: SocketsConfig::default(),
-        classic_interp,
-        // Per-node profiling counters have no berth in the worker report;
-        // opstats runs use the sim backend.
-        opstats: false,
-        // Armed via `Welcome { flags }`, not the hashed wire config — the
-        // profiler never changes virtual-time results.
-        objprof: false,
-    })
+    cfg.classic_interp = r.u8()? != 0;
+    if r.remaining() != 0 {
+        return Err(CodecError("trailing bytes after wire config"));
+    }
+    Ok(cfg)
 }
 
 // ---------------------------------------------------------------------------
@@ -810,7 +787,7 @@ fn run_worker_body(
     let (ctrl_tx, ctrl_rx) = mpsc::channel::<io::Result<Envelope>>();
     let wire = Box::new(TcpFrameLink::new(stream.try_clone().map_err(sock_err)?, pool_tx));
     let mut endpoint =
-        ChannelEndpoint::single(me, n, links[me as usize], wire, frame_rx, pool_rx, config.wire_batch);
+        ChannelEndpoint::single(me, n, links[me as usize], wire, frame_rx, pool_rx, true);
     let mut pump_stream = stream.try_clone().map_err(sock_err)?;
     thread::spawn(move || loop {
         match tcp::read_envelope(&mut pump_stream) {
@@ -864,7 +841,7 @@ fn run_worker_body(
     }
 
     let base_ps: Vec<u64> = links.iter().map(|l| l.base_ps()).collect();
-    let hz = Horizons::new(base_ps, config.lookahead, config.max_ops);
+    let hz = Horizons::new(base_ps, config.max_ops);
     let main_method = prepared.image.main_method;
     let main_locals = prepared.image.method(main_method).max_locals;
     let mut eng = SyncEngine::new(
@@ -1455,9 +1432,7 @@ mod tests {
         cfg.max_ops = 9_999;
         cfg.disable_local_locks = true;
         cfg.array_chunk = Some(64);
-        cfg.lookahead = Lookahead::Global;
         cfg.sync = SyncMode::Async;
-        cfg.wire_batch = false;
         let got = decode_wire_config(&encode_wire_config(&cfg)).unwrap();
         assert_eq!(got.mode, cfg.mode);
         assert_eq!(got.nodes, cfg.nodes);
@@ -1468,13 +1443,30 @@ mod tests {
         assert_eq!(got.max_ops, cfg.max_ops);
         assert_eq!(got.disable_local_locks, cfg.disable_local_locks);
         assert_eq!(got.array_chunk, cfg.array_chunk);
-        assert_eq!(got.lookahead, cfg.lookahead);
         assert_eq!(got.sync, cfg.sync);
-        assert_eq!(got.wire_batch, cfg.wire_batch);
         assert_eq!(got.backend, Backend::Sockets);
         assert!(got.trace.is_none() && !got.profile && got.metrics.is_none());
         // Deployment-side observers stay out of the hashed wire config.
         assert!(!got.objprof);
+    }
+
+    #[test]
+    fn wire_config_rejects_malformed_bytes() {
+        let good = encode_wire_config(&ClusterConfig::javasplit(JvmProfile::SunSim, 4).with_array_chunk(64));
+        assert!(decode_wire_config(&good).is_ok());
+        // Truncated anywhere: an error, never a panic.
+        for len in 0..good.len() {
+            assert!(decode_wire_config(&good[..len]).is_err(), "prefix of {len} bytes accepted");
+        }
+        let mut trailing = good.clone();
+        trailing.push(0);
+        assert!(decode_wire_config(&trailing).is_err());
+        // A node count of u64::MAX (10-byte varint) must not be allocated for.
+        let mut huge = vec![1u8];
+        huge.extend_from_slice(&[0xFF; 9]);
+        huge.push(0x01);
+        huge.extend_from_slice(&good[2..]);
+        assert!(decode_wire_config(&huge).is_err());
     }
 
     #[test]

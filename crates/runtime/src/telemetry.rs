@@ -20,9 +20,10 @@
 //!
 //! # Watchdog blame rule
 //!
-//! Under conservative sync a node's safe horizon is
-//! `min_{i≠j}(next_i + base_i)` (§12.2): if the horizon stops moving, some
-//! peer's published promise is the binding term. A node counts as
+//! Under conservative sync a node's safe horizon is bounded by the peer
+//! terms `min_{i≠j}(next_i + base_i)` of the per-pair rule (§12.2, the only
+//! horizon rule): if the horizon stops moving, some peer's published
+//! promise is the binding term. A node counts as
 //! *stalled* when, for a full budget window, (1) its horizon and retired
 //! ops have not changed, (2) it has runnable work at or above the horizon
 //! (`queue_head < ∞` and `horizon ≤ queue_head`), and (3) it was observed
@@ -361,8 +362,8 @@ fn sampler_loop(
     summary
 }
 
-/// Cluster-wide horizon-lag percentiles straight from a summary (the
-/// figures BENCH_LIVE rows carry).
+/// Cluster-wide horizon-lag percentiles (p50, p90, p99) straight from a
+/// summary.
 pub fn lag_percentiles(s: &TelemetrySummary) -> (u64, u64, u64) {
     let h: &LogHist = &s.horizon_lag_ps;
     (h.percentile(0.50), h.percentile(0.90), h.percentile(0.99))

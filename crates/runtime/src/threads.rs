@@ -5,7 +5,7 @@
 //! deterministic reference model.
 //!
 //! The conservative-sync protocol itself — the drain → horizon → execute →
-//! publish loop, both lookahead modes, the async send-coverage machinery
+//! publish loop, the per-pair horizon rule, the async send-coverage machinery
 //! and the termination proofs — lives in [`crate::engine`], backend-
 //! independent. This module is the *instantiation* over one address space:
 //!
@@ -206,7 +206,7 @@ impl ThreadsDriver {
         for l in &links {
             assert!(l.loopback_ps() <= l.base_ps(), "loopback bound {} ps above link base {} ps", l.loopback_ps(), l.base_ps());
         }
-        let mut endpoints = ChannelEndpoint::mesh(&links, config.wire_batch);
+        let mut endpoints = ChannelEndpoint::mesh(&links, true);
         // Arm the per-endpoint trace/histogram buffers *before* class
         // shipping so setup-phase `NetSend`s are captured, like the sim's
         // global network trace.
@@ -243,7 +243,7 @@ impl ThreadsDriver {
         let started = std::time::Instant::now();
         let n = self.nodes.len();
         let base_ps: Vec<u64> = self.config.nodes.iter().map(|s| driver::link_params(*s).base_ps()).collect();
-        let hz = Horizons::new(base_ps, self.config.lookahead, self.config.max_ops);
+        let hz = Horizons::new(base_ps, self.config.max_ops);
         let shared = Arc::new(Shared {
             slots: (0..n).map(|_| NodeSlot::default()).collect(),
             barrier: Barrier::new(n),

@@ -3,15 +3,15 @@
 //!
 //! The threads backend runs each node on its own OS thread and moves every
 //! protocol message as *encoded bytes* across a channel, synchronized by
-//! conservative virtual-time windows (single-barrier epoch rounds, global
-//! or per-pair lookahead, optional wire batching). If its windowing,
+//! conservative virtual-time windows (single-barrier epoch rounds or
+//! barrier-free async bursts, per-pair lookahead). If its windowing,
 //! framing, message merge order, uid allocation, or load-balance placement
 //! diverged from the sim driver in any observable way, these tests catch
 //! it: program stdout, virtual execution time, instruction counts,
 //! per-node DSM protocol counters, and per-node network message/byte
 //! totals must all match exactly — on all three paper applications plus a
 //! write-heavy microbenchmark, across cluster sizes, in both protocol
-//! modes, under either lookahead strategy, batched or not. (Host
+//! modes, under both sync modes. (Host
 //! wall-clock and the sync counters are the fields allowed to differ —
 //! they describe *how* the parallel run was orchestrated, which is the
 //! point of the backend.)
@@ -20,7 +20,7 @@ use jsplit_dsm::ProtocolMode;
 use jsplit_mjvm::class::Program;
 use jsplit_mjvm::cost::JvmProfile;
 use jsplit_runtime::exec::run_cluster;
-use jsplit_runtime::{Backend, ClusterConfig, Lookahead, RunReport, SyncMode};
+use jsplit_runtime::{Backend, ClusterConfig, RunReport, SyncMode};
 
 fn apps() -> Vec<(&'static str, Program)> {
     use jsplit_apps::{raytracer, series, tsp};
@@ -31,38 +31,22 @@ fn apps() -> Vec<(&'static str, Program)> {
     ]
 }
 
-fn run_with(
-    backend: Backend,
-    proto: ProtocolMode,
-    nodes: usize,
-    lookahead: Lookahead,
-    wire_batch: bool,
-    p: &Program,
-) -> RunReport {
-    let cfg = ClusterConfig::javasplit(JvmProfile::SunSim, nodes)
-        .with_protocol(proto)
-        .with_backend(backend)
-        .with_lookahead(lookahead)
-        .with_wire_batch(wire_batch);
+fn run(backend: Backend, proto: ProtocolMode, nodes: usize, p: &Program) -> RunReport {
+    let cfg = ClusterConfig::javasplit(JvmProfile::SunSim, nodes).with_protocol(proto).with_backend(backend);
     let r = run_cluster(cfg, p).expect("cluster setup");
     r.expect_clean();
     r
 }
 
 /// A threads run under the asynchronous (barrier-free) sync protocol.
-fn run_async(proto: ProtocolMode, nodes: usize, lookahead: Lookahead, p: &Program) -> RunReport {
+fn run_async(proto: ProtocolMode, nodes: usize, p: &Program) -> RunReport {
     let cfg = ClusterConfig::javasplit(JvmProfile::SunSim, nodes)
         .with_protocol(proto)
         .with_backend(Backend::Threads)
-        .with_lookahead(lookahead)
         .with_sync(SyncMode::Async);
     let r = run_cluster(cfg, p).expect("cluster setup");
     r.expect_clean();
     r
-}
-
-fn run(backend: Backend, proto: ProtocolMode, nodes: usize, p: &Program) -> RunReport {
-    run_with(backend, proto, nodes, Lookahead::default(), true, p)
 }
 
 /// Everything observable about a run except host wall-clock, the
@@ -118,31 +102,15 @@ fn threads_backend_matches_sim_on_micro_kernel() {
     }
 }
 
-/// Both lookahead strategies and both batching settings must produce the
-/// same observable run — windowing and framing are execution details, not
-/// semantics.
-#[test]
-fn threads_backend_matches_sim_under_all_sync_knobs() {
-    let (_, p) = apps().swap_remove(0); // tsp: the most placement-sensitive app
-    let sim = run(Backend::Sim, ProtocolMode::MtsHlrc, 4, &p);
-    for lookahead in [Lookahead::Global, Lookahead::PerPair] {
-        for batch in [true, false] {
-            let thr = run_with(Backend::Threads, ProtocolMode::MtsHlrc, 4, lookahead, batch, &p);
-            assert_reports_match(&format!("tsp ({lookahead:?}, batch={batch})"), &sim, &thr);
-        }
-    }
-}
-
 /// The conservative-window merge must make the threads backend
 /// deterministic on its own terms: five runs of the same program produce
-/// identical stdout and protocol counters, regardless of OS scheduling —
-/// under the aggressive configuration (per-pair lookahead + batching).
+/// identical stdout and protocol counters, regardless of OS scheduling.
 #[test]
 fn threads_backend_is_deterministic_repeated() {
     let (_, p) = apps().swap_remove(0);
-    let first = run_with(Backend::Threads, ProtocolMode::MtsHlrc, 8, Lookahead::PerPair, true, &p);
+    let first = run(Backend::Threads, ProtocolMode::MtsHlrc, 8, &p);
     for i in 1..5 {
-        let r = run_with(Backend::Threads, ProtocolMode::MtsHlrc, 8, Lookahead::PerPair, true, &p);
+        let r = run(Backend::Threads, ProtocolMode::MtsHlrc, 8, &p);
         assert_eq!(first.output, r.output, "run {i}: stdout diverged");
         assert_eq!(first.exec_time_ps, r.exec_time_ps, "run {i}: virtual time diverged");
         assert_eq!(first.ops_per_node, r.ops_per_node, "run {i}: per-node ops diverged");
@@ -161,15 +129,13 @@ fn threads_backend_is_deterministic_repeated() {
 fn silent_nodes_neither_stall_nor_corrupt_the_cluster() {
     use jsplit_apps::tsp;
     let p = tsp::program(tsp::TspParams { n: 7, seed: 42, depth: 2, threads: 2 });
-    for lookahead in [Lookahead::Global, Lookahead::PerPair] {
-        let sim = run(Backend::Sim, ProtocolMode::MtsHlrc, 8, &p);
-        let thr = run_with(Backend::Threads, ProtocolMode::MtsHlrc, 8, lookahead, true, &p);
-        assert_reports_match(&format!("tsp-silent ({lookahead:?})"), &sim, &thr);
-        // The premise holds: some node really did stay silent (no DSM or
-        // spawn traffic beyond the class shipment it was sent).
-        let quiet = thr.net_per_node.iter().skip(1).any(|n| n.msgs_sent == 0);
-        assert!(quiet, "expected at least one silent worker in an 8-node run of 2 threads");
-    }
+    let sim = run(Backend::Sim, ProtocolMode::MtsHlrc, 8, &p);
+    let thr = run(Backend::Threads, ProtocolMode::MtsHlrc, 8, &p);
+    assert_reports_match("tsp-silent", &sim, &thr);
+    // The premise holds: some node really did stay silent (no DSM or
+    // spawn traffic beyond the class shipment it was sent).
+    let quiet = thr.net_per_node.iter().skip(1).any(|n| n.msgs_sent == 0);
+    assert!(quiet, "expected at least one silent worker in an 8-node run of 2 threads");
 }
 
 /// Single-node threads runs take the horizon=∞ fast path (no windowing);
@@ -183,14 +149,12 @@ fn threads_backend_matches_sim_single_node() {
 }
 
 /// The threads backend reports its orchestration counters: windows ran,
-/// one barrier wait per node per window, and (with batching on) fewer
-/// frames than messages.
+/// one barrier wait per node per window, and fewer frames than messages.
 #[test]
 fn sync_counters_are_populated() {
     let (_, p) = apps().swap_remove(0);
     let nodes = 4u64;
-    let batched = run_with(Backend::Threads, ProtocolMode::MtsHlrc, nodes as usize, Lookahead::PerPair, true, &p);
-    let s = batched.sync;
+    let s = run(Backend::Threads, ProtocolMode::MtsHlrc, nodes as usize, &p).sync;
     assert!(s.windows > 0, "no windows counted");
     // One Barrier::wait per node per round; rounds = windows + the final
     // decision round(s) that break without processing a window.
@@ -202,10 +166,6 @@ fn sync_counters_are_populated() {
     // Sim runs report zeroed sync counters.
     let sim = run(Backend::Sim, ProtocolMode::MtsHlrc, 4, &p);
     assert_eq!(sim.sync, jsplit_runtime::SyncStats::default());
-    // Unbatched: one frame per message, by construction.
-    let unbatched = run_with(Backend::Threads, ProtocolMode::MtsHlrc, 4, Lookahead::PerPair, false, &p);
-    assert_eq!(unbatched.sync.msgs_batched(), 0, "unbatched mode must ship one record per frame");
-    assert_eq!(unbatched.sync.frames_sent, unbatched.sync.msgs_framed);
 }
 
 /// Tracing on the threads backend: each node records into a private sink
@@ -328,7 +288,7 @@ fn async_sync_matches_sim_and_epoch_on_all_apps_both_protocols() {
         for proto in [ProtocolMode::MtsHlrc, ProtocolMode::ClassicHlrc] {
             let sim = run(Backend::Sim, proto, 4, p);
             let epoch = run(Backend::Threads, proto, 4, p);
-            let asy = run_async(proto, 4, Lookahead::default(), p);
+            let asy = run_async(proto, 4, p);
             assert_reports_match(&format!("{app} ({proto:?}) async-vs-sim"), &sim, &asy);
             assert_reports_match(&format!("{app} ({proto:?}) async-vs-epoch"), &epoch, &asy);
         }
@@ -336,20 +296,18 @@ fn async_sync_matches_sim_and_epoch_on_all_apps_both_protocols() {
 }
 
 /// The full async matrix: every app, cluster sizes below and above the
-/// thread count, both lookahead strategies — always counter-identical to
-/// the sim and to the epoch driver under the same lookahead.
+/// thread count — always counter-identical to the sim and to the epoch
+/// driver.
 #[test]
-fn async_sync_matches_sim_and_epoch_across_node_counts_and_lookaheads() {
+fn async_sync_matches_sim_and_epoch_across_node_counts() {
     for (app, p) in &apps() {
         for nodes in [2usize, 4, 8, 16] {
             let sim = run(Backend::Sim, ProtocolMode::MtsHlrc, nodes, p);
-            for lookahead in [Lookahead::Global, Lookahead::PerPair] {
-                let epoch = run_with(Backend::Threads, ProtocolMode::MtsHlrc, nodes, lookahead, true, p);
-                let asy = run_async(ProtocolMode::MtsHlrc, nodes, lookahead, p);
-                let ctx = format!("{app} @ {nodes} nodes ({lookahead:?})");
-                assert_reports_match(&format!("{ctx} async-vs-sim"), &sim, &asy);
-                assert_reports_match(&format!("{ctx} async-vs-epoch"), &epoch, &asy);
-            }
+            let epoch = run(Backend::Threads, ProtocolMode::MtsHlrc, nodes, p);
+            let asy = run_async(ProtocolMode::MtsHlrc, nodes, p);
+            let ctx = format!("{app} @ {nodes} nodes");
+            assert_reports_match(&format!("{ctx} async-vs-sim"), &sim, &asy);
+            assert_reports_match(&format!("{ctx} async-vs-epoch"), &epoch, &asy);
         }
     }
 }
@@ -361,9 +319,9 @@ fn async_sync_matches_sim_and_epoch_across_node_counts_and_lookaheads() {
 #[test]
 fn async_sync_is_deterministic_repeated() {
     let (_, p) = apps().swap_remove(0);
-    let first = run_async(ProtocolMode::MtsHlrc, 8, Lookahead::PerPair, &p);
+    let first = run_async(ProtocolMode::MtsHlrc, 8, &p);
     for i in 1..5 {
-        let r = run_async(ProtocolMode::MtsHlrc, 8, Lookahead::PerPair, &p);
+        let r = run_async(ProtocolMode::MtsHlrc, 8, &p);
         assert_eq!(first.output, r.output, "run {i}: stdout diverged");
         assert_eq!(first.exec_time_ps, r.exec_time_ps, "run {i}: virtual time diverged");
         assert_eq!(first.ops_per_node, r.ops_per_node, "run {i}: per-node ops diverged");
@@ -380,14 +338,12 @@ fn async_sync_is_deterministic_repeated() {
 fn async_nulls_alone_carry_the_horizon() {
     use jsplit_apps::tsp;
     let p = tsp::program(tsp::TspParams { n: 7, seed: 42, depth: 2, threads: 2 });
-    for lookahead in [Lookahead::Global, Lookahead::PerPair] {
-        let sim = run(Backend::Sim, ProtocolMode::MtsHlrc, 8, &p);
-        let asy = run_async(ProtocolMode::MtsHlrc, 8, lookahead, &p);
-        assert_reports_match(&format!("tsp-silent async ({lookahead:?})"), &sim, &asy);
-        let quiet = asy.net_per_node.iter().skip(1).any(|n| n.msgs_sent == 0);
-        assert!(quiet, "expected at least one silent worker in an 8-node run of 2 threads");
-        assert!(asy.sync.nulls_sent > 0, "silent nodes must have shipped standalone null promises");
-    }
+    let sim = run(Backend::Sim, ProtocolMode::MtsHlrc, 8, &p);
+    let asy = run_async(ProtocolMode::MtsHlrc, 8, &p);
+    assert_reports_match("tsp-silent async", &sim, &asy);
+    let quiet = asy.net_per_node.iter().skip(1).any(|n| n.msgs_sent == 0);
+    assert!(quiet, "expected at least one silent worker in an 8-node run of 2 threads");
+    assert!(asy.sync.nulls_sent > 0, "silent nodes must have shipped standalone null promises");
 }
 
 /// Single-node async runs take the same horizon=∞ fast path as epoch mode.
@@ -395,7 +351,7 @@ fn async_nulls_alone_carry_the_horizon() {
 fn async_sync_matches_sim_single_node() {
     let (_, p) = apps().swap_remove(0);
     let sim = run(Backend::Sim, ProtocolMode::MtsHlrc, 1, &p);
-    let asy = run_async(ProtocolMode::MtsHlrc, 1, Lookahead::PerPair, &p);
+    let asy = run_async(ProtocolMode::MtsHlrc, 1, &p);
     assert_reports_match("tsp-1node async", &sim, &asy);
 }
 
@@ -405,7 +361,7 @@ fn async_sync_matches_sim_single_node() {
 #[test]
 fn async_sync_counters_are_populated() {
     let (_, p) = apps().swap_remove(0);
-    let r = run_async(ProtocolMode::MtsHlrc, 4, Lookahead::PerPair, &p);
+    let r = run_async(ProtocolMode::MtsHlrc, 4, &p);
     let s = r.sync;
     assert_eq!(s.barrier_waits, 0, "async sync must never touch the barrier");
     assert!(s.windows > 0, "no bursts counted");
@@ -490,7 +446,7 @@ fn async_beats_epoch_on_the_skewed_kernel() {
         let e = run(Backend::Threads, ProtocolMode::MtsHlrc, 16, &p);
         assert_reports_match("skew epoch-vs-sim", &sim, &e);
         epoch_best = epoch_best.min(e.host_wall_secs);
-        let a = run_async(ProtocolMode::MtsHlrc, 16, Lookahead::PerPair, &p);
+        let a = run_async(ProtocolMode::MtsHlrc, 16, &p);
         assert_reports_match("skew async-vs-sim", &sim, &a);
         async_best = async_best.min(a.host_wall_secs);
     }

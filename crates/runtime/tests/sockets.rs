@@ -27,7 +27,7 @@ use jsplit_mjvm::cost::JvmProfile;
 use jsplit_net::tcp::{self, Envelope};
 use jsplit_runtime::config::SocketsConfig;
 use jsplit_runtime::exec::run_cluster;
-use jsplit_runtime::{Backend, ClusterConfig, ClusterError, Lookahead, RunReport, SyncMode};
+use jsplit_runtime::{Backend, ClusterConfig, ClusterError, RunReport, SyncMode};
 
 fn apps() -> Vec<(&'static str, Program)> {
     use jsplit_apps::{raytracer, series, tsp};
@@ -94,8 +94,7 @@ fn sockets_backend_matches_sim_on_all_apps_both_protocols_both_sync_modes() {
     }
 }
 
-/// Cluster sizes below and above the app's thread count; global lookahead
-/// rides along on the larger cluster.
+/// Cluster sizes below and above the app's thread count.
 #[test]
 fn sockets_backend_matches_sim_across_node_counts() {
     let (_, p) = &apps()[0];
@@ -104,14 +103,6 @@ fn sockets_backend_matches_sim_across_node_counts() {
         let skt = run_sockets(ProtocolMode::MtsHlrc, nodes, SyncMode::Epoch, p);
         assert_reports_match(&format!("tsp @ {nodes} nodes"), &sim, &skt);
     }
-    let sim = run_sim(ProtocolMode::MtsHlrc, 8, p);
-    let cfg = ClusterConfig::javasplit(JvmProfile::SunSim, 8)
-        .with_backend(Backend::Sockets)
-        .with_lookahead(Lookahead::Global)
-        .with_sockets(sockets_config());
-    let skt = run_cluster(cfg, p).expect("cluster setup");
-    skt.expect_clean();
-    assert_reports_match("tsp @ 8 nodes, global lookahead", &sim, &skt);
 }
 
 /// Grab a port the OS considers free, then release it for the
