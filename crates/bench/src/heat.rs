@@ -33,31 +33,13 @@ use jsplit_trace::{validate_json, ObjProfReport, ALL_OBJ_EVENTS, STATS_MAPPED};
 
 const NODES: usize = 8;
 
-/// The `DsmStats` field named by a [`STATS_MAPPED`] entry.
-fn stat_field(s: &DsmStats, name: &str) -> u64 {
-    match name {
-        "fetches" => s.fetches,
-        "fetches_delayed_at_home" => s.fetches_delayed_at_home,
-        "diffs_sent" => s.diffs_sent,
-        "diffs_applied" => s.diffs_applied,
-        "invalidations" => s.invalidations,
-        "shared_acquires_local" => s.shared_acquires_local,
-        "shared_acquires_remote" => s.shared_acquires_remote,
-        "grants_sent" => s.grants_sent,
-        "waits" => s.waits,
-        "notifies" => s.notifies,
-        "promotions" => s.promotions,
-        other => panic!("STATS_MAPPED names unknown DsmStats field {other:?}"),
-    }
-}
-
 /// Check the reconciliation invariant: per-object sums + unattributed ==
 /// aggregate `DsmStats` totals, for every mapped event kind.
 pub fn reconcile(rep: &ObjProfReport, total: &DsmStats) -> Result<(), String> {
     for (ev, field) in STATS_MAPPED {
         let per_obj: u64 = rep.objects.iter().map(|o| o.total[ev.index()]).sum();
         let sum = per_obj + rep.unattributed[ev.index()];
-        let agg = stat_field(total, field);
+        let agg = total.get(field).expect("STATS_MAPPED names DsmStats fields");
         if sum != agg {
             return Err(format!(
                 "reconciliation failed for {}: Σ objects {} + unattributed {} = {} != DsmStats.{} = {}",
@@ -158,7 +140,7 @@ pub fn to_json(app: &str, rep: &ObjProfReport, total: &DsmStats) -> String {
         if k > 0 {
             s.push_str(", ");
         }
-        s.push_str(&format!("\"{}\": {}", ev.name(), stat_field(total, field)));
+        s.push_str(&format!("\"{}\": {}", ev.name(), total.get(field).expect("STATS_MAPPED names DsmStats fields")));
     }
     s.push_str("}\n}\n");
     s
@@ -270,6 +252,7 @@ mod tests {
         let j = to_json("tsp", &rep, &total);
         validate_json(&j).expect("well-formed JSON");
         assert!(j.contains("\"app\": \"tsp\""));
+        assert!(j.contains(&format!("\"nodes\": {NODES},")));
         assert!(j.contains("\"objects\": ["));
         assert!(j.contains("\"class\": \""));
         assert!(j.contains("\"heat\": "));

@@ -369,23 +369,25 @@ impl DsmNode {
     /// Serialize an object's current contents for the wire, sharing any
     /// referenced local objects shallowly (no deep copy — Figure 2's
     /// `writeGlobalIdOf`).
-    pub fn serialize_state(&mut self, heap: &mut Heap, image: &Image, obj: ObjRef) -> WireState {
+    pub fn serialize_state(&mut self, heap: &mut Heap, obj: ObjRef) -> WireState {
         let payload = heap.get(obj).payload.clone();
         match payload {
             ObjPayload::Fields(vs) => {
-                WireState::Fields(vs.into_iter().map(|v| self.wval_of(heap, image, v)).collect())
+                WireState::Fields(vs.into_iter().map(|v| self.wval_of(heap, v)).collect())
             }
             ObjPayload::ArrI32(a) => WireState::ArrI32(a),
             ObjPayload::ArrI64(a) => WireState::ArrI64(a),
             ObjPayload::ArrF64(a) => WireState::ArrF64(a),
             ObjPayload::ArrRef(vs) => {
-                WireState::ArrRef(vs.into_iter().map(|v| self.wval_of(heap, image, v)).collect())
+                WireState::ArrRef(vs.into_iter().map(|v| self.wval_of(heap, v)).collect())
             }
             ObjPayload::Str(s) => WireState::Str(s.to_string()),
         }
     }
 
-    fn wval_of(&mut self, heap: &mut Heap, image: &Image, v: Value) -> WVal {
+    /// A heap value as it travels: primitives as themselves, strings by
+    /// value, anything else as the gid of the (now shared) object.
+    fn wval_of(&mut self, heap: &mut Heap, v: Value) -> WVal {
         match v {
             Value::I32(x) => WVal::I32(x),
             Value::I64(x) => WVal::I64(x),
@@ -398,7 +400,6 @@ impl DsmNode {
                 }
                 let class = heap.get(r).class;
                 let gid = self.share_object(heap, r);
-                let _ = image;
                 WVal::Ref(gid, class.0)
             }
         }
@@ -1063,7 +1064,7 @@ impl DsmNode {
             let entries: Vec<(u32, WVal)> = d
                 .entries
                 .iter()
-                .map(|(i, v)| (*i, self.wval_of_raw(heap, *v)))
+                .map(|(i, v)| (*i, self.wval_of(heap, *v)))
                 .collect();
             if scalar {
                 *self.outstanding_acks.entry(gid).or_insert(0) += 1;
@@ -1106,25 +1107,6 @@ impl DsmNode {
             self.notices.record(gid, self.id, my_interval, &req);
         }
         self.note_notice_pressure();
-    }
-
-    /// wval without sharing-through-image (diff values: primitives or refs
-    /// to objects that must be shared on demand; strings by value).
-    fn wval_of_raw(&mut self, heap: &mut Heap, v: Value) -> WVal {
-        match v {
-            Value::I32(x) => WVal::I32(x),
-            Value::I64(x) => WVal::I64(x),
-            Value::F64(x) => WVal::F64(x),
-            Value::Null => WVal::Null,
-            Value::Ref(r) => {
-                if let ObjPayload::Str(s) = &heap.get(r).payload {
-                    return WVal::Str(s.to_string());
-                }
-                let class = heap.get(r).class;
-                let gid = self.share_object(heap, r);
-                WVal::Ref(gid, class.0)
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1182,7 +1164,7 @@ impl DsmNode {
                 }
             }
             Msg::Fetch { gid, need, node, thread, want_idx } => {
-                self.handle_fetch(heap, image, gid, need, node, thread, want_idx);
+                self.handle_fetch(heap, gid, need, node, thread, want_idx);
             }
             Msg::ObjState { gid, class, state, version, applied, to_thread: _, offset, chunk_info } => {
                 self.install_state_at(heap, image, gid, ClassId(class), &state, version, &applied, offset, chunk_info);
@@ -1363,12 +1345,11 @@ impl DsmNode {
         // Serve fetches that were waiting for this interval (classic mode).
         let pending = std::mem::take(&mut self.homes.get_mut(&gid).unwrap().pending_fetches);
         for (need, n, t) in pending {
-            self.handle_fetch(heap, image, gid, need, n, t, u32::MAX);
+            self.handle_fetch(heap, gid, need, n, t, u32::MAX);
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn handle_fetch(&mut self, heap: &mut Heap, image: &Image, gid: Gid, need: Requirement, node: NodeId, thread: ThreadUid, want_idx: u32) {
+    fn handle_fetch(&mut self, heap: &mut Heap, gid: Gid, need: Requirement, node: NodeId, thread: ThreadUid, want_idx: u32) {
         debug_assert_eq!(gid.home(), self.id, "fetch must arrive at the home");
         // A base-gid fetch for a chunked array with a known faulting index:
         // answer with the region containing it (but keep the reply keyed by
@@ -1404,11 +1385,11 @@ impl DsmNode {
             Some((base, region)) => {
                 let meta = self.chunks[&base].clone();
                 let (lo, hi) = meta.region_bounds(region);
-                let state = self.serialize_slice(heap, image, obj, lo, hi);
+                let state = self.serialize_slice(heap, obj, lo, hi);
                 let v = self.homes[&meta.region_gid(region)].version;
                 (state, lo as u32, Some((meta.n_regions, meta.chunk, meta.total_len)), v)
             }
-            None => (self.serialize_state(heap, image, obj), 0, None, version),
+            None => (self.serialize_state(heap, obj), 0, None, version),
         };
         let applied: Vec<(NodeId, u32)> = if self.config.mode == ProtocolMode::ClassicHlrc {
             let mut v: Vec<(NodeId, u32)> =
@@ -1432,14 +1413,14 @@ impl DsmNode {
     }
 
     /// Serialize a slice of an array payload (region responses).
-    fn serialize_slice(&mut self, heap: &mut Heap, image: &Image, obj: ObjRef, lo: usize, hi: usize) -> WireState {
+    fn serialize_slice(&mut self, heap: &mut Heap, obj: ObjRef, lo: usize, hi: usize) -> WireState {
         let payload = heap.get(obj).payload.clone();
         match payload {
             ObjPayload::ArrI32(a) => WireState::ArrI32(a[lo..hi].to_vec()),
             ObjPayload::ArrI64(a) => WireState::ArrI64(a[lo..hi].to_vec()),
             ObjPayload::ArrF64(a) => WireState::ArrF64(a[lo..hi].to_vec()),
             ObjPayload::ArrRef(a) => WireState::ArrRef(
-                a[lo..hi].iter().map(|v| self.wval_of(heap, image, *v)).collect(),
+                a[lo..hi].iter().map(|v| self.wval_of(heap, *v)).collect(),
             ),
             other => panic!("region slice of non-array payload {other:?}"),
         }
@@ -1504,10 +1485,10 @@ impl DsmNode {
     // ------------------------------------------------------------------
 
     /// Share and serialize a thread object for shipping (§2).
-    pub fn prepare_spawn(&mut self, heap: &mut Heap, image: &Image, thread_obj: ObjRef, priority: i32) -> Msg {
+    pub fn prepare_spawn(&mut self, heap: &mut Heap, thread_obj: ObjRef, priority: i32) -> Msg {
         let class = heap.get(thread_obj).class;
         let gid = self.share_object(heap, thread_obj);
-        let state = self.serialize_state(heap, image, thread_obj);
+        let state = self.serialize_state(heap, thread_obj);
         Msg::SpawnThread { thread_gid: gid, class: class.0, state, priority }
     }
 

@@ -63,6 +63,32 @@ impl DsmStats {
         self.homed_objects += o.homed_objects;
         self.fetches_delayed_at_home += o.fetches_delayed_at_home;
     }
+
+    /// The counter called `name` (its field name), `None` if there is no
+    /// such field — how reports and checks that carry counter names as
+    /// data (`jsplit_trace::STATS_MAPPED`) read them back.
+    pub fn get(&self, name: &str) -> Option<u64> {
+        Some(match name {
+            "promotions" => self.promotions,
+            "local_acquires" => self.local_acquires,
+            "shared_acquires_local" => self.shared_acquires_local,
+            "shared_acquires_remote" => self.shared_acquires_remote,
+            "grants_sent" => self.grants_sent,
+            "fetches" => self.fetches,
+            "diffs_sent" => self.diffs_sent,
+            "diff_fields" => self.diff_fields,
+            "diffs_applied" => self.diffs_applied,
+            "releases_awaiting_acks" => self.releases_awaiting_acks,
+            "invalidations" => self.invalidations,
+            "waits" => self.waits,
+            "notifies" => self.notifies,
+            "notices_stored_max" => self.notices_stored_max as u64,
+            "notice_mem_max" => self.notice_mem_max as u64,
+            "homed_objects" => self.homed_objects,
+            "fetches_delayed_at_home" => self.fetches_delayed_at_home,
+            _ => return None,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -76,5 +102,16 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.fetches, 5);
         assert_eq!(a.notices_stored_max, 9);
+    }
+
+    #[test]
+    fn every_mapped_profiler_event_names_a_counter() {
+        let s = DsmStats { fetches: 7, promotions: 3, ..Default::default() };
+        for (ev, field) in jsplit_trace::STATS_MAPPED {
+            assert!(s.get(field).is_some(), "{} maps to unknown DsmStats field {field:?}", ev.name());
+        }
+        assert_eq!(s.get("fetches"), Some(7));
+        assert_eq!(s.get("promotions"), Some(3));
+        assert_eq!(s.get("no_such_counter"), None);
     }
 }

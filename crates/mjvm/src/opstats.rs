@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 
 /// Retired-instruction counters for one run (or one node of a run).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OpStats {
     /// Retirements per opcode.
     pub counts: HashMap<&'static str, u64>,

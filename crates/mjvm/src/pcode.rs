@@ -2082,7 +2082,7 @@ pub fn verify_against(pim: &PImage, image: &Image) -> Result<(), String> {
     Ok(())
 }
 
-// ---- disassembly of fused ops (round-trippable) ----
+// ---- disassembly of fused ops ----
 
 /// Render a fused micro-op in the disassembler's style; `None` for plain
 /// (unfused) ops, which disassemble through their source [`Instr`].
@@ -2114,97 +2114,6 @@ pub fn fmt_fused(m: &MicroOp) -> Option<String> {
         MOp::CheckWAStore => format!("checkwrite_astore elem={}", m.t),
         _ => return None,
     })
-}
-
-/// Parse the output of [`fmt_fused`] back into a micro-op (the primary
-/// cost field `c` is zeroed — the textual form carries operands, which
-/// for the check-fused ops includes a secondary check cost in `a`/`b`).
-/// Total inverse of `fmt_fused` over the fused set; the round-trip test
-/// asserts it.
-pub fn parse_fused(s: &str) -> Option<MicroOp> {
-    let mut toks = s.split_whitespace();
-    let head = toks.next()?;
-    let field = |t: &str, key: &str| -> Option<u32> {
-        t.strip_prefix(key).and_then(|v| v.parse().ok())
-    };
-    let mut m;
-    match head {
-        "load_getfield" => {
-            m = MicroOp::new(MOp::LoadGetField);
-            m.x = toks.next()?.parse().ok()?;
-            m.a = field(toks.next()?, "slot=")?;
-            m.t = field(toks.next()?, "kind=")? as u8;
-        }
-        "load_arraylen" => {
-            m = MicroOp::new(MOp::LoadArrLen);
-            m.x = toks.next()?.parse().ok()?;
-        }
-        "load_aload" => {
-            m = MicroOp::new(MOp::LoadALoad);
-            m.x = toks.next()?.parse().ok()?;
-            m.t = field(toks.next()?, "elem=")? as u8;
-        }
-        "lcmp_if" | "dcmp_if" => {
-            m = MicroOp::new(if head == "lcmp_if" { MOp::LCmpIfI } else { MOp::DCmpIfI });
-            m.t = field(toks.next()?, "cmp=")? as u8;
-            if toks.next()? != "->" {
-                return None;
-            }
-            m.a = toks.next()?.parse().ok()?;
-        }
-        "iinc_goto" => {
-            m = MicroOp::new(MOp::IIncGoto);
-            m.x = toks.next()?.parse().ok()?;
-            if toks.next()? != "by" {
-                return None;
-            }
-            m.a = toks.next()?.parse::<i32>().ok()? as u32;
-            if toks.next()? != "->" {
-                return None;
-            }
-            m.b = toks.next()?.parse().ok()?;
-        }
-        "load_load" => {
-            m = MicroOp::new(MOp::LoadLoad);
-            m.x = toks.next()?.parse().ok()?;
-            m.a = toks.next()?.parse().ok()?;
-        }
-        "load_checkread" => {
-            m = MicroOp::new(MOp::LoadCheckRead);
-            m.x = toks.next()?.parse().ok()?;
-            m.t = field(toks.next()?, "depth=")? as u8;
-            m.a = field(toks.next()?, "kind=")?;
-            m.b = field(toks.next()?, "check=")?;
-        }
-        "checkread_getfield" | "checkwrite_putfield" => {
-            m = MicroOp::new(if head == "checkread_getfield" {
-                MOp::CheckGetField
-            } else {
-                MOp::CheckWPutField
-            });
-            m.x = field(toks.next()?, "slot=")? as u16;
-            m.t = field(toks.next()?, "kind=")? as u8;
-            m.a = field(toks.next()?, "ck=")?;
-        }
-        "load_checkread_getfield" => {
-            m = MicroOp::new(MOp::LoadCheckGetField);
-            m.x = toks.next()?.parse().ok()?;
-            m.b = field(toks.next()?, "slot=")?;
-            m.t = field(toks.next()?, "kind=")? as u8;
-            m.t |= (field(toks.next()?, "ck=")? as u8) << 4;
-            m.a = field(toks.next()?, "check=")?;
-        }
-        "checkread_aload" | "checkwrite_astore" => {
-            m = MicroOp::new(if head == "checkread_aload" {
-                MOp::CheckALoad
-            } else {
-                MOp::CheckWAStore
-            });
-            m.t = field(toks.next()?, "elem=")? as u8;
-        }
-        _ => return None,
-    }
-    Some(m)
 }
 
 #[cfg(test)]
@@ -2239,32 +2148,5 @@ mod tests {
         for c in [Cmp::Eq, Cmp::Ne, Cmp::Lt, Cmp::Le, Cmp::Gt, Cmp::Ge] {
             assert_eq!(cmp_from(cmp_code(c)), c);
         }
-    }
-
-    #[test]
-    fn fused_disasm_round_trips_every_op() {
-        let samples = [
-            MicroOp { op: MOp::LoadGetField, t: 2, x: 7, c: 0, a: 13, b: 0 },
-            MicroOp { op: MOp::LoadArrLen, t: 0, x: 3, c: 0, a: 0, b: 0 },
-            MicroOp { op: MOp::LoadALoad, t: 3, x: 9, c: 0, a: 0, b: 0 },
-            MicroOp { op: MOp::LCmpIfI, t: 4, x: 0, c: 0, a: 21, b: 0 },
-            MicroOp { op: MOp::DCmpIfI, t: 1, x: 0, c: 0, a: 8, b: 0 },
-            MicroOp { op: MOp::IIncGoto, t: 0, x: 2, c: 0, a: (-3i32) as u32, b: 5 },
-            MicroOp { op: MOp::LoadLoad, t: 0, x: 1, c: 0, a: 4, b: 0 },
-            MicroOp { op: MOp::LoadCheckRead, t: 1, x: 6, c: 0, a: 2, b: 730 },
-            MicroOp { op: MOp::CheckGetField, t: 0, x: 11, c: 0, a: 1, b: 0 },
-            MicroOp { op: MOp::LoadCheckGetField, t: 0x10, x: 3, c: 0, a: 730, b: 7 },
-            MicroOp { op: MOp::CheckALoad, t: 2, x: 0, c: 0, a: 0, b: 0 },
-            MicroOp { op: MOp::CheckWPutField, t: 1, x: 5, c: 0, a: 0, b: 0 },
-            MicroOp { op: MOp::CheckWAStore, t: 3, x: 0, c: 0, a: 0, b: 0 },
-        ];
-        for m in samples {
-            let text = fmt_fused(&m).expect("fused op formats");
-            let back = parse_fused(&text).unwrap_or_else(|| panic!("parse back: {text}"));
-            assert_eq!(back, m, "round trip through {text:?}");
-        }
-        // Plain ops have no fused rendering.
-        assert_eq!(fmt_fused(&MicroOp::new(MOp::IAdd)), None);
-        assert_eq!(parse_fused("iadd"), None);
     }
 }

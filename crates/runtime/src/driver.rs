@@ -2,7 +2,7 @@
 //!
 //! A driver takes the prepared program, builds one [`NodeRuntime`] per
 //! worker, and executes the [`Effect`](crate::node::Effect) streams the
-//! nodes emit against a [`Transport`]. Two drivers exist:
+//! nodes emit against a [`Transport`]. Three drivers exist:
 //!
 //! * [`Cluster`](crate::exec::Cluster) — the discrete-event virtual-time
 //!   simulator over [`jsplit_net::Network`]: one global event queue, fully
@@ -10,21 +10,32 @@
 //! * [`ThreadsDriver`](crate::threads::ThreadsDriver) — each node on its
 //!   own OS thread over [`jsplit_net::ChannelEndpoint`]s, encoded bytes
 //!   crossing the channels, virtual time advanced in conservative windows.
+//! * [`SocketsDriver`](crate::sockets::SocketsDriver) — the same engine,
+//!   one OS process per node, frames relayed over TCP by a coordinator.
 //!
-//! This module holds the preparation steps both share: program rewrite and
+//! A node's life is the same under all three: set-up (the helpers below)
+//! → event loop → one [`NodeResult`](crate::report::NodeResult) →
+//! [`RunReport::assemble`](crate::report::RunReport::assemble). This module
+//! holds what every driver shares on the way there: program rewrite and
 //! image load, the class-file broadcast (the one helper behind every
-//! bootstrap path), and the `C_static` singleton bootstrap of §4.2.
+//! bootstrap path), the `C_static` singleton bootstrap of §4.2, the
+//! scheduled-event queue, the telemetry start and the registry cells every
+//! node publishes the same way.
 
-use crate::config::{ClusterConfig, Mode, NodeSpec};
+use crate::config::{ClusterConfig, MetricsConfig, Mode, NodeSpec};
 use crate::env::CONSOLE_NODE;
 use crate::node::NodeRuntime;
-use crate::report::RunReport;
+use crate::telemetry::{Telemetry, WatchdogSpec};
+use jsplit_dsm::DsmStats;
 use jsplit_mjvm::class::{Program, Sig};
 use jsplit_mjvm::heap::Gid;
 use jsplit_mjvm::loader::{ClassId, Image, LoadError, MethodId};
 use jsplit_mjvm::{stdlib, Value};
-use jsplit_net::{LinkParams, MsgKind, NodeId, Transport};
+use jsplit_net::{LinkParams, MsgKind, NetStats, NodeId, Transport};
 use jsplit_rewriter::{RewriteError, RewriteStats, STATICS_HOLDER};
+use jsplit_trace::{Event, FlightRecorder, Metric, MetricsRegistry, TraceEvent, TraceSink};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Errors preparing a cluster run.
@@ -47,12 +58,7 @@ impl std::fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
-/// A backend runs a prepared cluster to completion.
-pub trait Driver: Sized {
-    fn run(self) -> RunReport;
-}
-
-/// Everything both drivers derive from the program before any node exists.
+/// Everything every driver derives from the program before any node exists.
 pub struct Prepared {
     pub image: Arc<Image>,
     pub rewrite: Option<RewriteStats>,
@@ -116,6 +122,32 @@ pub fn ship_classes(net: &mut dyn Transport, now: u64, dst: NodeId, class_bytes:
     net.send(now, CONSOLE_NODE, dst, class_bytes, MsgKind::Control)
 }
 
+/// One fresh [`NodeRuntime`] per configured node, in node-id order.
+pub(crate) fn build_nodes(config: &ClusterConfig, prepared: &Prepared) -> Vec<NodeRuntime> {
+    let new = |(i, spec): (usize, &NodeSpec)| {
+        NodeRuntime::new(i as NodeId, *spec, config, prepared.image.clone(), prepared.thread_class)
+    };
+    config.nodes.iter().enumerate().map(new).collect()
+}
+
+/// Ready the initial pool (JavaSplit mode; a no-op in baseline): ship the
+/// rewritten class files to every worker over `net` and create the shared
+/// `C_static` singletons on `nodes[0]`, caching them on the rest (a sockets
+/// worker 0 passes itself alone — its peers replay this in their own
+/// processes). Like the paper's evaluation, the measured
+/// execution window starts once the pool is ready, so distribution is
+/// returned as setup time (and counted in the traffic statistics) but does
+/// not delay t = 0.
+pub(crate) fn set_up_pool(config: &ClusterConfig, prepared: &Prepared, nodes: &mut [NodeRuntime], net: &mut dyn Transport) -> u64 {
+    if config.mode != Mode::JavaSplit {
+        return 0;
+    }
+    let arrivals = (1..config.nodes.len()).map(|i| ship_classes(net, 0, i as NodeId, prepared.class_bytes));
+    let setup_ps = arrivals.max().unwrap_or(0);
+    bootstrap_statics(nodes, &prepared.image);
+    setup_ps
+}
+
 /// One `C_static` singleton: (class, static slot, gid, companion class).
 pub type SingletonSpec = (ClassId, u16, Gid, ClassId);
 
@@ -165,5 +197,127 @@ pub fn install_singletons(w: &mut NodeRuntime, image: &Arc<Image>, singletons: &
     for (class, slot, gid, comp) in singletons {
         let local = w.env.js().dsm.ensure_cached(&mut w.heap, image, *gid, *comp);
         w.heap.set_static(*class, *slot, Value::Ref(local));
+    }
+}
+
+/// The scheduled-event queue every driver runs on: a min-heap of
+/// `(time, prefix, seq, slot)` keys over a slab of payloads. `prefix` is
+/// the driver's ordering between equal times (nothing for the sim's one
+/// global queue, `(step, lane)` for a node engine); `seq` is unique, so
+/// ties always break by insertion order and dispatch order never depends
+/// on which slot a payload landed in.
+///
+/// Bounded memory: a dispatched payload's slot is recycled through the
+/// free list, so the slab is as long as the largest number of events that
+/// were ever scheduled *at once*, not the number ever pushed
+/// ([`EventQueue::high_water`], asserted by the bounded-memory regression
+/// test).
+pub(crate) struct EventQueue<P, T> {
+    heap: BinaryHeap<Reverse<(u64, P, u64, usize)>>,
+    payloads: Vec<Option<T>>,
+    free: Vec<usize>,
+    seq: u64,
+}
+
+impl<P: Ord + Copy, T> EventQueue<P, T> {
+    pub fn new() -> Self {
+        EventQueue { heap: BinaryHeap::new(), payloads: Vec::new(), free: Vec::new(), seq: 0 }
+    }
+
+    pub fn push(&mut self, time: u64, prefix: P, ev: T) {
+        let idx = match self.free.pop() {
+            Some(i) => {
+                self.payloads[i] = Some(ev);
+                i
+            }
+            None => {
+                self.payloads.push(Some(ev));
+                self.payloads.len() - 1
+            }
+        };
+        self.heap.push(Reverse((time, prefix, self.seq, idx)));
+        self.seq += 1;
+    }
+
+    /// Time of the earliest scheduled event (`u64::MAX` when empty).
+    pub fn head(&self) -> u64 {
+        self.heap.peek().map_or(u64::MAX, |Reverse((t, ..))| *t)
+    }
+
+    /// Dispatch the earliest event.
+    pub fn pop(&mut self) -> Option<(u64, T)> {
+        let Reverse((time, _, _, idx)) = self.heap.pop()?;
+        self.free.push(idx);
+        Some((time, self.payloads[idx].take().expect("event payload")))
+    }
+
+    /// Dispatch the earliest event if it is strictly below `horizon`.
+    pub fn pop_below(&mut self, horizon: u64) -> Option<(u64, T)> {
+        if self.head() < horizon {
+            self.pop()
+        } else {
+            None
+        }
+    }
+
+    /// Most events ever scheduled at once (the slab's final length).
+    pub fn high_water(&self) -> u64 {
+        self.payloads.len() as u64
+    }
+}
+
+/// Start the side-band telemetry sampler when the run asks for metrics
+/// (`None` otherwise, or when the output file cannot be created — the run
+/// goes on unsampled). `base_ps` arms the horizon-stall watchdog when the
+/// config carries a budget; the sim passes `None`, a sequential scheduler
+/// cannot stall on a peer.
+pub(crate) fn start_telemetry(
+    cfg: Option<&MetricsConfig>,
+    registry: Option<&Arc<MetricsRegistry>>,
+    flight: Option<Arc<FlightRecorder>>,
+    base_ps: Option<Vec<u64>>,
+) -> Option<Telemetry> {
+    let (cfg, registry) = (cfg?, registry?);
+    let watchdog = cfg
+        .watchdog_budget
+        .zip(base_ps)
+        .map(|(d, base_ps)| WatchdogSpec { budget_ms: (d.as_millis() as u64).max(1), base_ps });
+    match Telemetry::start(cfg, registry.clone(), flight, watchdog) {
+        Ok(t) => Some(t),
+        Err(e) => {
+            eprintln!("jsplit: cannot open metrics output {:?}: {e}; sampling disabled", cfg.out);
+            None
+        }
+    }
+}
+
+/// Publish node `id`'s network and DSM counters into the live-metrics
+/// registry — the cells every driver fills from the same two structs.
+pub(crate) fn publish_node_cells(reg: &MetricsRegistry, id: NodeId, net: &NetStats, dsm: Option<&DsmStats>) {
+    reg.set(id, Metric::NetMsgsSent, net.msgs_sent);
+    reg.set(id, Metric::NetBytesSent, net.bytes_sent);
+    reg.set(id, Metric::NetMsgsRecv, net.msgs_recv);
+    if let Some(d) = dsm {
+        reg.set(id, Metric::DsmFetches, d.fetches);
+        reg.set(id, Metric::DsmDiffs, d.diffs_sent);
+        reg.set(id, Metric::DsmInvalidations, d.invalidations);
+        reg.set(id, Metric::DsmLockGrants, d.grants_sent);
+    }
+}
+
+/// Stamp a node's clock-free DSM trace events at `now` and flush them into
+/// `sink`, then its transport's pre-stamped send events. Every driver
+/// calls this at the same points (wherever a node's effects are drained,
+/// and once more at the run's finish time), which is what makes the
+/// per-node recorded sequence — and so the canonical trace — identical
+/// across backends.
+pub(crate) fn flush_trace(sink: &mut dyn TraceSink, dsm_trace: Vec<TraceEvent>, net_trace: &mut Option<Vec<Event>>, now: u64) {
+    for ev in dsm_trace {
+        sink.record(Event { t: now, ev });
+    }
+    if let Some(buf) = net_trace {
+        for e in buf.drain(..) {
+            sink.record(e);
+        }
     }
 }

@@ -63,12 +63,14 @@
 //! reproducibly.
 
 use crate::balance::{BalancerState, LoadBalancer};
-use crate::config::Mode;
+use crate::config::{ClusterConfig, Mode};
+use crate::driver::{self, EventQueue};
 use crate::env::CONSOLE_NODE;
 use crate::node::{Effect, LocalEv, NodeRuntime};
+use crate::report::NodeResult;
 use jsplit_dsm::Msg;
 use jsplit_mjvm::heap::ThreadUid;
-use jsplit_mjvm::interp::{Frame, VmError};
+use jsplit_mjvm::interp::Frame;
 use jsplit_mjvm::loader::MethodId;
 use jsplit_mjvm::Value;
 use jsplit_net::{ChannelEndpoint, NodeId, Reader};
@@ -76,15 +78,14 @@ use jsplit_trace::{
     Event, FlightRecorder, FlightTag, Metric, MetricsRegistry, NodeWallProfile, RingRecorder,
     SpanKind, SpanRecorder, TraceEvent, TraceMode, TraceSink, VecRecorder,
 };
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Per-node sink construction (the `Send` bound lets it ride to the node's
 /// OS thread; the sim's global `make_sink` doesn't need one).
-pub(crate) fn make_node_sink(mode: TraceMode) -> Box<dyn TraceSink + Send> {
+fn make_node_sink(mode: TraceMode) -> Box<dyn TraceSink + Send> {
     match mode {
         TraceMode::Full => Box::new(VecRecorder::new()),
         TraceMode::Ring(cap) => Box::new(RingRecorder::new(cap)),
@@ -104,6 +105,25 @@ pub(crate) struct Horizons {
 }
 
 impl Horizons {
+    /// The lookahead tables of a run of `config`, from its nodes' link
+    /// models.
+    pub fn of(config: &ClusterConfig) -> Horizons {
+        let base_ps = config
+            .nodes
+            .iter()
+            .map(|s| {
+                let l = driver::link_params(*s);
+                // The loopback bound is profile-derived and must sit below
+                // every conservative horizon built from base latencies — the
+                // clamp in `loopback_ps` guarantees it; this makes the
+                // assumption explicit.
+                assert!(l.loopback_ps() <= l.base_ps(), "loopback bound {} ps above link base {} ps", l.loopback_ps(), l.base_ps());
+                l.base_ps()
+            })
+            .collect();
+        Horizons::new(base_ps, config.max_ops)
+    }
+
     /// Derive the cluster's lookahead tables from its per-node base
     /// latencies.
     pub fn new(base_ps: Vec<u64>, max_ops: u64) -> Horizons {
@@ -347,28 +367,31 @@ impl AsyncShared {
     }
 }
 
-/// What one node's engine hands back when the run is over.
+/// What one node's engine hands back when the run is over: the node's
+/// plain-data result, plus what only an in-process driver can merge.
 pub(crate) struct NodeOutcome {
-    pub node: NodeRuntime,
-    pub endpoint: ChannelEndpoint,
-    pub errors: Vec<(ThreadUid, VmError)>,
-    pub deadlocked: bool,
-    pub aborted: bool,
-    /// Final length of the local event-payload slab (live-event bound).
-    pub slab_high_water: u64,
-    /// Windows this node processed (identical on every node under epoch
-    /// sync; per-node bursts-with-work under async).
-    pub windows: u64,
-    /// Round-barrier crossings this node made (zero under async sync).
-    pub barrier_waits: u64,
-    /// Times this node's safe horizon strictly advanced (async sync).
-    pub horizon_advances: u64,
-    /// The node's private trace sink, still open: the driver appends the
-    /// leftover DSM/endpoint buffers (stamped at the *global* finish time,
-    /// which no single node knows) before draining it.
-    pub recorder: Option<Box<dyn TraceSink + Send>>,
+    pub result: NodeResult,
+    pub trace: Option<OpenTrace>,
     /// Wall-clock span profile (`None` unless profiling was on).
     pub profile: Option<NodeWallProfile>,
+}
+
+/// A finished node's private trace sink, still open, with its leftovers
+/// beside it: the DSM tail is stamped at the *global* finish time, which
+/// no single node knows.
+pub(crate) struct OpenTrace {
+    sink: Box<dyn TraceSink + Send>,
+    dsm_tail: Vec<TraceEvent>,
+    net_tail: Option<Vec<Event>>,
+}
+
+impl OpenTrace {
+    /// Flush the leftovers at `finish` — exactly the sim's final
+    /// `drain_trace_buffers` pass — and drain the sink.
+    pub fn close(mut self, finish: u64) -> Vec<Event> {
+        driver::flush_trace(self.sink.as_mut(), self.dsm_tail, &mut self.net_tail, finish);
+        self.sink.into_events()
+    }
 }
 
 /// A node-local scheduled event (the per-node analogue of the sim driver's
@@ -378,8 +401,9 @@ enum NodeEv {
     Deliver { src: NodeId, msg: Msg },
 }
 
-/// Event-queue ordering key: `(time, step, lane, seq, slab index)`.
-type EvKey = (u64, u64, NodeId, u64, usize);
+/// One drained data record awaiting its queue slot:
+/// `(deliver, step, src, frame seq, message)`.
+type Drained = (u64, u64, NodeId, u64, Msg);
 
 /// One node's conservative event loop, generic over how progress crosses
 /// node boundaries (see the module docs). The threads backend runs one per
@@ -411,15 +435,11 @@ pub(crate) struct SyncEngine {
     /// `(time, step, lane, seq)`: `step` is the virtual time of the event
     /// that produced the entry, `lane` the producing node, `seq` a local
     /// tie-breaker assigned in deterministic order.
-    events: BinaryHeap<Reverse<EvKey>>,
-    payloads: Vec<Option<NodeEv>>,
-    free_events: Vec<usize>,
-    seq: u64,
-    errors: Vec<(ThreadUid, VmError)>,
+    events: EventQueue<(u64, NodeId), NodeEv>,
     fx: Vec<Effect>,
     /// Reused drain staging buffer (sorted per round, never reallocated in
     /// the steady state).
-    drain_scratch: Vec<(u64, u64, NodeId, u64, Msg)>,
+    drain_scratch: Vec<Drained>,
     /// Cumulative data records shipped per destination (async sync);
     /// pairs with [`AsyncShared::acked`] to prune `unacked`.
     sent_to: Vec<u64>,
@@ -464,38 +484,33 @@ pub(crate) struct SyncEngine {
 }
 
 impl SyncEngine {
-    /// Build an engine around a node and its endpoint; the optional
-    /// instruments (recorder, profiler, metrics, flight) start disabled —
-    /// drivers arm the ones their configuration asks for.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        node: NodeRuntime,
-        endpoint: ChannelEndpoint,
-        hz: Horizons,
-        mode: Mode,
-        thread_main: MethodId,
-        n_nodes: usize,
-        lb: BalancerState,
-    ) -> SyncEngine {
+    /// Build an engine around a node and its endpoint for a run of
+    /// `config`. The instruments that need a handle shared with the driver
+    /// (async state, metrics, flight recorder) start disabled — drivers arm
+    /// the ones their configuration asks for.
+    pub fn new(node: NodeRuntime, endpoint: ChannelEndpoint, config: &ClusterConfig, thread_main: MethodId) -> SyncEngine {
+        let n_nodes = config.nodes.len();
         SyncEngine {
             next_uid: node.id as ThreadUid,
+            stall_inject_ms: config
+                .metrics
+                .as_ref()
+                .and_then(|c| c.stall_inject)
+                .filter(|&(stalled, _)| stalled == node.id)
+                .map(|(_, ms)| ms),
             node,
             endpoint,
-            hz,
+            hz: Horizons::of(config),
             asy: None,
-            mode,
+            mode: config.mode,
             thread_main,
             n_nodes,
-            lb,
+            lb: BalancerState::new(config.balancer),
             shipped_to: vec![0; n_nodes],
             self_inflight: 0,
             spawns_sent: 0,
             spawns_recv: 0,
-            events: BinaryHeap::new(),
-            payloads: Vec::new(),
-            free_events: Vec::new(),
-            seq: 0,
-            errors: Vec::new(),
+            events: EventQueue::new(),
             fx: Vec::new(),
             drain_scratch: Vec::new(),
             sent_to: vec![0; n_nodes],
@@ -504,41 +519,46 @@ impl SyncEngine {
             windows: 0,
             barrier_waits: 0,
             horizon_advances: 0,
-            recorder: None,
+            recorder: config.trace.map(make_node_sink),
             profiler: None,
             metrics: None,
             flight: None,
-            stall_inject_ms: None,
             metrics_pump: None,
             t0: Instant::now(),
         }
     }
 
-    /// Start the guest `main` thread (worker 0 only, §2), before the first
-    /// synchronization point so the first published snapshot counts it.
-    pub fn bootstrap_main(&mut self, main_method: MethodId, main_locals: u16) {
-        debug_assert_eq!(self.endpoint.id, CONSOLE_NODE);
-        let uid = self.alloc_uid();
-        let frame = Frame::new(main_method, main_locals, vec![], false);
+    /// The first thing a node's own thread (or process) does. Wall time
+    /// and the span profiler (`spans`: the driver's shared origin, and
+    /// whether to keep raw spans) are anchored here, so thread-spawn
+    /// latency stays outside the profile. The guest `main` starts on
+    /// worker 0 (§2), before the first synchronization point so the first
+    /// published snapshot counts it. Set-up activity (statics bootstrap,
+    /// class shipping) is part of the trace: stamp it at t = 0 like the sim.
+    pub fn start(&mut self, spans: Option<(Instant, bool)>) {
+        self.t0 = Instant::now();
+        self.profiler = spans.map(|(origin, keep)| SpanRecorder::new(origin, keep));
+        if self.endpoint.id == CONSOLE_NODE {
+            let main = self.node.image().main_method;
+            let frame = Frame::new(main, self.node.image().method(main).max_locals, vec![], false);
+            let uid = self.alloc_uid();
+            self.on_node(0, |node, fx| node.add_thread(uid, frame, None, 0, fx));
+        }
+        self.drain_trace(0);
+    }
+
+    /// Run `f` on the node with the effect scratch buffer, then execute
+    /// the effects it emitted at processing step `step`.
+    fn on_node<R>(&mut self, step: u64, f: impl FnOnce(&mut NodeRuntime, &mut Vec<Effect>) -> R) -> R {
         let mut fx = std::mem::take(&mut self.fx);
-        self.node.add_thread(uid, frame, None, 0, &mut fx);
+        let r = f(&mut self.node, &mut fx);
         self.fx = fx;
-        self.apply_effects(0);
+        self.apply_effects(step);
+        r
     }
 
     fn push(&mut self, time: u64, step: u64, lane: NodeId, ev: NodeEv) {
-        let idx = match self.free_events.pop() {
-            Some(i) => {
-                self.payloads[i] = Some(ev);
-                i
-            }
-            None => {
-                self.payloads.push(Some(ev));
-                self.payloads.len() - 1
-            }
-        };
-        self.events.push(Reverse((time, step, lane, self.seq, idx)));
-        self.seq += 1;
+        self.events.push(time, (step, lane), ev);
     }
 
     fn alloc_uid(&mut self) -> ThreadUid {
@@ -552,6 +572,15 @@ impl SyncEngine {
     fn record(&mut self, t: u64, ev: TraceEvent) {
         if let Some(r) = &mut self.recorder {
             r.record(Event { t, ev });
+        }
+    }
+
+    /// Close the wall-profile segment since the previous boundary as
+    /// `kind` (no-op when profiling is off).
+    #[inline]
+    fn mark(&mut self, kind: SpanKind) {
+        if let Some(p) = &mut self.profiler {
+            p.mark(kind);
         }
     }
 
@@ -580,19 +609,10 @@ impl SyncEngine {
         reg.set(me, Metric::HorizonPs, horizon);
         reg.set(me, Metric::NextEventPs, next);
         reg.set(me, Metric::QueueHeadPs, qnext);
-        let ns = &self.endpoint.stats;
-        reg.set(me, Metric::NetMsgsSent, ns.msgs_sent);
-        reg.set(me, Metric::NetBytesSent, ns.bytes_sent);
-        reg.set(me, Metric::NetMsgsRecv, ns.msgs_recv);
         let fs = &self.endpoint.frame_stats;
         reg.set(me, Metric::FramesSent, fs.frames_sent);
         reg.set(me, Metric::NullsSent, fs.nulls_sent + fs.nulls_piggybacked);
-        if let Some(d) = self.node.dsm_stats_ref() {
-            reg.set(me, Metric::DsmFetches, d.fetches);
-            reg.set(me, Metric::DsmDiffs, d.diffs_sent);
-            reg.set(me, Metric::DsmInvalidations, d.invalidations);
-            reg.set(me, Metric::DsmLockGrants, d.grants_sent);
-        }
+        driver::publish_node_cells(reg, me, &self.endpoint.stats, self.node.dsm_stats_ref());
     }
 
     /// Ship the registry row cross-process (no-op when no pump is armed).
@@ -603,21 +623,11 @@ impl SyncEngine {
         }
     }
 
-    /// Stamp and flush this node's clock-free DSM trace buffer at `now`,
-    /// then the endpoint's pre-stamped send events — the same order (and
-    /// the same call sites, via `FlushTrace`) as the sim driver's
-    /// `drain_trace_buffers`, so the per-node recorded sequence matches.
-    pub fn drain_trace(&mut self, now: u64) {
-        let Some(r) = &mut self.recorder else {
-            return;
-        };
-        for ev in self.node.take_dsm_trace() {
-            r.record(Event { t: now, ev });
-        }
-        if let Some(buf) = &mut self.endpoint.trace {
-            for e in buf.drain(..) {
-                r.record(e);
-            }
+    /// Stamp and flush this node's buffered trace events at `now` (no-op
+    /// when disabled).
+    fn drain_trace(&mut self, now: u64) {
+        if let Some(r) = &mut self.recorder {
+            driver::flush_trace(r.as_mut(), self.node.take_dsm_trace(), &mut self.endpoint.trace, now);
         }
     }
 
@@ -699,13 +709,9 @@ impl SyncEngine {
         match self.mode {
             Mode::Baseline => {
                 let uid = self.alloc_uid();
-                let image = self.node.image().clone();
-                let m = image.method(self.thread_main);
-                let frame = Frame::new(self.thread_main, m.max_locals, vec![Value::Ref(thread_obj)], false);
-                let mut fx = std::mem::take(&mut self.fx);
-                self.node.add_thread(uid, frame, Some(thread_obj), now, &mut fx);
-                self.fx = fx;
-                self.apply_effects(step);
+                let locals = self.node.image().method(self.thread_main).max_locals;
+                let frame = Frame::new(self.thread_main, locals, vec![Value::Ref(thread_obj)], false);
+                self.on_node(step, |node, fx| node.add_thread(uid, frame, Some(thread_obj), now, fx));
             }
             Mode::JavaSplit => {
                 let loads: Vec<usize> = (0..self.n_nodes)
@@ -740,63 +746,61 @@ impl SyncEngine {
                 if src == self.endpoint.id {
                     self.self_inflight = self.self_inflight.saturating_sub(1);
                 }
-                let uid = self.alloc_uid();
-                let mut fx = std::mem::take(&mut self.fx);
-                self.node
-                    .install_spawned_thread(uid, thread_gid, class, &state, priority, self.thread_main, time, &mut fx);
-                self.fx = fx;
-                self.apply_effects(time);
+                let (uid, thread_main) = (self.alloc_uid(), self.thread_main);
+                self.on_node(time, |node, fx| {
+                    node.install_spawned_thread(uid, thread_gid, class, &state, priority, thread_main, time, fx)
+                });
             }
-            other => {
-                let mut fx = std::mem::take(&mut self.fx);
-                self.node.handle_dsm(time, other, &mut fx);
-                self.fx = fx;
-                self.apply_effects(time);
-            }
+            other => self.on_node(time, |node, fx| node.handle_dsm(time, other, fx)),
         }
     }
 
-    /// Drain inbound frames into the local queue, deterministically:
-    /// arrival interleaving across senders is scheduler noise, so sort by
-    /// the virtual-time key before assigning local sequence numbers.
-    /// Records decode in place from the frame buffers (which return to
-    /// their senders' pools).
+    /// Drain inbound frames into the local queue. Records decode in place
+    /// from the frame buffers (which return to their senders' pools).
     fn drain_inbox(&mut self) {
         let mut batch = std::mem::take(&mut self.drain_scratch);
         self.endpoint.drain_frames(&mut |src, _kind, deliver_ps, step_ps, seq, payload| {
             let msg = Msg::decode_from(&mut Reader::new(payload)).expect("wire codec round-trip");
             batch.push((deliver_ps, step_ps, src, seq, msg));
         });
-        if !batch.is_empty() {
-            batch.sort_unstable_by_key(|&(deliver, step, src, seq, _)| (deliver, step, src, seq));
-            for (deliver, step, src, _, msg) in batch.drain(..) {
-                self.push(deliver, step, src, NodeEv::Deliver { src, msg });
-            }
+        self.enqueue_drained(batch);
+    }
+
+    /// The tail of every drain: arrival interleaving across senders is
+    /// scheduler noise, so order the staged records by their virtual-time
+    /// key before they take local sequence numbers, then hand the (empty)
+    /// staging buffer back.
+    fn enqueue_drained(&mut self, mut batch: Vec<Drained>) {
+        batch.sort_unstable_by_key(|&(deliver, step, src, seq, _)| (deliver, step, src, seq));
+        for (deliver, step, src, _, msg) in batch.drain(..) {
+            self.push(deliver, step, src, NodeEv::Deliver { src, msg });
         }
         self.drain_scratch = batch;
     }
 
-    /// Pop-side of the event loop: execute one scheduled event at `time`
-    /// whose payload sits at slab `idx` (shared by both sync modes).
-    fn process_one(&mut self, time: u64, idx: usize) {
-        let ev = self.payloads[idx].take().expect("event payload");
-        self.free_events.push(idx);
+    /// Execute every queued event strictly below `horizon` (shared by
+    /// every sync mode), calling `every_256` after each 256th so a long
+    /// burst can keep refreshing the promises peers hang on. Returns the
+    /// number of events executed.
+    fn run_below(&mut self, horizon: u64, mut every_256: impl FnMut(&mut Self)) -> u64 {
+        let mut burst = 0u64;
+        while let Some((time, ev)) = self.events.pop_below(horizon) {
+            self.process_one(time, ev);
+            burst += 1;
+            if burst.is_multiple_of(256) {
+                every_256(self);
+            }
+        }
+        burst
+    }
+
+    /// Pop-side of the event loop: execute one scheduled event at `time`.
+    fn process_one(&mut self, time: u64, ev: NodeEv) {
         match ev {
             NodeEv::Local(LocalEv::Slice { cpu, thread }) => {
-                let mut fx = std::mem::take(&mut self.fx);
-                let r = self.node.run_slice(time, cpu, thread, &mut fx);
-                self.fx = fx;
-                if let Some(e) = r.error {
-                    self.errors.push((thread, e));
-                }
-                self.apply_effects(time);
+                self.on_node(time, |node, fx| node.run_slice(time, cpu, thread, fx));
             }
-            NodeEv::Local(LocalEv::Wake { thread }) => {
-                let mut fx = std::mem::take(&mut self.fx);
-                self.node.make_ready(thread, time, &mut fx);
-                self.fx = fx;
-                self.apply_effects(time);
-            }
+            NodeEv::Local(LocalEv::Wake { thread }) => self.on_node(time, |node, fx| node.make_ready(thread, time, fx)),
             NodeEv::Deliver { src, msg } => self.deliver(time, src, msg),
         }
     }
@@ -820,31 +824,23 @@ impl SyncEngine {
             // mark here attributes everything since the last horizon
             // decision — window processing, plus bootstrap on round 1 — to
             // Execute.
-            if let Some(p) = &mut self.profiler {
-                p.mark(SpanKind::Execute);
-            }
+            self.mark(SpanKind::Execute);
             // Everything this node sent in the previous window (and during
             // bootstrap) ships now; the barrier then guarantees every
             // peer's sends are in our channel before we drain. Draining
             // *after* the barrier is load-bearing: a message missed here
             // could fall inside a later (wider) horizon.
             self.endpoint.flush();
-            if let Some(p) = &mut self.profiler {
-                p.mark(SpanKind::FrameFlush);
-            }
+            self.mark(SpanKind::FrameFlush);
             peers.barrier();
             self.barrier_waits += 1;
-            if let Some(p) = &mut self.profiler {
-                p.mark(SpanKind::BarrierWait);
-            }
+            self.mark(SpanKind::BarrierWait);
             self.drain_inbox();
-            if let Some(p) = &mut self.profiler {
-                p.mark(SpanKind::InboxDrain);
-            }
+            self.mark(SpanKind::InboxDrain);
             // Publish this round's aggregates (in the threads backend:
             // plain field stores, then the epoch release-store that makes
             // them readable; on the wire: an explicit Slot record).
-            let next = self.events.peek().map_or(u64::MAX, |Reverse((t, ..))| *t);
+            let next = self.queue_head();
             let slot = EpochSlot {
                 next_event: next,
                 live: self.node.live() as u64,
@@ -854,9 +850,7 @@ impl SyncEngine {
             };
             peers.publish(me as NodeId, round, &slot);
             self.fly(FlightTag::EpochPublish, round, next);
-            if let Some(p) = &mut self.profiler {
-                p.mark(SpanKind::Decide);
-            }
+            self.mark(SpanKind::Decide);
             // Wait until every peer has published this round; each node
             // then derives the same global decision from the same values.
             // Attribution splits at the first park: time up to it is
@@ -884,9 +878,7 @@ impl SyncEngine {
                 }
                 self.fly(FlightTag::Unpark, round, next);
             }
-            if let Some(p) = &mut self.profiler {
-                p.mark(if parked { SpanKind::CondvarWait } else { SpanKind::SlotSpin });
-            }
+            self.mark(if parked { SpanKind::CondvarWait } else { SpanKind::SlotSpin });
             peers.read(round, &mut slots);
             let mut live = 0u64;
             let mut sent = 0u64;
@@ -929,13 +921,7 @@ impl SyncEngine {
             }
             self.publish_metrics(horizon, next, next);
             self.pump_metrics(false);
-            while let Some(&Reverse((time, _, _, _, idx))) = self.events.peek() {
-                if time >= horizon {
-                    break;
-                }
-                self.events.pop();
-                self.process_one(time, idx);
-            }
+            self.run_below(horizon, |_| {});
         }
         self.fly(FlightTag::Decide, if deadlocked { 2 } else if aborted { 3 } else { 1 }, round);
         // Final publish so the sampler's closing sample carries end-of-run
@@ -959,19 +945,22 @@ impl SyncEngine {
             }
             p
         });
-        NodeOutcome {
-            slab_high_water: self.payloads.len() as u64,
-            node: self.node,
-            endpoint: self.endpoint,
-            errors: self.errors,
+        let trace = self.recorder.take().map(|sink| OpenTrace {
+            sink,
+            dsm_tail: self.node.take_dsm_trace(),
+            net_tail: self.endpoint.trace.take(),
+        });
+        let result = NodeResult {
             deadlocked,
             aborted,
+            slab_high_water: self.events.high_water(),
             windows: self.windows,
             barrier_waits: self.barrier_waits,
             horizon_advances: self.horizon_advances,
-            recorder: self.recorder,
-            profile,
-        }
+            frames: self.endpoint.frame_stats,
+            ..self.node.into_result(self.endpoint.stats)
+        };
+        NodeOutcome { result, trace, profile }
     }
 
     /// This node's pending-aware `next` (async sync): the earliest local
@@ -991,7 +980,7 @@ impl SyncEngine {
     /// `qnext` so peers can tell "parked on a runnable event" from
     /// "floor merely pinned by an un-drained send".
     fn queue_head(&self) -> u64 {
-        self.events.peek().map_or(u64::MAX, |Reverse((t, ..))| *t)
+        self.events.head()
     }
 
     /// Drop receiver-acknowledged records from the send-coverage floor.
@@ -1034,18 +1023,12 @@ impl SyncEngine {
                 *c = (*c).max(promise);
             },
         );
-        if !batch.is_empty() {
-            for &(deliver, _, src, _, _) in batch.iter() {
-                let c = &mut chan[src as usize];
-                *c = (*c).max(deliver);
-                self.ack_scratch[src as usize] += 1;
-            }
-            batch.sort_unstable_by_key(|&(deliver, step, src, seq, _)| (deliver, step, src, seq));
-            for (deliver, step, src, _, msg) in batch.drain(..) {
-                self.push(deliver, step, src, NodeEv::Deliver { src, msg });
-            }
+        for &(deliver, _, src, _, _) in batch.iter() {
+            let c = &mut chan[src as usize];
+            *c = (*c).max(deliver);
+            self.ack_scratch[src as usize] += 1;
         }
-        self.drain_scratch = batch;
+        self.enqueue_drained(batch);
         if records > 0 {
             if let Some(asy) = self.asy.clone() {
                 // Accounting order is load-bearing for §14.4: republish our
@@ -1226,10 +1209,9 @@ impl SyncEngine {
             asy.slots[me].version.store(version + 1, Ordering::SeqCst);
             let drained = self.drain_inbox_async(&mut chan);
             self.prune_acked(&asy);
-            if let Some(p) = &mut self.profiler {
-                p.mark(SpanKind::InboxDrain);
-            }
-            let mut h = if n == 1 { u64::MAX } else { chan.iter().copied().min().unwrap_or(u64::MAX) };
+            self.mark(SpanKind::InboxDrain);
+            // (A lone node's only clock is its own, pinned at ∞.)
+            let mut h = chan.iter().copied().min().unwrap_or(u64::MAX);
             if n > 1 {
                 // The snapshot horizon is valid at every instant (§14.4
                 // send coverage) — the self-serve path that lets a
@@ -1251,30 +1233,15 @@ impl SyncEngine {
                 self.fly(FlightTag::HorizonClimb, h, horizon);
                 horizon = h;
             }
-            if let Some(p) = &mut self.profiler {
-                p.mark(SpanKind::Decide);
-            }
-            let mut burst = 0u64;
-            while let Some(&Reverse((time, _, _, _, idx))) = self.events.peek() {
-                if time >= horizon {
-                    break;
-                }
-                self.events.pop();
-                self.process_one(time, idx);
-                burst += 1;
-                // A long burst must not starve peers whose horizon hangs
-                // on our promise (the skew scenario): refresh periodically
-                // as `next` climbs, not just at burst end.
-                if burst.is_multiple_of(256) {
-                    self.refresh_promises(&asy, &mut promised, horizon);
-                }
-            }
+            self.mark(SpanKind::Decide);
+            // A long burst must not starve peers whose horizon hangs on
+            // our promise (the skew scenario): refresh periodically as
+            // `next` climbs, not just at burst end.
+            let burst = self.run_below(horizon, |eng| eng.refresh_promises(&asy, &mut promised, horizon));
             if burst > 0 {
                 self.windows += 1;
             }
-            if let Some(p) = &mut self.profiler {
-                p.mark(SpanKind::Execute);
-            }
+            self.mark(SpanKind::Execute);
             let next = self.async_next();
             if drained == 0 && burst == 0 && asy.slots[me].next.load(Ordering::SeqCst) == next {
                 // Quiet iteration: only null promises moved, nothing the
@@ -1319,9 +1286,7 @@ impl SyncEngine {
             }
             self.refresh_promises(&asy, &mut promised, horizon);
             self.endpoint.flush();
-            if let Some(p) = &mut self.profiler {
-                p.mark(SpanKind::FrameFlush);
-            }
+            self.mark(SpanKind::FrameFlush);
             let done = asy.done.load(Ordering::SeqCst);
             if done != async_done::RUNNING {
                 outcome = done;
@@ -1357,9 +1322,7 @@ impl SyncEngine {
                 }
                 continue;
             }
-            if let Some(p) = &mut self.profiler {
-                p.mark(SpanKind::Decide);
-            }
+            self.mark(SpanKind::Decide);
             // A burst that raised our published `next` usually raises the
             // snapshot horizon with it (the self-echo term): peek before
             // parking and spin straight into the next window if it moved —
@@ -1387,9 +1350,7 @@ impl SyncEngine {
                 reg.set(me as NodeId, Metric::Parked, 0);
             }
             self.fly(FlightTag::Unpark, horizon, qhead);
-            if let Some(p) = &mut self.profiler {
-                p.mark(SpanKind::HorizonWait);
-            }
+            self.mark(SpanKind::HorizonWait);
         }
         // Two-phase shutdown: ship anything still pending, rendezvous on
         // the flush counter, then drain leftovers so receive accounting
@@ -1439,24 +1400,13 @@ impl SyncEngine {
         let outcome;
         loop {
             drained_total += self.drain_inbox_async(&mut chan);
-            let h = if n == 1 { u64::MAX } else { chan.iter().copied().min().unwrap_or(u64::MAX) };
+            let h = chan.iter().copied().min().unwrap_or(u64::MAX);
             if h > horizon {
                 self.horizon_advances += 1;
                 horizon = h;
             }
-            let mut burst = 0u64;
-            while let Some(&Reverse((time, _, _, _, idx))) = self.events.peek() {
-                if time >= horizon {
-                    break;
-                }
-                self.events.pop();
-                self.process_one(time, idx);
-                burst += 1;
-                // Long bursts must not starve peers hanging on our promise.
-                if burst.is_multiple_of(256) {
-                    self.refresh_promises_wire(&mut promised, horizon);
-                }
-            }
+            // Long bursts must not starve peers hanging on our promise.
+            let burst = self.run_below(horizon, |eng| eng.refresh_promises_wire(&mut promised, horizon));
             if burst > 0 {
                 self.windows += 1;
                 self.publish_metrics(horizon, self.async_next(), self.queue_head());

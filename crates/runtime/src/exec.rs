@@ -13,21 +13,17 @@
 
 use crate::balance::{BalancerState, LoadBalancer};
 use crate::config::{Backend, ClusterConfig, Mode, NodeSpec};
-use crate::driver::{self, Driver, Prepared};
+use crate::driver::{self, EventQueue, Prepared};
 use crate::env::CONSOLE_NODE;
 use crate::node::{Effect, LocalEv, NodeRuntime};
-use crate::report::RunReport;
+use crate::report::{NodeResult, RunReport};
+use crate::telemetry::Telemetry;
 use jsplit_mjvm::class::Program;
 use jsplit_mjvm::heap::{ObjRef, ThreadUid};
-use jsplit_mjvm::interp::{Frame, VmError};
-use jsplit_mjvm::loader::{ClassId, Image, MethodId};
+use jsplit_mjvm::interp::Frame;
 use jsplit_mjvm::Value;
 use jsplit_net::{Network, NodeId};
-use jsplit_rewriter::RewriteStats;
-use crate::telemetry::Telemetry;
 use jsplit_trace::{make_sink, Metric, MetricsRegistry, TraceEvent, TraceSink};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 pub use crate::driver::ClusterError;
@@ -45,33 +41,18 @@ enum Ev {
 /// The distributed runtime under the deterministic virtual-time driver.
 pub struct Cluster {
     config: ClusterConfig,
-    image: Arc<Image>,
-    rewrite: Option<RewriteStats>,
+    prepared: Prepared,
     nodes: Vec<NodeRuntime>,
     net: Network,
-    events: BinaryHeap<Reverse<(u64, u64, usize)>>,
-    /// Event payloads, slab-allocated: dispatched slots are recycled through
-    /// `free_events`, so storage is bounded by the number of *live*
-    /// (scheduled, not yet dispatched) events instead of every event ever
-    /// pushed. Ordering is untouched — the heap key is (time, seq, idx) and
-    /// `seq` is unique, so a recycled idx never changes dispatch order.
-    payloads: Vec<Option<Ev>>,
-    free_events: Vec<usize>,
-    seq: u64,
+    /// The one global queue, ordered by (time, insertion).
+    events: EventQueue<(), Ev>,
     next_uid: ThreadUid,
     live_threads: usize,
-    total_threads: u32,
-    console: Vec<String>,
-    errors: Vec<(ThreadUid, VmError)>,
     ops: u64,
     lb: BalancerState,
-    thread_main: MethodId,
-    thread_class: ClassId,
     /// Spawns dispatched but not yet delivered, per node — counted into the
     /// load-balancing loads so a burst of starts still spreads out.
     in_flight: Vec<u32>,
-    /// Serialized size of the rewritten program (class distribution cost).
-    class_bytes: usize,
     /// Virtual time spent distributing class files before the run.
     setup_ps: u64,
     /// Structured event recorder (`None` = tracing disabled, the default;
@@ -88,7 +69,7 @@ impl Cluster {
     /// Prepare a run: rewrite (JavaSplit mode), load, create workers, set up
     /// the shared `C_static` singletons and place `main` on worker 0.
     pub fn new(config: ClusterConfig, program: &Program) -> Result<Cluster, ClusterError> {
-        let Prepared { image, rewrite, class_bytes, thread_class, thread_main } = driver::prepare(&config, program)?;
+        let prepared = driver::prepare(&config, program)?;
 
         let links = config.nodes.iter().map(|s| driver::link_params(*s)).collect();
         let mut net = Network::new(links);
@@ -96,10 +77,8 @@ impl Cluster {
             net.trace = Some(Vec::new());
         }
 
-        let mut nodes = Vec::with_capacity(config.nodes.len());
-        for (i, spec) in config.nodes.iter().enumerate() {
-            nodes.push(NodeRuntime::new(i as NodeId, *spec, &config, image.clone(), thread_class));
-        }
+        let mut nodes = driver::build_nodes(&config, &prepared);
+        let setup_ps = driver::set_up_pool(&config, &prepared, &mut nodes, &mut net);
 
         // Sized eagerly for the initial pool (and grown in `join_worker`),
         // never lazily in the dispatch path.
@@ -109,44 +88,19 @@ impl Cluster {
         let mut cluster = Cluster {
             lb: BalancerState::new(config.balancer),
             config,
-            image,
-            rewrite,
+            prepared,
             nodes,
             net,
-            events: BinaryHeap::new(),
-            payloads: Vec::new(),
-            free_events: Vec::new(),
-            seq: 0,
+            events: EventQueue::new(),
             next_uid: 0,
             live_threads: 0,
-            total_threads: 0,
-            console: Vec::new(),
-            errors: Vec::new(),
             ops: 0,
-            thread_main,
-            thread_class,
             in_flight,
-            class_bytes,
-            setup_ps: 0,
+            setup_ps,
             recorder,
             fx: Vec::new(),
             metrics,
         };
-
-        // Ship the rewritten class files to every worker during *setup*.
-        // Like the paper's evaluation, the measured execution window starts
-        // once the pool is ready, so distribution is reported as setup time
-        // (and counted in the traffic statistics) but does not delay t = 0.
-        if cluster.config.mode == Mode::JavaSplit {
-            for i in 1..cluster.nodes.len() {
-                let at = driver::ship_classes(&mut cluster.net, 0, i as NodeId, class_bytes);
-                cluster.setup_ps = cluster.setup_ps.max(at);
-            }
-        }
-
-        if cluster.config.mode == Mode::JavaSplit {
-            driver::bootstrap_statics(&mut cluster.nodes, &cluster.image.clone());
-        }
 
         // Mid-run joins.
         let joins = cluster.config.joins.clone();
@@ -156,8 +110,8 @@ impl Cluster {
 
         // The main thread starts on worker 0 (§2: the rewritten classes are
         // sent to one of the worker nodes that starts executing main()).
-        let main = cluster.image.main_method;
-        let locals = cluster.image.method(main).max_locals;
+        let main = cluster.prepared.image.main_method;
+        let locals = cluster.prepared.image.method(main).max_locals;
         let frame = Frame::new(main, locals, vec![], false);
         cluster.add_thread(CONSOLE_NODE, frame, None, 0);
 
@@ -178,36 +132,16 @@ impl Cluster {
         }
     }
 
-    /// Stamp and flush the clock-free DSM buffer of `node` at `now`, plus
-    /// the network's pre-stamped send events. Called at every point where a
-    /// worker's effects are drained, so stamps are deterministic.
+    /// Stamp and flush `node`'s buffered trace events at `now` (no-op when
+    /// disabled).
     fn drain_trace_buffers(&mut self, node: NodeId, now: u64) {
-        let Some(r) = &mut self.recorder else {
-            return;
-        };
-        for ev in self.nodes[node as usize].take_dsm_trace() {
-            r.record(jsplit_trace::Event { t: now, ev });
-        }
-        if let Some(buf) = &mut self.net.trace {
-            for e in buf.drain(..) {
-                r.record(e);
-            }
+        if let Some(r) = &mut self.recorder {
+            driver::flush_trace(r.as_mut(), self.nodes[node as usize].take_dsm_trace(), &mut self.net.trace, now);
         }
     }
 
     fn push(&mut self, time: u64, ev: Ev) {
-        let idx = match self.free_events.pop() {
-            Some(i) => {
-                self.payloads[i] = Some(ev);
-                i
-            }
-            None => {
-                self.payloads.push(Some(ev));
-                self.payloads.len() - 1
-            }
-        };
-        self.events.push(Reverse((time, self.seq, idx)));
-        self.seq += 1;
+        self.events.push(time, (), ev);
     }
 
     /// Execute a node's ordered effect stream. Effects become event-queue
@@ -229,17 +163,28 @@ impl Cluster {
         self.fx = fx;
     }
 
-    fn add_thread(&mut self, node: NodeId, frame: Frame, thread_obj: Option<ObjRef>, now: u64) -> ThreadUid {
-        let uid = self.next_uid;
-        self.next_uid += 1;
+    /// Run `f` on `node` with the effect scratch buffer, then execute the
+    /// effects it emitted.
+    fn on_node<R>(&mut self, node: NodeId, f: impl FnOnce(&mut NodeRuntime, &mut Vec<Effect>) -> R) -> R {
         debug_assert!(self.fx.is_empty());
         let mut fx = std::mem::take(&mut self.fx);
-        self.nodes[node as usize].add_thread(uid, frame, thread_obj, now, &mut fx);
+        let r = f(&mut self.nodes[node as usize], &mut fx);
         self.fx = fx;
-        self.live_threads += 1;
-        self.total_threads += 1;
         self.apply_effects(node);
-        uid
+        r
+    }
+
+    /// The next thread uid (dense and global under this driver); its
+    /// thread counts as live from here on.
+    fn alloc_uid(&mut self) -> ThreadUid {
+        self.live_threads += 1;
+        self.next_uid += 1;
+        self.next_uid - 1
+    }
+
+    fn add_thread(&mut self, node: NodeId, frame: Frame, thread_obj: Option<ObjRef>, now: u64) {
+        let uid = self.alloc_uid();
+        self.on_node(node, |n, fx| n.add_thread(uid, frame, thread_obj, now, fx));
     }
 
     fn transmit(&mut self, now: u64, src: NodeId, dst: NodeId, msg: jsplit_dsm::Msg) {
@@ -252,8 +197,9 @@ impl Cluster {
     fn dispatch_spawn(&mut self, origin: NodeId, thread_obj: ObjRef, priority: i32, now: u64) {
         match self.config.mode {
             Mode::Baseline => {
-                let m = self.image.method(self.thread_main);
-                let frame = Frame::new(self.thread_main, m.max_locals, vec![Value::Ref(thread_obj)], false);
+                let thread_main = self.prepared.thread_main;
+                let m = self.prepared.image.method(thread_main);
+                let frame = Frame::new(thread_main, m.max_locals, vec![Value::Ref(thread_obj)], false);
                 self.add_thread(origin, frame, Some(thread_obj), now);
             }
             Mode::JavaSplit => {
@@ -277,18 +223,11 @@ impl Cluster {
     }
 
     fn run_slice(&mut self, time: u64, node: NodeId, cpu: usize, thread: ThreadUid) {
-        debug_assert!(self.fx.is_empty());
-        let mut fx = std::mem::take(&mut self.fx);
-        let r = self.nodes[node as usize].run_slice(time, cpu, thread, &mut fx);
-        self.fx = fx;
+        let r = self.on_node(node, |n, fx| n.run_slice(time, cpu, thread, fx));
         self.ops += r.ops;
         if r.exited {
             self.live_threads -= 1;
-            if let Some(e) = r.error {
-                self.errors.push((thread, e));
-            }
         }
-        self.apply_effects(node);
     }
 
     fn deliver(&mut self, time: u64, dst: NodeId, msg: jsplit_dsm::Msg) {
@@ -301,41 +240,17 @@ impl Cluster {
             jsplit_dsm::Msg::SpawnThread { thread_gid, class, state, priority } => {
                 let slot = &mut self.in_flight[dst as usize];
                 *slot = slot.saturating_sub(1);
-                let uid = self.next_uid;
-                self.next_uid += 1;
-                debug_assert!(self.fx.is_empty());
-                let mut fx = std::mem::take(&mut self.fx);
-                self.nodes[dst as usize].install_spawned_thread(
-                    uid,
-                    thread_gid,
-                    class,
-                    &state,
-                    priority,
-                    self.thread_main,
-                    time,
-                    &mut fx,
-                );
-                self.fx = fx;
-                self.live_threads += 1;
-                self.total_threads += 1;
-                self.apply_effects(dst);
+                let (uid, thread_main) = (self.alloc_uid(), self.prepared.thread_main);
+                self.on_node(dst, |n, fx| {
+                    n.install_spawned_thread(uid, thread_gid, class, &state, priority, thread_main, time, fx)
+                });
             }
-            other => {
-                debug_assert!(self.fx.is_empty());
-                let mut fx = std::mem::take(&mut self.fx);
-                self.nodes[dst as usize].handle_dsm(time, other, &mut fx);
-                self.fx = fx;
-                self.apply_effects(dst);
-            }
+            other => self.on_node(dst, |n, fx| n.handle_dsm(time, other, fx)),
         }
     }
 
     fn wake(&mut self, time: u64, node: NodeId, thread: ThreadUid) {
-        debug_assert!(self.fx.is_empty());
-        let mut fx = std::mem::take(&mut self.fx);
-        self.nodes[node as usize].make_ready(thread, time, &mut fx);
-        self.fx = fx;
-        self.apply_effects(node);
+        self.on_node(node, |n, fx| n.make_ready(thread, time, fx));
     }
 
     /// Publish every node's counters into the live-metrics registry. The
@@ -353,28 +268,18 @@ impl Cluster {
             reg.set(id, Metric::HorizonPs, now);
             reg.set(id, Metric::NextEventPs, now);
             reg.set(id, Metric::QueueHeadPs, now);
-            if let Some(st) = self.net.stats.get(i) {
-                reg.set(id, Metric::NetMsgsSent, st.msgs_sent);
-                reg.set(id, Metric::NetBytesSent, st.bytes_sent);
-                reg.set(id, Metric::NetMsgsRecv, st.msgs_recv);
-            }
-            if let Some(d) = node.dsm_stats_ref() {
-                reg.set(id, Metric::DsmFetches, d.fetches);
-                reg.set(id, Metric::DsmDiffs, d.diffs_sent);
-                reg.set(id, Metric::DsmInvalidations, d.invalidations);
-                reg.set(id, Metric::DsmLockGrants, d.grants_sent);
-            }
+            driver::publish_node_cells(reg, id, &self.net.stats[i], node.dsm_stats_ref());
         }
     }
 
     fn join_worker(&mut self, time: u64, spec: NodeSpec) {
         let id = self.net.add_node(driver::link_params(spec));
-        let image = self.image.clone();
-        let mut w = NodeRuntime::new(id, spec, &self.config, image.clone(), self.thread_class);
+        let image = self.prepared.image.clone();
+        let mut w = NodeRuntime::new(id, spec, &self.config, image.clone(), self.prepared.thread_class);
         // The joiner downloads the rewritten classes first (the paper's
         // applet workers fetch them over HTTP).
         if self.config.mode == Mode::JavaSplit {
-            let at = driver::ship_classes(&mut self.net, time, id, self.class_bytes);
+            let at = driver::ship_classes(&mut self.net, time, id, self.prepared.class_bytes);
             w.set_cpu_floor(at);
         }
         // Late joiners also need the statics singletons (paper: new nodes
@@ -393,19 +298,10 @@ impl Cluster {
         // Side-band sampler: reads the registry on its own thread, never
         // touches virtual time (no watchdog or flight recorder here — the
         // sim driver cannot stall on a peer).
-        let telemetry = match (&self.config.metrics, &self.metrics) {
-            (Some(cfg), Some(reg)) => match Telemetry::start(cfg, reg.clone(), None, None) {
-                Ok(t) => Some(t),
-                Err(e) => {
-                    eprintln!("jsplit: cannot open metrics output: {e}");
-                    None
-                }
-            },
-            _ => None,
-        };
+        let telemetry = driver::start_telemetry(self.config.metrics.as_ref(), self.metrics.as_ref(), None, None);
         let mut aborted = false;
         let mut processed: u64 = 0;
-        while let Some(Reverse((time, _, idx))) = self.events.pop() {
+        while let Some((time, ev)) = self.events.pop() {
             processed += 1;
             if self.metrics.is_some() && processed.is_multiple_of(4096) {
                 self.publish_metrics(time);
@@ -420,8 +316,6 @@ impl Cluster {
                 aborted = true;
                 break;
             }
-            let ev = self.payloads[idx].take().expect("event payload");
-            self.free_events.push(idx);
             match ev {
                 Ev::Local { node, ev: LocalEv::Slice { cpu, thread } } => self.run_slice(time, node, cpu, thread),
                 Ev::Local { node, ev: LocalEv::Wake { thread } } => self.wake(time, node, thread),
@@ -430,9 +324,6 @@ impl Cluster {
             }
         }
         let deadlocked = self.live_threads > 0 && !aborted;
-        // Collect console output from the console node's environment.
-        let mut out = self.nodes[CONSOLE_NODE as usize].take_console();
-        self.console.append(&mut out);
         // Flush every worker's remaining buffered trace events at the
         // horizon, then canonicalize the stream: per-node recording order
         // is kept, cross-node ties at equal t break by node id, and thread
@@ -446,62 +337,16 @@ impl Cluster {
         self.publish_metrics(finish);
         let telemetry = telemetry.map(Telemetry::finish);
         let trace = self.recorder.take().map(|r| jsplit_trace::canonicalize(r.into_events()));
-        let (breakdown, lock_stats) = match &trace {
-            Some(evs) => {
-                let cpus: Vec<u32> = vec![self.config.cpus_per_node as u32; self.nodes.len()];
-                (
-                    jsplit_trace::node_breakdown(evs, &cpus, finish),
-                    jsplit_trace::lock_contention(evs),
-                )
-            }
-            None => (Vec::new(), Vec::new()),
-        };
-        let opstats = {
-            let mut merged: Option<jsplit_mjvm::opstats::OpStats> = None;
-            for n in self.nodes.iter_mut() {
-                if let Some(st) = n.take_opstats() {
-                    merged.get_or_insert_with(Default::default).merge(&st);
-                }
-            }
-            merged
-        };
-        let objprof = self.config.objprof.then(|| {
-            // Slice index = node id (joiners append in id order).
-            let profiles: Vec<jsplit_trace::ObjProfile> =
-                self.nodes.iter_mut().map(|n| n.take_objprof().unwrap_or_default()).collect();
-            jsplit_trace::build_report(&profiles)
-        });
-        RunReport {
-            exec_time_ps: finish,
-            output: self.console,
-            errors: self.errors,
-            deadlocked,
-            aborted,
-            ops: self.ops,
-            threads: self.total_threads,
-            net_per_node: self.net.stats.clone(),
-            dsm_per_node: self.nodes.iter_mut().filter_map(|n| n.dsm_stats()).collect(),
-            rewrite: self.rewrite,
-            setup_ps: self.setup_ps,
-            class_bytes: self.class_bytes as u64,
-            event_slab_high_water: self.payloads.len() as u64,
-            ops_per_node: self.nodes.iter().map(|n| n.ops).collect(),
-            trace,
-            breakdown,
-            lock_stats,
-            host_wall_secs: started.elapsed().as_secs_f64(),
-            sync: crate::report::SyncStats::default(),
-            wall: None,
-            telemetry,
-            opstats,
-            objprof,
-        }
-    }
-}
-
-impl Driver for Cluster {
-    fn run(self) -> RunReport {
-        Cluster::run(self)
+        // The outcome, the queue and the setup window are the cluster's:
+        // every node reports the same ones.
+        let (slab_high_water, setup_ps) = (self.events.high_water(), self.setup_ps);
+        let results = self
+            .nodes
+            .into_iter()
+            .zip(self.net.stats)
+            .map(|(node, net)| NodeResult { deadlocked, aborted, slab_high_water, setup_ps, ..node.into_result(net) })
+            .collect();
+        RunReport::assemble(&self.config, self.prepared, started, results, trace, None, telemetry)
     }
 }
 

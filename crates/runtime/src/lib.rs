@@ -7,7 +7,10 @@
 //!   sense (paper §2): its heap, its MTS-HLRC engine, its interpreter
 //!   threads and two virtual CPUs. It communicates only through an ordered
 //!   stream of effects (local events, protocol sends, thread ships).
-//! * A [`driver::Driver`] owns time and message delivery.
+//! * A driver (module [`driver`] holds what they share) owns time and
+//!   message delivery, and ends every node's life the same way: one
+//!   plain-data [`report::NodeResult`] per node, folded by
+//!   `RunReport::assemble`.
 //!   [`exec::Cluster`] is the reference **sim** driver: one deterministic
 //!   discrete-event scheduler whose virtual time advances by the
 //!   per-instruction costs of each node's JVM-brand cost model and by the
@@ -50,7 +53,7 @@ pub mod threads;
 
 pub use balance::{Balancer, LoadBalancer};
 pub use config::{Backend, ClusterConfig, MetricsConfig, Mode, NodeSpec, SyncMode};
-pub use driver::{ClusterError, Driver};
+pub use driver::ClusterError;
 pub use exec::Cluster;
 pub use node::NodeRuntime;
 pub use report::{RunReport, SyncStats};

@@ -16,6 +16,7 @@
 
 use crate::config::{ClusterConfig, Mode, NodeSpec};
 use crate::env::{JsEnv, NodeEnv};
+use crate::report::NodeResult;
 use jsplit_dsm::node::Action;
 use jsplit_dsm::{DsmConfig, DsmNode, Msg};
 use jsplit_mjvm::cost::CostModel;
@@ -24,7 +25,7 @@ use jsplit_mjvm::interp::{self, Frame, StepCtx, StepState, Thread, VmError};
 use jsplit_mjvm::loader::{ClassId, Image};
 use jsplit_mjvm::opstats::OpStats;
 use jsplit_mjvm::pcode::{self, PImage};
-use jsplit_net::NodeId;
+use jsplit_net::{NetStats, NodeId};
 use jsplit_trace::TraceEvent;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -68,10 +69,9 @@ pub enum Effect {
 pub struct SliceResult {
     /// Instructions retired in the slice.
     pub ops: u64,
-    /// The thread exited (normally or by trap).
+    /// The thread exited (normally or by trap; a trap is recorded in
+    /// [`NodeRuntime::errors`]).
     pub exited: bool,
-    /// The trap, if the thread died with one.
-    pub error: Option<VmError>,
 }
 
 /// A single worker node's complete runtime state.
@@ -104,6 +104,8 @@ pub struct NodeRuntime {
     pub finish_time: u64,
     /// Threads created on this node over the run.
     pub spawned_here: u32,
+    /// Threads that died with a trap on this node.
+    pub errors: Vec<(ThreadUid, VmError)>,
     fuel: u32,
     tracing: bool,
     /// Predecoded bodies for this node's cost model (`None` = classic
@@ -169,6 +171,7 @@ impl NodeRuntime {
             ops: 0,
             finish_time: 0,
             spawned_here: 0,
+            errors: Vec::new(),
             fuel: config.fuel,
             tracing,
             pimage,
@@ -176,9 +179,29 @@ impl NodeRuntime {
         }
     }
 
-    /// Take this node's opcode/pair counters (profiling runs only).
-    pub fn take_opstats(&mut self) -> Option<OpStats> {
-        self.opstats.take().map(|b| *b)
+    /// The end of this node's life: everything it contributes to the run
+    /// report, with `net` from whichever transport carried its messages.
+    /// The driver fills in what only it knows (outcome, queue and sync
+    /// counters, setup time).
+    pub fn into_result(self, net: NetStats) -> NodeResult {
+        // Only the console node's buffer ever holds lines: every other
+        // node forwards its output there.
+        let (console, objprof, dsm) = match self.env {
+            NodeEnv::Js(mut e) => (e.console, e.dsm.take_objprof(), Some(e.dsm.stats)),
+            NodeEnv::Baseline(e) => (e.output, None, None),
+        };
+        NodeResult {
+            console,
+            errors: self.errors,
+            ops: self.ops,
+            spawned_here: self.spawned_here,
+            finish_time: self.finish_time,
+            net,
+            dsm,
+            objprof,
+            opstats: self.opstats.map(|b| *b),
+            ..NodeResult::default()
+        }
     }
 
     /// Live threads on this node.
@@ -196,14 +219,6 @@ impl NodeRuntime {
     /// The DSM engine (JavaSplit mode only; panics in baseline mode).
     pub fn dsm(&mut self) -> &mut DsmNode {
         &mut self.env.js().dsm
-    }
-
-    /// This node's DSM statistics (`None` in baseline mode).
-    pub fn dsm_stats(&self) -> Option<jsplit_dsm::DsmStats> {
-        match &self.env {
-            NodeEnv::Js(e) => Some(e.dsm.stats.clone()),
-            NodeEnv::Baseline(_) => None,
-        }
     }
 
     /// Borrowed view of the DSM statistics (`None` in baseline mode) —
@@ -224,28 +239,11 @@ impl NodeRuntime {
         }
     }
 
-    /// Take this node's per-object sharing profile (`None` when the
-    /// profiler is off or in baseline mode).
-    pub fn take_objprof(&mut self) -> Option<jsplit_trace::ObjProfile> {
-        match &mut self.env {
-            NodeEnv::Js(e) => e.dsm.take_objprof(),
-            NodeEnv::Baseline(_) => None,
-        }
-    }
-
     /// Append a console line delivered to this (console) node.
     pub fn push_console(&mut self, line: String) {
         match &mut self.env {
             NodeEnv::Js(e) => e.console.push(line),
             NodeEnv::Baseline(e) => e.output.push(line),
-        }
-    }
-
-    /// Drain this node's console output (for the final report).
-    pub fn take_console(&mut self) -> Vec<String> {
-        match &mut self.env {
-            NodeEnv::Js(e) => std::mem::take(&mut e.console),
-            NodeEnv::Baseline(e) => std::mem::take(&mut e.output),
         }
     }
 
@@ -479,7 +477,7 @@ impl NodeRuntime {
                     let th = self.remove_thread(slot);
                     self.thread_slot[thread as usize] = DEAD_SLOT;
                     res.exited = true;
-                    res.error = Some(e);
+                    self.errors.push((thread, e));
                     self.finish_time = self.finish_time.max(end);
                     if tracing {
                         tev.push((time, TraceEvent::Slice { node, cpu: cpu as u32, thread, end, ops: 0 }));
@@ -550,9 +548,7 @@ impl NodeRuntime {
 
     /// Share and serialize a locally started thread for shipping (§2).
     pub fn prepare_spawn(&mut self, thread_obj: ObjRef, priority: i32) -> Msg {
-        let image = self.image.clone();
-        let env = self.env.js();
-        env.dsm.prepare_spawn(&mut self.heap, &image, thread_obj, priority)
+        self.env.js().dsm.prepare_spawn(&mut self.heap, thread_obj, priority)
     }
 
     /// The image this node executes.

@@ -1,14 +1,21 @@
 //! Run reports: everything the benchmarks and tests observe about a run.
 
+use crate::config::{ClusterConfig, SyncMode};
+use crate::driver::Prepared;
+use crate::env::CONSOLE_NODE;
 use jsplit_dsm::DsmStats;
 use jsplit_mjvm::heap::ThreadUid;
 use jsplit_mjvm::interp::VmError;
+use jsplit_mjvm::opstats::OpStats;
+use jsplit_net::transport::FrameStats;
 use jsplit_net::NetStats;
 use jsplit_rewriter::RewriteStats;
 use jsplit_trace::{
-    Event, LockStat, NodeBreakdown, ObjProfReport, SpanKind, TelemetrySummary, WallProfile,
+    Event, LockStat, NodeBreakdown, ObjProfReport, ObjProfile, SpanKind, TelemetrySummary,
+    WallProfile,
 };
 use std::fmt::Write as _;
+use std::time::Instant;
 
 /// Synchronization-layer counters from the threads backend (all zero under
 /// the sim backend, which has no windows or frames). Deliberately *not*
@@ -52,6 +59,46 @@ impl SyncStats {
             self.frame_bytes as f64 / self.frames_sent as f64
         }
     }
+}
+
+/// What one node hands back when its run is over: plain data, the same
+/// shape whether the node lived in the sim's scheduler, on an OS thread or
+/// in a worker process (where it is the body of the `Report` envelope —
+/// everything but `opstats`). [`RunReport::assemble`] folds one per node
+/// into the run's report.
+#[derive(Debug, Default, PartialEq)]
+pub struct NodeResult {
+    /// Console output in arrival order (empty off the console node).
+    pub console: Vec<String>,
+    /// Threads that died with a trap on this node.
+    pub errors: Vec<(ThreadUid, VmError)>,
+    /// The run's outcome — cluster-wide, so identical on every node.
+    pub deadlocked: bool,
+    pub aborted: bool,
+    pub ops: u64,
+    pub spawned_here: u32,
+    /// Virtual time at which this node's last thread finished.
+    pub finish_time: u64,
+    /// Most events ever scheduled at once in the queue this node ran on.
+    pub slab_high_water: u64,
+    /// Windows this node processed (identical on every node under epoch
+    /// sync; per-node bursts-with-work under async; zero under the sim).
+    pub windows: u64,
+    pub barrier_waits: u64,
+    pub horizon_advances: u64,
+    /// Virtual time this node's share of class distribution took.
+    pub setup_ps: u64,
+    pub net: NetStats,
+    /// `None` in baseline mode.
+    pub dsm: Option<DsmStats>,
+    pub frames: FrameStats,
+    /// Rendered flight-recorder tail ("" unless armed) — the sockets
+    /// coordinator prints it when its watchdog fired during the run.
+    pub flight: String,
+    /// Per-object sharing profile (`None` unless the profiler is on).
+    pub objprof: Option<ObjProfile>,
+    /// Opcode/pair counters (`None` unless the profiler is on).
+    pub opstats: Option<OpStats>,
 }
 
 /// The result of a completed cluster run.
@@ -120,7 +167,8 @@ pub struct RunReport {
     /// [`ClusterConfig::with_metrics`]: crate::config::ClusterConfig::with_metrics
     pub telemetry: Option<TelemetrySummary>,
     /// Merged opcode/pair frequency counters (`None` unless the run was
-    /// configured with [`ClusterConfig::with_opstats`]; sim backend only).
+    /// configured with [`ClusterConfig::with_opstats`]; they stay off the
+    /// sockets wire, so `None` on that backend).
     ///
     /// [`ClusterConfig::with_opstats`]: crate::config::ClusterConfig::with_opstats
     pub opstats: Option<jsplit_mjvm::opstats::OpStats>,
@@ -134,6 +182,81 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// Fold one [`NodeResult`] per node (in node-id order) into the run's
+    /// report — the end of every driver's `run`. `trace` is the canonical
+    /// event stream when the run was traced, `wall` the threads backend's
+    /// span profile; `started` is when `run` began.
+    pub(crate) fn assemble(
+        config: &ClusterConfig,
+        prepared: Prepared,
+        started: Instant,
+        mut results: Vec<NodeResult>,
+        trace: Option<Vec<Event>>,
+        wall: Option<WallProfile>,
+        telemetry: Option<TelemetrySummary>,
+    ) -> RunReport {
+        let finish = results.iter().map(|r| r.finish_time).max().unwrap_or(0);
+        let (breakdown, lock_stats) = match &trace {
+            Some(evs) => {
+                let cpus = vec![config.cpus_per_node as u32; results.len()];
+                (jsplit_trace::node_breakdown(evs, &cpus, finish), jsplit_trace::lock_contention(evs))
+            }
+            None => (Vec::new(), Vec::new()),
+        };
+        let objprof = config.objprof.then(|| {
+            // Slice index = node id (joiners append in id order).
+            let profiles: Vec<ObjProfile> =
+                results.iter_mut().map(|r| r.objprof.take().unwrap_or_default()).collect();
+            jsplit_trace::build_report(&profiles)
+        });
+        let mut opstats: Option<OpStats> = None;
+        for st in results.iter().filter_map(|r| r.opstats.as_ref()) {
+            opstats.get_or_insert_with(Default::default).merge(st);
+        }
+        let sum = |f: fn(&NodeResult) -> u64| results.iter().map(f).sum::<u64>();
+        let ops_per_node: Vec<u64> = results.iter().map(|r| r.ops).collect();
+        let sync = SyncStats {
+            // Epoch rounds are cluster-global (identical on every node);
+            // async bursts are per-node, so the cluster figure is the sum.
+            windows: match config.sync {
+                SyncMode::Epoch => results[0].windows,
+                SyncMode::Async => sum(|r| r.windows),
+            },
+            barrier_waits: sum(|r| r.barrier_waits),
+            frames_sent: sum(|r| r.frames.frames_sent),
+            frame_bytes: sum(|r| r.frames.frame_bytes),
+            msgs_framed: sum(|r| r.frames.msgs_framed),
+            nulls_sent: sum(|r| r.frames.nulls_sent),
+            nulls_piggybacked: sum(|r| r.frames.nulls_piggybacked),
+            horizon_advances: sum(|r| r.horizon_advances),
+        };
+        RunReport {
+            exec_time_ps: finish,
+            output: std::mem::take(&mut results[CONSOLE_NODE as usize].console),
+            errors: results.iter_mut().flat_map(|r| r.errors.drain(..)).collect(),
+            deadlocked: results[0].deadlocked,
+            aborted: results[0].aborted,
+            ops: ops_per_node.iter().sum(),
+            threads: results.iter().map(|r| r.spawned_here).sum(),
+            net_per_node: results.iter_mut().map(|r| std::mem::take(&mut r.net)).collect(),
+            dsm_per_node: results.iter_mut().filter_map(|r| r.dsm.take()).collect(),
+            rewrite: prepared.rewrite,
+            setup_ps: results.iter().map(|r| r.setup_ps).max().unwrap_or(0),
+            class_bytes: prepared.class_bytes as u64,
+            event_slab_high_water: results.iter().map(|r| r.slab_high_water).max().unwrap_or(0),
+            ops_per_node,
+            trace,
+            breakdown,
+            lock_stats,
+            host_wall_secs: started.elapsed().as_secs_f64(),
+            sync,
+            wall,
+            telemetry,
+            opstats,
+            objprof,
+        }
+    }
+
     /// Execution time in (virtual) seconds.
     pub fn exec_time_secs(&self) -> f64 {
         self.exec_time_ps as f64 / jsplit_mjvm::cost::PS_PER_SEC as f64
@@ -401,5 +524,59 @@ impl RunReport {
             }
         }
         s
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use jsplit_mjvm::cost::JvmProfile;
+
+    /// Three synthetic nodes through the one fold every driver ends in.
+    #[test]
+    fn assemble_folds_node_results() {
+        let program = jsplit_apps::micro::block_array_kernel(8, 2);
+        let epoch = ClusterConfig::javasplit(JvmProfile::SunSim, 3);
+        let results = || -> Vec<NodeResult> {
+            (0..3u64)
+                .map(|i| NodeResult {
+                    console: vec![format!("line from node {i}")],
+                    errors: vec![(i as ThreadUid, VmError::VolatileStackEmpty)],
+                    ops: 100 + i,
+                    spawned_here: 1 + i as u32,
+                    finish_time: [50, 90, 70][i as usize],
+                    slab_high_water: 4 * (i + 1),
+                    windows: 10 + i,
+                    barrier_waits: 11,
+                    horizon_advances: i,
+                    setup_ps: if i == 0 { 777 } else { 0 },
+                    net: NetStats { msgs_sent: i, ..NetStats::default() },
+                    dsm: Some(DsmStats { fetches: 2 * i, ..DsmStats::default() }),
+                    frames: FrameStats { frames_sent: 5, frame_bytes: 500, msgs_framed: 9, ..FrameStats::default() },
+                    ..NodeResult::default()
+                })
+                .collect()
+        };
+        let assemble = |config: &ClusterConfig| {
+            let prepared = crate::driver::prepare(config, &program).expect("prepare");
+            RunReport::assemble(config, prepared, Instant::now(), results(), None, None, None)
+        };
+        let r = assemble(&epoch);
+        assert_eq!(r.output, ["line from node 0"], "console comes from the console node");
+        assert_eq!(r.errors.iter().map(|(uid, _)| *uid).collect::<Vec<_>>(), [0, 1, 2]);
+        assert_eq!(r.exec_time_ps, 90, "finish is the latest node's");
+        assert_eq!((r.ops, r.threads), (303, 6));
+        assert_eq!(r.ops_per_node, [100, 101, 102]);
+        assert_eq!(r.net_total().msgs_sent, 3);
+        assert_eq!(r.dsm_total().fetches, 6);
+        assert_eq!((r.setup_ps, r.event_slab_high_water), (777, 12));
+        assert!(r.class_bytes > 0 && r.rewrite.is_some(), "prepared program facts carried over");
+        assert!(r.trace.is_none() && r.breakdown.is_empty() && r.opstats.is_none() && r.objprof.is_none());
+        // Epoch rounds are cluster-global: node 0's count is the cluster's.
+        assert_eq!(r.sync.windows, 10);
+        assert_eq!((r.sync.barrier_waits, r.sync.horizon_advances), (33, 3));
+        assert_eq!((r.sync.frames_sent, r.sync.frame_bytes, r.sync.msgs_framed), (15, 1500, 27));
+        // Async bursts are per-node: the cluster figure is the sum.
+        assert_eq!(assemble(&epoch.clone().with_sync(SyncMode::Async)).sync.windows, 33);
     }
 }

@@ -59,14 +59,14 @@
 //! and threads backends (asserted by the differential tests in
 //! `tests/sockets.rs`).
 
-use crate::balance::{Balancer, BalancerState};
+use crate::balance::Balancer;
 use crate::config::{Backend, ClusterConfig, Mode, NodeSpec, SyncMode};
 use crate::driver::{self, ClusterError, Prepared};
 use crate::engine::{async_done, EpochPeers, EpochSlot, Horizons, SyncEngine, WirePeers};
 use crate::env::CONSOLE_NODE;
 use crate::node::NodeRuntime;
-use crate::report::{RunReport, SyncStats};
-use crate::telemetry::{Telemetry, WatchdogSpec};
+use crate::report::{NodeResult, RunReport};
+use crate::telemetry::Telemetry;
 use jsplit_dsm::{DsmStats, ProtocolMode};
 use jsplit_mjvm::classfile_io::{decode_program, encode_program};
 use jsplit_mjvm::cost::JvmProfile;
@@ -205,34 +205,8 @@ fn decode_wire_config(bytes: &[u8]) -> Result<ClusterConfig, CodecError> {
 }
 
 // ---------------------------------------------------------------------------
-// Worker report wire form
+// NodeResult wire form: the body of the `Report` envelope
 // ---------------------------------------------------------------------------
-
-/// Everything one worker contributes to the final [`RunReport`], carried
-/// home in the `Report` envelope.
-#[derive(Debug, PartialEq)]
-struct WorkerReport {
-    console: Vec<String>,
-    errors: Vec<(ThreadUid, VmError)>,
-    deadlocked: bool,
-    aborted: bool,
-    ops: u64,
-    spawned_here: u32,
-    finish_time: u64,
-    slab_high_water: u64,
-    windows: u64,
-    barrier_waits: u64,
-    horizon_advances: u64,
-    setup_ps: u64,
-    net: NetStats,
-    dsm: Option<DsmStats>,
-    frames: FrameStats,
-    /// Rendered flight-recorder tail ("" unless `Welcome` armed it) — the
-    /// coordinator prints it when its watchdog fired during the run.
-    flight: String,
-    /// Per-object sharing profile (`None` unless `Welcome` armed it).
-    objprof: Option<ObjProfile>,
-}
 
 fn encode_vm_error(w: &mut Writer, e: &VmError) {
     match e {
@@ -354,7 +328,9 @@ fn decode_dsm_stats(r: &mut Reader<&[u8]>) -> Result<DsmStats, CodecError> {
     })
 }
 
-fn encode_worker_report(rep: &WorkerReport) -> Vec<u8> {
+/// Everything but `opstats`, whose counters have no berth on the wire
+/// (opstats runs use an in-process backend).
+fn encode_node_result(rep: &NodeResult) -> Vec<u8> {
     let mut w = Writer::new();
     w.varu(rep.console.len() as u64);
     for line in &rep.console {
@@ -406,7 +382,7 @@ fn encode_worker_report(rep: &WorkerReport) -> Vec<u8> {
     }
 }
 
-fn decode_worker_report(bytes: &[u8]) -> Result<WorkerReport, CodecError> {
+fn decode_node_result(bytes: &[u8]) -> Result<NodeResult, CodecError> {
     let mut r = Reader::new(bytes);
     let n_console = r.varu()? as usize;
     let mut console = Vec::with_capacity(n_console.min(1 << 16));
@@ -449,7 +425,7 @@ fn decode_worker_report(bytes: &[u8]) -> Result<WorkerReport, CodecError> {
             Some(ObjProfile::decode(bytes, &mut pos).ok_or(CodecError("bad objprof payload"))?)
         }
     };
-    Ok(WorkerReport {
+    Ok(NodeResult {
         console,
         errors,
         deadlocked,
@@ -467,6 +443,7 @@ fn decode_worker_report(bytes: &[u8]) -> Result<WorkerReport, CodecError> {
         frames,
         flight,
         objprof,
+        opstats: None,
     })
 }
 
@@ -506,6 +483,16 @@ impl WirePeerLink {
             Err(_) => panic!("worker {}: ingress pump exited", self.me),
         }
     }
+
+    /// The next control envelope if one has already arrived.
+    fn poll_ctrl(&mut self) -> Option<Envelope> {
+        match self.ctrl.try_recv() {
+            Ok(Ok(env)) => Some(env),
+            Ok(Err(e)) => panic!("worker {}: coordinator connection lost: {e}", self.me),
+            Err(TryRecvError::Empty) => None,
+            Err(TryRecvError::Disconnected) => panic!("worker {}: ingress pump exited", self.me),
+        }
+    }
 }
 
 impl EpochPeers for WirePeerLink {
@@ -531,17 +518,12 @@ impl EpochPeers for WirePeerLink {
     }
 
     fn wait(&mut self, round: u64, before_park: &mut dyn FnMut()) -> bool {
-        let mut parked = false;
-        let env = match self.ctrl.try_recv() {
-            Ok(Ok(env)) => env,
-            Ok(Err(e)) => panic!("worker {}: coordinator connection lost: {e}", self.me),
-            Err(TryRecvError::Empty) => {
-                parked = true;
-                before_park();
-                self.recv_ctrl()
-            }
-            Err(TryRecvError::Disconnected) => panic!("worker {}: ingress pump exited", self.me),
-        };
+        let polled = self.poll_ctrl();
+        let parked = polled.is_none();
+        let env = polled.unwrap_or_else(|| {
+            before_park();
+            self.recv_ctrl()
+        });
         match env {
             Envelope::Slots { round: r, slots } if r == round => self.slots = slots,
             other => panic!("worker {}: expected Slots({round}), got {other:?}", self.me),
@@ -564,12 +546,9 @@ impl EpochPeers for WirePeerLink {
 
 impl WirePeers for WirePeerLink {
     fn poll_done(&mut self) -> Option<u64> {
-        match self.ctrl.try_recv() {
-            Ok(Ok(Envelope::Done { outcome })) => Some(outcome as u64),
-            Ok(Ok(other)) => panic!("worker {}: unexpected {other:?} before Done", self.me),
-            Ok(Err(e)) => panic!("worker {}: coordinator connection lost: {e}", self.me),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => panic!("worker {}: ingress pump exited", self.me),
+        match self.poll_ctrl()? {
+            Envelope::Done { outcome } => Some(outcome as u64),
+            other => panic!("worker {}: unexpected {other:?} before Done", self.me),
         }
     }
 
@@ -768,15 +747,6 @@ fn run_worker_body(
     // bytes: rewrite, image, class-distribution size — no derived state
     // crosses the wire.
     let prepared = driver::prepare(&config, &program)?;
-    let links: Vec<_> = config.nodes.iter().map(|s| driver::link_params(*s)).collect();
-    for l in &links {
-        assert!(
-            l.loopback_ps() <= l.base_ps(),
-            "loopback bound {} ps above link base {} ps",
-            l.loopback_ps(),
-            l.base_ps()
-        );
-    }
 
     // Endpoint plumbing: the engine writes the socket directly (TcpFrameLink),
     // the ingress pump feeds decoded Data frames into `frame_rx` and
@@ -787,7 +757,7 @@ fn run_worker_body(
     let (ctrl_tx, ctrl_rx) = mpsc::channel::<io::Result<Envelope>>();
     let wire = Box::new(TcpFrameLink::new(stream.try_clone().map_err(sock_err)?, pool_tx));
     let mut endpoint =
-        ChannelEndpoint::single(me, n, links[me as usize], wire, frame_rx, pool_rx, true);
+        ChannelEndpoint::single(me, n, driver::link_params(config.nodes[me as usize]), wire, frame_rx, pool_rx, true);
     let mut pump_stream = stream.try_clone().map_err(sock_err)?;
     thread::spawn(move || loop {
         match tcp::read_envelope(&mut pump_stream) {
@@ -820,40 +790,21 @@ fn run_worker_body(
     // accounting the threads driver does centrally, without any setup
     // bytes actually crossing the wire.
     let mut setup_ps = 0u64;
-    if config.mode == Mode::JavaSplit {
-        if me == CONSOLE_NODE {
-            for dst in 1..n {
-                let at = driver::ship_classes(&mut SoloSetup(&mut endpoint), 0, dst as NodeId, prepared.class_bytes);
-                setup_ps = setup_ps.max(at);
-            }
-            driver::bootstrap_statics(std::slice::from_mut(&mut node), &prepared.image);
-        } else {
-            driver::ship_classes(&mut SoloSetup(&mut endpoint), 0, me, prepared.class_bytes);
-            // Replay node 0's singleton creation on a scratch runtime: gid
-            // assignment is deterministic, so the specs come out identical
-            // to the ones the real node 0 produced in its own process.
-            let mut scratch =
-                NodeRuntime::new(0, config.nodes[0], &config, prepared.image.clone(), prepared.thread_class);
-            driver::bootstrap_statics(std::slice::from_mut(&mut scratch), &prepared.image);
-            let singles = driver::singleton_specs(&mut scratch, &prepared.image);
-            driver::install_singletons(&mut node, &prepared.image, &singles);
-        }
+    if me == CONSOLE_NODE {
+        setup_ps = driver::set_up_pool(&config, &prepared, std::slice::from_mut(&mut node), &mut SoloSetup(&mut endpoint));
+    } else if config.mode == Mode::JavaSplit {
+        driver::ship_classes(&mut SoloSetup(&mut endpoint), 0, me, prepared.class_bytes);
+        // Replay node 0's singleton creation on a scratch runtime: gid
+        // assignment is deterministic, so the specs come out identical
+        // to the ones the real node 0 produced in its own process.
+        let mut scratch =
+            NodeRuntime::new(0, config.nodes[0], &config, prepared.image.clone(), prepared.thread_class);
+        driver::bootstrap_statics(std::slice::from_mut(&mut scratch), &prepared.image);
+        let singles = driver::singleton_specs(&mut scratch, &prepared.image);
+        driver::install_singletons(&mut node, &prepared.image, &singles);
     }
 
-    let base_ps: Vec<u64> = links.iter().map(|l| l.base_ps()).collect();
-    let hz = Horizons::new(base_ps, config.max_ops);
-    let main_method = prepared.image.main_method;
-    let main_locals = prepared.image.method(main_method).max_locals;
-    let mut eng = SyncEngine::new(
-        node,
-        endpoint,
-        hz,
-        config.mode,
-        prepared.thread_main,
-        n,
-        BalancerState::new(config.balancer),
-    );
-    eng.t0 = Instant::now();
+    let mut eng = SyncEngine::new(node, endpoint, &config, prepared.thread_main);
     eng.flight = flight.clone();
     if metrics_interval_us > 0 {
         // Local one-writer registry; the pump ships our row toward the
@@ -874,10 +825,7 @@ fn run_worker_body(
                 .unwrap_or_else(|e| panic!("worker {me}: coordinator connection lost: {e}"));
         }));
     }
-    if me == CONSOLE_NODE {
-        eng.bootstrap_main(main_method, main_locals);
-    }
-    eng.drain_trace(0);
+    eng.start(None);
     let mut link = WirePeerLink {
         sock: stream.try_clone().map_err(sock_err)?,
         ctrl: ctrl_rx,
@@ -885,33 +833,16 @@ fn run_worker_body(
         round: 0,
         slots: vec![[0; 5]; n],
     };
-    let mut outcome = match config.sync {
+    let outcome = match config.sync {
         SyncMode::Epoch => eng.run_epoch(&mut link),
         SyncMode::Async => eng.run_async_wire(&mut link),
     };
-
-    let console = if me == CONSOLE_NODE { outcome.node.take_console() } else { Vec::new() };
-    let rep = WorkerReport {
-        console,
-        errors: std::mem::take(&mut outcome.errors),
-        deadlocked: outcome.deadlocked,
-        aborted: outcome.aborted,
-        ops: outcome.node.ops,
-        spawned_here: outcome.node.spawned_here,
-        finish_time: outcome.node.finish_time,
-        slab_high_water: outcome.slab_high_water,
-        windows: outcome.windows,
-        barrier_waits: outcome.barrier_waits,
-        horizon_advances: outcome.horizon_advances,
+    let rep = NodeResult {
         setup_ps,
-        net: outcome.endpoint.stats.clone(),
-        dsm: outcome.node.dsm_stats(),
-        frames: outcome.endpoint.frame_stats,
         flight: flight.as_ref().map(|f| f.render()).unwrap_or_default(),
-        objprof: outcome.node.take_objprof(),
+        ..outcome.result
     };
-    tcp::write_envelope(&mut stream, &Envelope::Report { body: encode_worker_report(&rep) })
-        .map_err(sock_err)?;
+    tcp::write_envelope(&mut stream, &Envelope::Report { body: encode_node_result(&rep) }).map_err(sock_err)?;
     Ok(())
 }
 
@@ -923,7 +854,7 @@ fn run_worker_body(
 /// fork/execs one worker per node, handshakes them in, then acts as the
 /// cluster's star switch — relaying data frames, sequencing epoch rounds,
 /// and (async mode) deciding termination — until every worker has filed
-/// its [`WorkerReport`].
+/// its [`NodeResult`].
 pub struct SocketsDriver {
     config: ClusterConfig,
     prepared: Prepared,
@@ -1128,19 +1059,8 @@ impl SocketsDriver {
         // NDJSON stream and the end-of-run summary are schema-identical.
         let metrics_cfg = self.config.metrics.clone();
         let registry = metrics_cfg.as_ref().map(|_| MetricsRegistry::new(n));
-        let mut telemetry = metrics_cfg.as_ref().and_then(|cfg| {
-            let wd = cfg.watchdog_budget.map(|d| WatchdogSpec {
-                budget_ms: (d.as_millis() as u64).max(1),
-                base_ps: self.config.nodes.iter().map(|s| driver::link_params(*s).base_ps()).collect(),
-            });
-            match Telemetry::start(cfg, registry.clone().expect("registry"), None, wd) {
-                Ok(t) => Some(t),
-                Err(e) => {
-                    eprintln!("metrics: cannot open {:?}: {e}; sampling disabled", cfg.out);
-                    None
-                }
-            }
-        });
+        let base_ps = Horizons::of(&self.config).base_ps;
+        let mut telemetry = driver::start_telemetry(metrics_cfg.as_ref(), registry.as_ref(), None, Some(base_ps));
 
         // One reader thread per worker feeds a single sequencing queue;
         // this main thread does every write. Per-producer mpsc FIFO is the
@@ -1182,6 +1102,12 @@ impl SocketsDriver {
         let werr = |id: u16, e: io::Error| {
             ClusterError::Config(format!("sockets coordinator: write to worker {id} failed: {e}"))
         };
+        let broadcast = |streams: &mut [TcpStream], env: &Envelope| -> Result<(), ClusterError> {
+            for (id, s) in streams.iter_mut().enumerate() {
+                tcp::write_envelope(s, env).map_err(|e| werr(id as u16, e))?;
+            }
+            Ok(())
+        };
         while reports_in < n {
             let (from, env) = rx
                 .recv()
@@ -1199,6 +1125,13 @@ impl SocketsDriver {
             };
             match env {
                 Envelope::Data { src, dst, frame } => {
+                    // `src` is peer-claimed, and the receiving engine
+                    // indexes its channel clocks and event lanes by it.
+                    if src != from {
+                        return Err(ClusterError::Config(format!(
+                            "sockets coordinator: worker {from} sent a frame claiming to come from node {src}"
+                        )));
+                    }
                     let d = dst as usize;
                     if d >= n {
                         return Err(ClusterError::Config(format!(
@@ -1213,10 +1146,7 @@ impl SocketsDriver {
                     *c += 1;
                     if *c as usize == n {
                         barrier_pending.remove(&round);
-                        for (id, s) in streams.iter_mut().enumerate() {
-                            tcp::write_envelope(s, &Envelope::BarrierAck { round })
-                                .map_err(|e| werr(id as u16, e))?;
-                        }
+                        broadcast(&mut streams, &Envelope::BarrierAck { round })?;
                     }
                 }
                 Envelope::Slot { round, slot } => {
@@ -1225,10 +1155,7 @@ impl SocketsDriver {
                     e.0 += 1;
                     if e.0 as usize == n {
                         let (_, slots) = slot_pending.remove(&round).expect("just inserted");
-                        for (id, s) in streams.iter_mut().enumerate() {
-                            tcp::write_envelope(s, &Envelope::Slots { round, slots: slots.clone() })
-                                .map_err(|e| werr(id as u16, e))?;
-                        }
+                        broadcast(&mut streams, &Envelope::Slots { round, slots })?;
                     }
                 }
                 Envelope::State { qhead, drained, live, ops } => {
@@ -1236,10 +1163,7 @@ impl SocketsDriver {
                     if !done_sent {
                         if let Some(outcome) = decide_async(&states, &fwd_to, self.config.max_ops) {
                             done_sent = true;
-                            for (id, s) in streams.iter_mut().enumerate() {
-                                tcp::write_envelope(s, &Envelope::Done { outcome: outcome as u8 })
-                                    .map_err(|e| werr(id as u16, e))?;
-                            }
+                            broadcast(&mut streams, &Envelope::Done { outcome: outcome as u8 })?;
                         }
                     }
                 }
@@ -1249,9 +1173,7 @@ impl SocketsDriver {
                         // All leftovers are relayed (each worker's frames
                         // precede its Flushed); Shutdown lands behind them
                         // on every stream.
-                        for (id, s) in streams.iter_mut().enumerate() {
-                            tcp::write_envelope(s, &Envelope::Shutdown).map_err(|e| werr(id as u16, e))?;
-                        }
+                        broadcast(&mut streams, &Envelope::Shutdown)?;
                     }
                 }
                 Envelope::Report { body } => {
@@ -1310,11 +1232,11 @@ impl SocketsDriver {
         // registry) and fold the time series into the report.
         let telemetry_summary = telemetry.take().map(Telemetry::finish);
 
-        let reports: Vec<WorkerReport> = report_blobs
+        let reports: Vec<NodeResult> = report_blobs
             .into_iter()
             .enumerate()
             .map(|(i, b)| {
-                decode_worker_report(&b.expect("report counted"))
+                decode_node_result(&b.expect("report counted"))
                     .map_err(|e| ClusterError::Config(format!("sockets coordinator: bad report from worker {i}: {e}")))
             })
             .collect::<Result<_, _>>()?;
@@ -1327,70 +1249,7 @@ impl SocketsDriver {
                 }
             }
         }
-        Ok(self.assemble(started, reports, telemetry_summary))
-    }
-
-    /// Fold the per-worker reports into the same [`RunReport`] shape the
-    /// sim and threads drivers produce (minus trace/profile, which the
-    /// sockets backend rejects at construction).
-    fn assemble(
-        self,
-        started: Instant,
-        mut reports: Vec<WorkerReport>,
-        telemetry: Option<jsplit_trace::TelemetrySummary>,
-    ) -> RunReport {
-        let mut errors: Vec<(ThreadUid, VmError)> = Vec::new();
-        let mut console = Vec::new();
-        for (i, r) in reports.iter_mut().enumerate() {
-            errors.append(&mut r.errors);
-            if i == CONSOLE_NODE as usize {
-                console = std::mem::take(&mut r.console);
-            }
-        }
-        let objprof = self.config.objprof.then(|| {
-            // Slice index = node id (reports are in node order).
-            let profiles: Vec<ObjProfile> =
-                reports.iter_mut().map(|r| r.objprof.take().unwrap_or_default()).collect();
-            jsplit_trace::build_report(&profiles)
-        });
-        let sync = SyncStats {
-            windows: match self.config.sync {
-                SyncMode::Epoch => reports[0].windows,
-                SyncMode::Async => reports.iter().map(|r| r.windows).sum(),
-            },
-            barrier_waits: reports.iter().map(|r| r.barrier_waits).sum(),
-            frames_sent: reports.iter().map(|r| r.frames.frames_sent).sum(),
-            frame_bytes: reports.iter().map(|r| r.frames.frame_bytes).sum(),
-            msgs_framed: reports.iter().map(|r| r.frames.msgs_framed).sum(),
-            nulls_sent: reports.iter().map(|r| r.frames.nulls_sent).sum(),
-            nulls_piggybacked: reports.iter().map(|r| r.frames.nulls_piggybacked).sum(),
-            horizon_advances: reports.iter().map(|r| r.horizon_advances).sum(),
-        };
-        RunReport {
-            exec_time_ps: reports.iter().map(|r| r.finish_time).max().unwrap_or(0),
-            output: console,
-            errors,
-            deadlocked: reports[0].deadlocked,
-            aborted: reports[0].aborted,
-            ops: reports.iter().map(|r| r.ops).sum(),
-            threads: reports.iter().map(|r| r.spawned_here).sum(),
-            net_per_node: reports.iter().map(|r| r.net.clone()).collect(),
-            dsm_per_node: reports.iter().filter_map(|r| r.dsm.clone()).collect(),
-            rewrite: self.prepared.rewrite,
-            setup_ps: reports.iter().map(|r| r.setup_ps).max().unwrap_or(0),
-            class_bytes: self.prepared.class_bytes as u64,
-            event_slab_high_water: reports.iter().map(|r| r.slab_high_water).max().unwrap_or(0),
-            ops_per_node: reports.iter().map(|r| r.ops).collect(),
-            trace: None,
-            breakdown: Vec::new(),
-            lock_stats: Vec::new(),
-            host_wall_secs: started.elapsed().as_secs_f64(),
-            sync,
-            wall: None,
-            telemetry,
-            opstats: None,
-            objprof,
-        }
+        Ok(RunReport::assemble(&self.config, self.prepared, started, reports, None, None, telemetry_summary))
     }
 }
 
@@ -1470,7 +1329,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_report_round_trips() {
+    fn node_result_round_trips_and_rejects_truncation() {
         let mut net = NetStats { msgs_sent: 7, bytes_recv: 1234, ..NetStats::default() };
         net.sent_by_kind[3] = 42;
         net.recv_bytes_by_kind[7] = 99;
@@ -1481,7 +1340,7 @@ mod tests {
             notice_mem_max: 512,
             ..DsmStats::default()
         };
-        let rep = WorkerReport {
+        let rep = NodeResult {
             console: vec!["hello".into(), "world".into()],
             errors: vec![
                 (3, VmError::NullDeref { method: "Foo.bar".into(), pc: 17 }),
@@ -1517,11 +1376,21 @@ mod tests {
                 p.bump_unattributed(jsplit_trace::ObjEvent::Notify);
                 p
             }),
+            opstats: None,
         };
-        let got = decode_worker_report(&encode_worker_report(&rep)).unwrap();
-        assert_eq!(got, rep);
+        let good = encode_node_result(&rep);
+        assert_eq!(decode_node_result(&good).unwrap(), rep);
+        // Truncated anywhere: an error, never a panic.
+        for len in 0..good.len() {
+            assert!(decode_node_result(&good[..len]).is_err(), "prefix of {len} bytes accepted");
+        }
+        // Opstats counters stay off the wire.
+        let mut counted = jsplit_mjvm::opstats::OpStats::default();
+        counted.retire("iadd");
+        let with_ops = NodeResult { opstats: Some(counted), ..decode_node_result(&good).unwrap() };
+        assert_eq!(encode_node_result(&with_ops), good);
         // The dsm-less, observer-less (baseline) shape too.
-        let rep2 = WorkerReport {
+        let rep2 = NodeResult {
             dsm: None,
             console: Vec::new(),
             errors: Vec::new(),
@@ -1529,8 +1398,7 @@ mod tests {
             objprof: None,
             ..rep
         };
-        let got2 = decode_worker_report(&encode_worker_report(&rep2)).unwrap();
-        assert_eq!(got2, rep2);
+        assert_eq!(decode_node_result(&encode_node_result(&rep2)).unwrap(), rep2);
     }
 
     #[test]

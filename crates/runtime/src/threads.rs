@@ -43,21 +43,17 @@
 //! Restrictions vs the sim driver: no mid-run joins, and the `max_ops`
 //! abort guard is enforced at window granularity rather than per event.
 
-use crate::balance::BalancerState;
-use crate::config::{ClusterConfig, Mode, SyncMode};
-use crate::driver::{self, ClusterError, Driver, Prepared};
-use crate::engine::{make_node_sink, AsyncShared, EpochPeers, EpochSlot, Horizons, NodeOutcome, SyncEngine};
+use crate::config::{ClusterConfig, SyncMode};
+use crate::driver::{self, ClusterError, Prepared};
+use crate::engine::{AsyncShared, EpochPeers, EpochSlot, Horizons, NodeOutcome, SyncEngine};
 use crate::env::CONSOLE_NODE;
 use crate::node::NodeRuntime;
-use crate::report::{RunReport, SyncStats};
-use crate::telemetry::{Telemetry, WatchdogSpec};
-use jsplit_mjvm::heap::ThreadUid;
-use jsplit_mjvm::interp::VmError;
+use crate::report::RunReport;
+use crate::telemetry::Telemetry;
 use jsplit_net::{ChannelEndpoint, MeshSetup, NodeId};
-use jsplit_trace::{Event, FlightRecorder, MetricsRegistry, SpanRecorder, WallProfile};
+use jsplit_trace::{FlightRecorder, MetricsRegistry, WallProfile};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex};
-use std::time::Instant;
 
 /// Per-node aggregates, published once per round. Field stores are plain
 /// (`Relaxed`); the `epoch` release store makes them visible, seqlock
@@ -200,12 +196,6 @@ impl ThreadsDriver {
         }
         let prepared = driver::prepare(&config, program)?;
         let links: Vec<_> = config.nodes.iter().map(|s| driver::link_params(*s)).collect();
-        // The loopback bound is profile-derived and must sit below every
-        // conservative horizon built from base latencies — the clamp in
-        // `loopback_ps` guarantees it; this makes the assumption explicit.
-        for l in &links {
-            assert!(l.loopback_ps() <= l.base_ps(), "loopback bound {} ps above link base {} ps", l.loopback_ps(), l.base_ps());
-        }
         let mut endpoints = ChannelEndpoint::mesh(&links, true);
         // Arm the per-endpoint trace/histogram buffers *before* class
         // shipping so setup-phase `NetSend`s are captured, like the sim's
@@ -220,20 +210,8 @@ impl ThreadsDriver {
                 ep.frame_hist = Some(jsplit_trace::LogHist::new());
             }
         }
-        let mut nodes: Vec<NodeRuntime> = config
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| NodeRuntime::new(i as NodeId, *spec, &config, prepared.image.clone(), prepared.thread_class))
-            .collect();
-        let mut setup_ps = 0;
-        if config.mode == Mode::JavaSplit {
-            for i in 1..nodes.len() {
-                let at = driver::ship_classes(&mut MeshSetup(&mut endpoints), 0, i as NodeId, prepared.class_bytes);
-                setup_ps = setup_ps.max(at);
-            }
-            driver::bootstrap_statics(&mut nodes, &prepared.image);
-        }
+        let mut nodes = driver::build_nodes(&config, &prepared);
+        let setup_ps = driver::set_up_pool(&config, &prepared, &mut nodes, &mut MeshSetup(&mut endpoints));
         Ok(ThreadsDriver { config, prepared, nodes, endpoints, setup_ps })
     }
 
@@ -242,8 +220,6 @@ impl ThreadsDriver {
     pub fn run(self) -> RunReport {
         let started = std::time::Instant::now();
         let n = self.nodes.len();
-        let base_ps: Vec<u64> = self.config.nodes.iter().map(|s| driver::link_params(*s).base_ps()).collect();
-        let hz = Horizons::new(base_ps, self.config.max_ops);
         let shared = Arc::new(Shared {
             slots: (0..n).map(|_| NodeSlot::default()).collect(),
             barrier: Barrier::new(n),
@@ -262,60 +238,23 @@ impl ThreadsDriver {
         if let Some(f) = &flight {
             jsplit_trace::arm_panic_dump(f);
         }
-        let telemetry = metrics_cfg.as_ref().and_then(|cfg| {
-            let wd = cfg.watchdog_budget.map(|d| WatchdogSpec {
-                budget_ms: (d.as_millis() as u64).max(1),
-                base_ps: hz.base_ps.clone(),
-            });
-            match Telemetry::start(cfg, registry.clone().expect("registry"), flight.clone(), wd) {
-                Ok(t) => Some(t),
-                Err(e) => {
-                    eprintln!("metrics: cannot open {:?}: {e}; sampling disabled", cfg.out);
-                    None
-                }
-            }
-        });
-        let mode = self.config.mode;
-        let thread_main = self.prepared.thread_main;
-        let main_method = self.prepared.image.main_method;
-        let main_locals = self.prepared.image.method(main_method).max_locals;
-        let balancer = self.config.balancer;
+        let base_ps = Horizons::of(&self.config).base_ps;
+        let telemetry = driver::start_telemetry(metrics_cfg.as_ref(), registry.as_ref(), flight.clone(), Some(base_ps));
         let trace_mode = self.config.trace;
-        let profile_on = self.config.profile || trace_mode.is_some();
-        // Raw spans (the Chrome real-time lanes) are only worth their
-        // memory when a trace export was requested.
-        let keep_spans = trace_mode.is_some();
+        // Tracing implies span profiling; raw spans (the Chrome real-time
+        // lanes) are only worth their memory when a trace export was
+        // requested. `started` is the shared cross-thread span axis.
+        let spans = (self.config.profile || trace_mode.is_some()).then_some((started, trace_mode.is_some()));
 
         let mut handles = Vec::with_capacity(n);
         for (node, endpoint) in self.nodes.into_iter().zip(self.endpoints) {
             let shared = shared.clone();
-            let mut eng = SyncEngine::new(node, endpoint, hz.clone(), mode, thread_main, n, BalancerState::new(balancer));
+            let mut eng = SyncEngine::new(node, endpoint, &self.config, self.prepared.thread_main);
             eng.asy = asy.clone();
-            eng.recorder = trace_mode.map(make_node_sink);
             eng.metrics = registry.clone();
             eng.flight = flight.clone();
-            eng.t0 = started;
-            eng.stall_inject_ms = metrics_cfg
-                .as_ref()
-                .and_then(|c| c.stall_inject)
-                .filter(|&(node, _)| node == eng.endpoint.id)
-                .map(|(_, ms)| ms);
             handles.push(std::thread::spawn(move || {
-                // Wall time and the span origin are anchored at the node
-                // thread itself, so thread-spawn latency stays outside the
-                // profile; `started` remains the shared cross-thread axis.
-                eng.t0 = Instant::now();
-                if profile_on {
-                    eng.profiler = Some(SpanRecorder::new(started, keep_spans));
-                }
-                // The main thread starts on worker 0 (§2), before the first
-                // round so the first published snapshot already counts it.
-                if eng.endpoint.id == CONSOLE_NODE {
-                    eng.bootstrap_main(main_method, main_locals);
-                }
-                // Setup-phase activity (statics bootstrap, class shipping)
-                // is part of the trace; stamp it at t = 0 like the sim.
-                eng.drain_trace(0);
+                eng.start(spans);
                 if eng.asy.is_some() {
                     eng.run_async()
                 } else {
@@ -323,124 +262,32 @@ impl ThreadsDriver {
                 }
             }));
         }
-        let mut outcomes: Vec<NodeOutcome> = handles
-            .into_iter()
-            .map(|h| h.join().expect("node thread panicked"))
-            .collect();
-        outcomes.sort_by_key(|o| o.node.id);
+        // Joined in spawn order, so slice index = node id.
+        let mut outcomes: Vec<NodeOutcome> =
+            handles.into_iter().map(|h| h.join().expect("node thread panicked")).collect();
         // Stop the sampler (it takes one closing sample of the final
         // published counters) and fold the time series into the report.
-        let telemetry_summary = telemetry.map(Telemetry::finish);
+        let telemetry = telemetry.map(Telemetry::finish);
         if let Some(f) = &flight {
             jsplit_trace::disarm_panic_dump(f);
         }
-
-        let host_wall_secs = started.elapsed().as_secs_f64();
-        let deadlocked = outcomes[0].deadlocked;
-        let aborted = outcomes[0].aborted;
-        let mut errors: Vec<(ThreadUid, VmError)> = Vec::new();
-        let mut console = Vec::new();
-        for o in &mut outcomes {
-            errors.append(&mut o.errors);
-            if o.node.id == CONSOLE_NODE {
-                console = o.node.take_console();
-            }
-        }
-        let sync = SyncStats {
-            // Epoch rounds are cluster-global (identical on every node);
-            // async bursts are per-node, so the cluster figure is the sum.
-            windows: match self.config.sync {
-                SyncMode::Epoch => outcomes[0].windows,
-                SyncMode::Async => outcomes.iter().map(|o| o.windows).sum(),
-            },
-            barrier_waits: outcomes.iter().map(|o| o.barrier_waits).sum(),
-            frames_sent: outcomes.iter().map(|o| o.endpoint.frame_stats.frames_sent).sum(),
-            frame_bytes: outcomes.iter().map(|o| o.endpoint.frame_stats.frame_bytes).sum(),
-            msgs_framed: outcomes.iter().map(|o| o.endpoint.frame_stats.msgs_framed).sum(),
-            nulls_sent: outcomes.iter().map(|o| o.endpoint.frame_stats.nulls_sent).sum(),
-            nulls_piggybacked: outcomes.iter().map(|o| o.endpoint.frame_stats.nulls_piggybacked).sum(),
-            horizon_advances: outcomes.iter().map(|o| o.horizon_advances).sum(),
-        };
-        let finish = outcomes.iter().map(|o| o.node.finish_time).max().unwrap_or(0);
+        // Class distribution was accounted centrally in `new`.
+        outcomes[CONSOLE_NODE as usize].result.setup_ps = self.setup_ps;
         // Merge the per-node streams into the sim's canonical normal form:
-        // flush each node's leftover buffers at the global finish time
-        // (exactly what the sim's final `drain_trace_buffers` pass does),
-        // concatenate in node order, then canonicalize — the result is
-        // byte-identical to a sim trace of the same program as long as each
-        // node records the same per-node event sequence, which the
-        // differential trace tests assert.
-        let trace = if trace_mode.is_some() {
-            let mut all: Vec<Event> = Vec::new();
-            for o in &mut outcomes {
-                let Some(r) = &mut o.recorder else { continue };
-                for ev in o.node.take_dsm_trace() {
-                    r.record(Event { t: finish, ev });
-                }
-                if let Some(buf) = &mut o.endpoint.trace {
-                    for e in buf.drain(..) {
-                        r.record(e);
-                    }
-                }
-                all.extend(o.recorder.take().expect("recorder present").into_events());
-            }
-            Some(jsplit_trace::canonicalize(all))
-        } else {
-            None
-        };
-        let (breakdown, lock_stats) = match &trace {
-            Some(evs) => {
-                let cpus: Vec<u32> = vec![self.config.cpus_per_node as u32; outcomes.len()];
-                (
-                    jsplit_trace::node_breakdown(evs, &cpus, finish),
-                    jsplit_trace::lock_contention(evs),
-                )
-            }
-            None => (Vec::new(), Vec::new()),
-        };
-        let wall = if profile_on {
-            Some(WallProfile { nodes: outcomes.iter_mut().filter_map(|o| o.profile.take()).collect() })
-        } else {
-            None
-        };
-        let objprof = self.config.objprof.then(|| {
-            // Outcomes are sorted by node id above, so slice index = id.
-            let profiles: Vec<jsplit_trace::ObjProfile> = outcomes
-                .iter_mut()
-                .map(|o| o.node.take_objprof().unwrap_or_default())
-                .collect();
-            jsplit_trace::build_report(&profiles)
+        // close each node's sink at the global finish time, concatenate in
+        // node order, then canonicalize — the result is byte-identical to a
+        // sim trace of the same program as long as each node records the
+        // same per-node event sequence, which the differential trace tests
+        // assert.
+        let trace = trace_mode.map(|_| {
+            let finish = outcomes.iter().map(|o| o.result.finish_time).max().unwrap_or(0);
+            let all = outcomes.iter_mut().filter_map(|o| o.trace.take()).flat_map(|t| t.close(finish)).collect();
+            jsplit_trace::canonicalize(all)
         });
-        RunReport {
-            exec_time_ps: finish,
-            output: console,
-            errors,
-            deadlocked,
-            aborted,
-            ops: outcomes.iter().map(|o| o.node.ops).sum(),
-            threads: outcomes.iter().map(|o| o.node.spawned_here).sum(),
-            net_per_node: outcomes.iter().map(|o| o.endpoint.stats.clone()).collect(),
-            dsm_per_node: outcomes.iter().filter_map(|o| o.node.dsm_stats()).collect(),
-            rewrite: self.prepared.rewrite,
-            setup_ps: self.setup_ps,
-            class_bytes: self.prepared.class_bytes as u64,
-            event_slab_high_water: outcomes.iter().map(|o| o.slab_high_water).max().unwrap_or(0),
-            ops_per_node: outcomes.iter().map(|o| o.node.ops).collect(),
-            trace,
-            breakdown,
-            lock_stats,
-            host_wall_secs,
-            sync,
-            wall,
-            telemetry: telemetry_summary,
-            opstats: None,
-            objprof,
-        }
-    }
-}
-
-impl Driver for ThreadsDriver {
-    fn run(self) -> RunReport {
-        ThreadsDriver::run(self)
+        let wall =
+            spans.map(|_| WallProfile { nodes: outcomes.iter_mut().filter_map(|o| o.profile.take()).collect() });
+        let results = outcomes.into_iter().map(|o| o.result).collect();
+        RunReport::assemble(&self.config, self.prepared, started, results, trace, wall, telemetry)
     }
 }
 

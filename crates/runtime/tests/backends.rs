@@ -22,14 +22,8 @@ use jsplit_mjvm::cost::JvmProfile;
 use jsplit_runtime::exec::run_cluster;
 use jsplit_runtime::{Backend, ClusterConfig, RunReport, SyncMode};
 
-fn apps() -> Vec<(&'static str, Program)> {
-    use jsplit_apps::{raytracer, series, tsp};
-    vec![
-        ("tsp", tsp::program(tsp::TspParams { n: 8, seed: 42, depth: 2, threads: 8 })),
-        ("series", series::program(series::SeriesParams { n: 16, intervals: 40, threads: 8 })),
-        ("raytracer", raytracer::program(raytracer::RayParams { size: 16, grid: 2, threads: 8 })),
-    ]
-}
+mod common;
+use common::{apps, assert_reports_match};
 
 fn run(backend: Backend, proto: ProtocolMode, nodes: usize, p: &Program) -> RunReport {
     let cfg = ClusterConfig::javasplit(JvmProfile::SunSim, nodes).with_protocol(proto).with_backend(backend);
@@ -47,21 +41,6 @@ fn run_async(proto: ProtocolMode, nodes: usize, p: &Program) -> RunReport {
     let r = run_cluster(cfg, p).expect("cluster setup");
     r.expect_clean();
     r
-}
-
-/// Everything observable about a run except host wall-clock, the
-/// event-slab high-water mark, and the sync counters — those measure
-/// driver internals, and the two drivers legitimately differ there.
-fn assert_reports_match(ctx: &str, sim: &RunReport, thr: &RunReport) {
-    assert_eq!(sim.output, thr.output, "{ctx}: stdout diverged");
-    assert_eq!(sim.exec_time_ps, thr.exec_time_ps, "{ctx}: virtual time diverged");
-    assert_eq!(sim.setup_ps, thr.setup_ps, "{ctx}: setup time diverged");
-    assert_eq!(sim.ops, thr.ops, "{ctx}: total ops diverged");
-    assert_eq!(sim.ops_per_node, thr.ops_per_node, "{ctx}: per-node ops diverged");
-    assert_eq!(sim.threads, thr.threads, "{ctx}: thread count diverged");
-    assert_eq!(sim.class_bytes, thr.class_bytes, "{ctx}: shipped class bytes diverged");
-    assert_eq!(sim.dsm_per_node, thr.dsm_per_node, "{ctx}: per-node DSM stats diverged");
-    assert_eq!(sim.net_per_node, thr.net_per_node, "{ctx}: per-node net stats diverged");
 }
 
 #[test]
@@ -148,6 +127,26 @@ fn threads_backend_matches_sim_single_node() {
     assert_reports_match("tsp-1node", &sim, &thr);
 }
 
+/// Every node counts retired opcodes under `with_opstats`, whichever
+/// driver runs it: the threads backend hands the merged counters back, and
+/// they equal the sim's (pair chains reset at quantum boundaries, so the
+/// tables do not depend on scheduling).
+#[test]
+fn threads_opstats_match_sim() {
+    let (_, p) = apps().swap_remove(0);
+    let counted = |backend| {
+        let cfg = ClusterConfig::javasplit(JvmProfile::SunSim, 4).with_backend(backend).with_opstats(true);
+        let r = run_cluster(cfg, &p).expect("cluster setup");
+        r.expect_clean();
+        r.opstats.unwrap_or_else(|| panic!("{backend:?}: opstats run returned no counters"))
+    };
+    let (sim, thr) = (counted(Backend::Sim), counted(Backend::Threads));
+    assert!(sim.total() > 0);
+    assert_eq!(sim.total(), thr.total(), "retired-op totals diverged");
+    assert_eq!(sim.top_ops(12), thr.top_ops(12), "hot-opcode tables diverged");
+    assert_eq!(sim.top_pairs(12), thr.top_pairs(12), "hot-pair tables diverged");
+}
+
 /// The threads backend reports its orchestration counters: windows ran,
 /// one barrier wait per node per window, and fewer frames than messages.
 #[test]
@@ -213,6 +212,13 @@ fn threads_trace_is_byte_identical_to_sim_on_all_apps() {
         assert!(sim.wall.is_none(), "{app}: sim must not report a wall profile");
         let wall = thr.wall.as_ref().expect("traced threads run must carry a wall profile");
         assert!(wall.nodes.iter().any(|n| !n.spans.is_empty()), "{app}: no raw spans kept");
+        // The unified export (what `jsplit run --trace` writes) adds those
+        // spans as real-time lanes in their own pid namespace and category,
+        // and leaves the virtual-time lanes exactly as the sim exports them.
+        let unified = jsplit_trace::chrome_trace_unified(te, Some(wall));
+        let (wall_lanes, virt): (Vec<&str>, Vec<&str>) = unified.lines().partition(|l| l.contains("\"pid\":10000"));
+        assert!(wall_lanes.iter().any(|l| l.contains("\"cat\":\"wall\"")), "{app}: wall spans missing their category");
+        assert_eq!(virt, jsplit_trace::chrome_trace(se).lines().collect::<Vec<_>>(), "{app}: virtual lanes perturbed");
     }
 }
 

@@ -25,30 +25,15 @@ use std::sync::Mutex;
 use jsplit_dsm::{DsmStats, ProtocolMode};
 use jsplit_mjvm::class::Program;
 use jsplit_mjvm::cost::JvmProfile;
-use jsplit_runtime::config::SocketsConfig;
 use jsplit_runtime::exec::run_cluster;
 use jsplit_runtime::{Backend, ClusterConfig, ClusterError, RunReport, SyncMode};
 use jsplit_trace::{ObjProfReport, STATS_MAPPED};
 
+mod common;
+use common::{apps, assert_reports_match, sockets_config};
+
 fn tsp() -> Program {
-    jsplit_apps::tsp::program(jsplit_apps::tsp::TspParams { n: 8, seed: 42, depth: 2, threads: 8 })
-}
-
-fn raytracer() -> Program {
-    jsplit_apps::raytracer::program(jsplit_apps::raytracer::RayParams {
-        size: 16,
-        grid: 2,
-        threads: 8,
-    })
-}
-
-/// The spawned worker binary (the test harness's own `current_exe` is the
-/// test runner, not a worker).
-fn sockets_config() -> SocketsConfig {
-    SocketsConfig {
-        worker_bin: Some(std::path::PathBuf::from(env!("CARGO_BIN_EXE_jsplit"))),
-        ..SocketsConfig::default()
-    }
+    apps().swap_remove(0).1
 }
 
 /// Serializes sockets-spawning tests against the `JSPLIT_TEST_WORKER_PANIC`
@@ -76,15 +61,6 @@ fn run(cfg: ClusterConfig, p: &Program) -> RunReport {
     r
 }
 
-fn assert_observation_equal(ctx: &str, a: &RunReport, b: &RunReport) {
-    assert_eq!(a.output, b.output, "{ctx}: stdout diverged");
-    assert_eq!(a.exec_time_ps, b.exec_time_ps, "{ctx}: virtual time diverged");
-    assert_eq!(a.ops, b.ops, "{ctx}: total ops diverged");
-    assert_eq!(a.ops_per_node, b.ops_per_node, "{ctx}: per-node ops diverged");
-    assert_eq!(a.dsm_per_node, b.dsm_per_node, "{ctx}: per-node DSM stats diverged");
-    assert_eq!(a.net_per_node, b.net_per_node, "{ctx}: per-node net stats diverged");
-}
-
 /// Profiling is observation-free: the full backend × protocol × sync
 /// matrix runs bit-identically with the profiler on and off.
 #[test]
@@ -103,7 +79,7 @@ fn objprof_off_vs_on_is_bit_identical_across_backends() {
         let ctx = format!("{backend:?}/{proto:?}/{sync:?}");
         let bare = run(cfg(backend, proto, sync, false), &p);
         let profiled = run(cfg(backend, proto, sync, true), &p);
-        assert_observation_equal(&ctx, &bare, &profiled);
+        assert_reports_match(&ctx, &bare, &profiled);
         assert!(bare.objprof.is_none(), "{ctx}: bare run must not carry a profile");
         let rep = profiled.objprof.as_ref().expect("profiled run carries a report");
         assert!(!rep.objects.is_empty(), "{ctx}: TSP shares objects; report cannot be empty");
@@ -136,33 +112,27 @@ fn objprof_report_identical_across_runs_and_backends() {
     }
 }
 
-/// The `DsmStats` field named by a [`STATS_MAPPED`] entry.
-fn stat_field(s: &DsmStats, name: &str) -> u64 {
-    match name {
-        "fetches" => s.fetches,
-        "fetches_delayed_at_home" => s.fetches_delayed_at_home,
-        "diffs_sent" => s.diffs_sent,
-        "diffs_applied" => s.diffs_applied,
-        "invalidations" => s.invalidations,
-        "shared_acquires_local" => s.shared_acquires_local,
-        "shared_acquires_remote" => s.shared_acquires_remote,
-        "grants_sent" => s.grants_sent,
-        "waits" => s.waits,
-        "notifies" => s.notifies,
-        "promotions" => s.promotions,
-        other => panic!("STATS_MAPPED names unknown DsmStats field {other:?}"),
-    }
-}
-
 fn assert_reconciles(ctx: &str, rep: &ObjProfReport, total: &DsmStats) {
     for (ev, field) in STATS_MAPPED {
         let per_obj: u64 = rep.objects.iter().map(|o| o.total[ev.index()]).sum();
         assert_eq!(
             per_obj + rep.unattributed[ev.index()],
-            stat_field(total, field),
+            total.get(field).expect("STATS_MAPPED names DsmStats fields"),
             "{ctx}: per-object {} sums do not reconcile with DsmStats.{field}",
             ev.name(),
         );
+    }
+    // What a reader of the heat report relies on: hottest first, per-node
+    // rows adding up to each object's totals, only mis-homed candidates.
+    assert!(rep.objects.windows(2).all(|w| w[0].heat >= w[1].heat), "{ctx}: heat table not sorted");
+    for o in &rep.objects {
+        for ev in jsplit_trace::ALL_OBJ_EVENTS {
+            let rows: u64 = o.rows.iter().map(|(_, cells)| cells[ev.index()]).sum();
+            assert_eq!(rows, o.total[ev.index()], "{ctx}: gid {} rows do not sum to total {}", o.gid, ev.name());
+        }
+    }
+    for o in rep.candidates.iter().map(|&i| &rep.objects[i]) {
+        assert!(o.advice.dominant != o.home && o.advice.score > 0, "{ctx}: bad candidate gid {}: {:?}", o.gid, o.advice);
     }
 }
 
@@ -171,7 +141,7 @@ fn assert_reconciles(ctx: &str, rep: &ObjProfReport, total: &DsmStats) {
 /// chunked scene arrays exercise the region→base gid folding).
 #[test]
 fn objprof_reconciles_with_dsm_totals() {
-    for (app, p) in [("tsp", tsp()), ("raytracer", raytracer())] {
+    for (app, p) in apps().into_iter().filter(|(app, _)| *app != "series") {
         for proto in [ProtocolMode::MtsHlrc, ProtocolMode::ClassicHlrc] {
             let r = run(cfg(Backend::Sim, proto, SyncMode::Epoch, true), &p);
             let rep = r.objprof.as_ref().expect("report");

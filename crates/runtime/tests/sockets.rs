@@ -29,24 +29,8 @@ use jsplit_runtime::config::SocketsConfig;
 use jsplit_runtime::exec::run_cluster;
 use jsplit_runtime::{Backend, ClusterConfig, ClusterError, RunReport, SyncMode};
 
-fn apps() -> Vec<(&'static str, Program)> {
-    use jsplit_apps::{raytracer, series, tsp};
-    vec![
-        ("tsp", tsp::program(tsp::TspParams { n: 8, seed: 42, depth: 2, threads: 8 })),
-        ("series", series::program(series::SeriesParams { n: 16, intervals: 40, threads: 8 })),
-        ("raytracer", raytracer::program(raytracer::RayParams { size: 16, grid: 2, threads: 8 })),
-    ]
-}
-
-/// The spawned worker binary: the test harness's `current_exe` is the
-/// test runner, so point the coordinator at the real `jsplit` binary
-/// Cargo built for this test run.
-fn sockets_config() -> SocketsConfig {
-    SocketsConfig {
-        worker_bin: Some(std::path::PathBuf::from(env!("CARGO_BIN_EXE_jsplit"))),
-        ..SocketsConfig::default()
-    }
-}
+mod common;
+use common::{apps, assert_reports_match, sockets_config};
 
 fn run_sim(proto: ProtocolMode, nodes: usize, p: &Program) -> RunReport {
     let cfg = ClusterConfig::javasplit(JvmProfile::SunSim, nodes).with_protocol(proto);
@@ -64,18 +48,6 @@ fn run_sockets(proto: ProtocolMode, nodes: usize, sync: SyncMode, p: &Program) -
     let r = run_cluster(cfg, p).expect("cluster setup");
     r.expect_clean();
     r
-}
-
-fn assert_reports_match(ctx: &str, sim: &RunReport, skt: &RunReport) {
-    assert_eq!(sim.output, skt.output, "{ctx}: stdout diverged");
-    assert_eq!(sim.exec_time_ps, skt.exec_time_ps, "{ctx}: virtual time diverged");
-    assert_eq!(sim.setup_ps, skt.setup_ps, "{ctx}: setup time diverged");
-    assert_eq!(sim.ops, skt.ops, "{ctx}: total ops diverged");
-    assert_eq!(sim.ops_per_node, skt.ops_per_node, "{ctx}: per-node ops diverged");
-    assert_eq!(sim.threads, skt.threads, "{ctx}: thread count diverged");
-    assert_eq!(sim.class_bytes, skt.class_bytes, "{ctx}: shipped class bytes diverged");
-    assert_eq!(sim.dsm_per_node, skt.dsm_per_node, "{ctx}: per-node DSM stats diverged");
-    assert_eq!(sim.net_per_node, skt.net_per_node, "{ctx}: per-node net stats diverged");
 }
 
 /// The acceptance matrix: every paper app, both DSM protocols, both sync
@@ -171,6 +143,53 @@ fn coordinator_rejects_mismatched_peers_and_names_missing_workers() {
     assert!(msg.contains("never completed the handshake"), "unexpected error: {msg}");
     assert!(msg.contains("0, 1"), "error should name the missing node ids: {msg}");
     assert!(msg.contains("rejected dial-ins"), "error should carry the rejections: {msg}");
+}
+
+/// A frame's `src` is peer-claimed, and the receiving engine indexes its
+/// channel clocks and event lanes by it: the coordinator must refuse a
+/// frame whose `src` is not the stream it arrived on — promptly, with an
+/// error naming the worker — instead of relaying it.
+#[test]
+fn coordinator_rejects_frames_with_a_forged_source() {
+    let addr = free_addr();
+    let (_, p) = &apps()[1];
+    let cfg = ClusterConfig::javasplit(JvmProfile::SunSim, 2)
+        .with_backend(Backend::Sockets)
+        .with_sockets(SocketsConfig {
+            listen: Some(addr),
+            spawn_workers: false,
+            ..SocketsConfig::default()
+        });
+    let prog = p.clone();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done_tx.send(run_cluster(cfg, &prog));
+    });
+
+    // Handshake both workers in by hand (hash 0 = "any config").
+    let mut workers: Vec<TcpStream> = (0..2u16)
+        .map(|node_id| {
+            let mut s = connect_retry(addr);
+            tcp::write_envelope(
+                &mut s,
+                &Envelope::Hello { magic: tcp::MAGIC, version: tcp::VERSION, node_id, config_hash: 0 },
+            )
+            .expect("send hello");
+            match tcp::read_envelope(&mut s).expect("welcome envelope") {
+                Envelope::Welcome { node_id: got, nodes: 2, .. } => assert_eq!(got, node_id),
+                other => panic!("expected Welcome, got {other:?}"),
+            }
+            s
+        })
+        .collect();
+
+    tcp::write_data(&mut workers[0], 7, 1, &[]).expect("send forged frame");
+    let err = done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("coordinator must fail promptly, not relay and wait")
+        .expect_err("a forged source must fail the run");
+    let ClusterError::Config(msg) = err else { panic!("expected Config error") };
+    assert!(msg.contains("worker 0") && msg.contains("node 7"), "error should name the worker and the claim: {msg}");
 }
 
 fn connect_retry(addr: SocketAddr) -> TcpStream {

@@ -11,6 +11,8 @@ use jsplit_runtime::{Backend, ClusterConfig, MetricsConfig, RunReport, SyncMode}
 use std::path::PathBuf;
 use std::time::Duration;
 
+mod common;
+
 fn tsp() -> Program {
     jsplit_apps::tsp::program(jsplit_apps::tsp::TspParams { n: 8, seed: 42, depth: 2, threads: 8 })
 }
@@ -62,51 +64,65 @@ fn metrics_do_not_change_results() {
     }
 }
 
-/// The `--metrics` JSONL stream: one object per line, sequential `seq`,
-/// monotone non-decreasing `t_ms`, per-node rows for every node, and a
-/// final sample whose cumulative cluster ops equal the report's.
+/// The `--metrics` JSONL stream: one JSON object per line, sequential
+/// `seq`, monotone non-decreasing `t_ms`, the full cluster and per-node
+/// schema on every line, and a final sample whose cumulative cluster ops
+/// equal the report's. The sockets coordinator merges worker-shipped
+/// `Metrics` envelopes into the same stream, so its file passes the same
+/// checks — and its worker rows (node > 0 runs in another process) cannot
+/// all be zero: the engines' forced closing publish must arrive.
 #[test]
 fn metrics_jsonl_is_wellformed_and_monotone() {
     let p = tsp();
-    let out = scratch("jsonl");
-    let r = run(
-        cfg(Backend::Threads, SyncMode::Async, 4).with_metrics(MetricsConfig {
-            out: Some(out.clone()),
-            interval: Duration::from_millis(5),
-            ..MetricsConfig::default()
-        }),
-        &p,
-    );
-    let text = std::fs::read_to_string(&out).expect("metrics file written");
-    let _ = std::fs::remove_file(&out);
-    let lines: Vec<&str> = text.lines().collect();
-    assert!(!lines.is_empty(), "no samples written");
-    let mut prev_t = -1.0f64;
-    for (i, line) in lines.iter().enumerate() {
-        assert!(line.starts_with(&format!("{{\"seq\":{i},")), "seq not sequential: {line}");
-        assert!(line.ends_with("]}"), "truncated line: {line}");
-        assert_eq!(line.matches('{').count(), line.matches('}').count(), "unbalanced: {line}");
-        assert!(line.contains("\"cluster\":{") && line.contains("\"nodes\":["), "{line}");
-        for node in 0..4 {
-            assert!(line.contains(&format!("{{\"node\":{node},")), "missing node {node}: {line}");
+    for backend in [Backend::Threads, Backend::Sockets] {
+        let out = scratch(&format!("jsonl-{backend:?}"));
+        let r = run(
+            cfg(backend, SyncMode::Async, 4).with_sockets(common::sockets_config()).with_metrics(MetricsConfig {
+                out: Some(out.clone()),
+                interval: Duration::from_millis(5),
+                ..MetricsConfig::default()
+            }),
+            &p,
+        );
+        let text = std::fs::read_to_string(&out).expect("metrics file written");
+        let _ = std::fs::remove_file(&out);
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(!lines.is_empty(), "{backend:?}: no samples written");
+        let mut prev_t = -1.0f64;
+        for (i, line) in lines.iter().enumerate() {
+            assert!(line.starts_with(&format!("{{\"seq\":{i},")), "seq not sequential: {line}");
+            jsplit_trace::validate_json(line).unwrap_or_else(|e| panic!("line {i} is not JSON ({e}): {line}"));
+            assert!(line.contains("\"cluster\":{") && line.contains("\"nodes\":["), "{line}");
+            for key in ["ops", "ops_per_sec", "bytes_sent", "bytes_per_sec", "live_threads", "horizon_lag_max_ps"] {
+                assert!(line.contains(&format!("\"{key}\":")), "cluster sample missing {key}: {line}");
+            }
+            for node in 0..4 {
+                assert!(line.contains(&format!("{{\"node\":{node},")), "missing node {node}: {line}");
+            }
+            for key in jsplit_trace::ALL_METRICS.iter().map(|m| m.name()).chain(["lag_ps"]) {
+                let rows = line.split("\"nodes\":[").nth(1).expect("node rows");
+                assert_eq!(rows.matches(&format!("\"{key}\":")).count(), 4, "node rows missing {key}: {line}");
+            }
+            let t_ms: f64 = line
+                .split("\"t_ms\":")
+                .nth(1)
+                .and_then(|s| s.split(',').next())
+                .and_then(|s| s.parse().ok())
+                .expect("t_ms field");
+            assert!(t_ms >= prev_t, "t_ms went backwards at line {i}");
+            prev_t = t_ms;
         }
-        let t_ms: f64 = line
-            .split("\"t_ms\":")
-            .nth(1)
-            .and_then(|s| s.split(',').next())
-            .and_then(|s| s.parse().ok())
-            .expect("t_ms field");
-        assert!(t_ms >= prev_t, "t_ms went backwards at line {i}");
-        prev_t = t_ms;
+        // The shutdown path publishes final counters and the sampler takes
+        // one closing sample, so the stream's last line carries the whole run.
+        let last = lines.last().unwrap();
+        assert!(
+            last.contains(&format!("\"cluster\":{{\"ops\":{},", r.ops)),
+            "{backend:?}: final sample ops != report ops {}: {last}",
+            r.ops
+        );
+        let remote_ops = (1..4).any(|node| !last.contains(&format!("{{\"node\":{node},\"ops\":0,")));
+        assert!(remote_ops, "{backend:?}: no counters from nodes 1..3 in the final sample: {last}");
     }
-    // The shutdown path publishes final counters and the sampler takes one
-    // closing sample, so the stream's last line carries the whole run.
-    let last = lines.last().unwrap();
-    assert!(
-        last.contains(&format!("\"cluster\":{{\"ops\":{},", r.ops)),
-        "final sample ops != report ops {}: {last}",
-        r.ops
-    );
 }
 
 /// An injected stalled peer (node 1 sleeps before its first async

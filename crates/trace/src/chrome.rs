@@ -31,8 +31,6 @@ const NET_TID: u64 = 9_000_000;
 const DSM_TID: u64 = 9_000_001;
 /// Pid offset for real-time wall lanes (> u16::MAX, so node pids can't collide).
 const WALL_PID_BASE: u64 = 100_000;
-/// Pid offset for per-object heat lanes (disjoint from node and wall pids).
-const OBJ_PID_BASE: u64 = 200_000;
 
 fn us(ps: Ps) -> String {
     // 1 µs = 1e6 ps; six fractional digits keep full picosecond precision.
@@ -64,29 +62,10 @@ pub fn chrome_trace(events: &[Event]) -> String {
     chrome_trace_unified(events, None)
 }
 
-/// Per-object lane request: the profiler's top-K objects, plus the region
-/// gid → base gid folding map for chunked arrays (so region events land on
-/// their base object's lane).
-#[derive(Debug, Clone, Default)]
-pub struct ObjLanes {
-    /// (base gid, lane label) — e.g. `(gid, "migratory heat=120")`.
-    pub lanes: Vec<(u64, String)>,
-    /// Region gid → base gid.
-    pub region_base: HashMap<u64, u64>,
-}
-
 /// Render the virtual-time event stream plus (optionally) the threads
 /// backend's real-time wall spans as one Chrome trace with two clock
 /// domains (see module docs for the pid-namespace mapping).
 pub fn chrome_trace_unified(events: &[Event], wall: Option<&WallProfile>) -> String {
-    chrome_trace_report(events, wall, None)
-}
-
-/// [`chrome_trace_unified`] plus per-object heat lanes: each requested
-/// object gets its own pid (`200000 + rank`, "obj <gid> <label>") with one
-/// tid per node, carrying every DSM instant that the profiler attributed to
-/// that object — the timeline view of a heat-table row.
-pub fn chrome_trace_report(events: &[Event], wall: Option<&WallProfile>, obj: Option<&ObjLanes>) -> String {
     // Pass 1: discover nodes and threads (for metadata), index lock
     // acquires and fetch completions (for flow binding).
     let mut nodes: BTreeSet<NodeId> = BTreeSet::new();
@@ -306,74 +285,6 @@ pub fn chrome_trace_report(events: &[Event], wall: Option<&WallProfile>, obj: Op
         }
     }
 
-    // Third pid namespace: per-object heat lanes (profiler top-K).
-    if let Some(o) = obj {
-        let lane_of: HashMap<u64, usize> =
-            o.lanes.iter().enumerate().map(|(i, (g, _))| (*g, i)).collect();
-        for (rank, (gid, label)) in o.lanes.iter().enumerate() {
-            let pid = OBJ_PID_BASE + rank as u64;
-            let _ = writeln!(
-                out,
-                "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{},\"args\":{{\"name\":\"obj {} {}\"}}}},",
-                pid, gid, label
-            );
-        }
-        let mut lane_nodes: BTreeSet<(usize, NodeId)> = BTreeSet::new();
-        for e in events {
-            // Fold chunked-region gids onto their base object's lane.
-            let gid = match e.ev {
-                TraceEvent::LockRequest { gid, .. }
-                | TraceEvent::LockAcquire { gid, .. }
-                | TraceEvent::LockGrant { gid, .. }
-                | TraceEvent::LockHomeRelease { gid, .. }
-                | TraceEvent::DiffFlush { gid, .. }
-                | TraceEvent::DiffAck { gid, .. }
-                | TraceEvent::FetchRequest { gid, .. }
-                | TraceEvent::FetchDone { gid, .. }
-                | TraceEvent::Invalidate { gid, .. }
-                | TraceEvent::WaitPark { gid, .. }
-                | TraceEvent::Notify { gid, .. }
-                | TraceEvent::Promote { gid, .. } => *o.region_base.get(&gid).unwrap_or(&gid),
-                _ => continue,
-            };
-            let Some(&rank) = lane_of.get(&gid) else { continue };
-            let node = e.ev.node();
-            lane_nodes.insert((rank, node));
-            let name = match e.ev {
-                TraceEvent::LockRequest { .. } => "lock-request",
-                TraceEvent::LockAcquire { .. } => "lock-acquire",
-                TraceEvent::LockGrant { .. } => "lock-grant",
-                TraceEvent::LockHomeRelease { .. } => "lock-home-release",
-                TraceEvent::DiffFlush { .. } => "diff-flush",
-                TraceEvent::DiffAck { .. } => "diff-ack",
-                TraceEvent::FetchRequest { .. } => "fetch",
-                TraceEvent::FetchDone { .. } => "fetch-done",
-                TraceEvent::Invalidate { .. } => "invalidate",
-                TraceEvent::WaitPark { .. } => "wait-park",
-                TraceEvent::Notify { .. } => "notify",
-                TraceEvent::Promote { .. } => "promote",
-                _ => unreachable!(),
-            };
-            let _ = writeln!(
-                out,
-                "{{\"ph\":\"i\",\"name\":\"{}\",\"cat\":\"objprof\",\"pid\":{},\"tid\":{},\"ts\":{},\"s\":\"t\"}},",
-                name,
-                OBJ_PID_BASE + rank as u64,
-                node,
-                us(e.t)
-            );
-        }
-        for (rank, node) in lane_nodes {
-            let _ = writeln!(
-                out,
-                "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{},\"tid\":{},\"args\":{{\"name\":\"node {}\"}}}},",
-                OBJ_PID_BASE + rank as u64,
-                node,
-                node
-            );
-        }
-    }
-
     // Closing sentinel avoids trailing-comma bookkeeping at every emit site.
     let _ = writeln!(
         out,
@@ -478,29 +389,6 @@ mod tests {
         assert_eq!(count_exported(&json, 'X', "run"), 1);
         // And with no wall profile the unified export equals the plain one.
         assert_eq!(chrome_trace_unified(&sample(), None), chrome_trace(&sample()));
-    }
-
-    #[test]
-    fn object_lanes_fold_regions_and_use_their_own_pids() {
-        let events = [
-            Event { t: 10, ev: TraceEvent::FetchRequest { node: 1, gid: 9, thread: 3 } },
-            Event { t: 20, ev: TraceEvent::Invalidate { node: 2, gid: 10 } }, // region of 9
-            Event { t: 30, ev: TraceEvent::DiffFlush { node: 1, gid: 77, entries: 2 } }, // not a lane
-        ];
-        let mut lanes = ObjLanes::default();
-        lanes.lanes.push((9, "migratory heat=4".into()));
-        lanes.region_base.insert(10, 9);
-        let json = chrome_trace_report(&events, None, Some(&lanes));
-        validate_json(&json).unwrap();
-        assert!(json.contains("\"name\":\"obj 9 migratory heat=4\""));
-        assert!(json.contains("\"pid\":200000"));
-        // Both the base-gid fetch and the folded region invalidate render.
-        assert!(json.contains("\"cat\":\"objprof\",\"pid\":200000,\"tid\":1"));
-        assert!(json.contains("\"cat\":\"objprof\",\"pid\":200000,\"tid\":2"));
-        // Object 77 was not requested: no second lane.
-        assert!(!json.contains("\"pid\":200001"));
-        // No lanes requested -> identical to the plain unified export.
-        assert_eq!(chrome_trace_report(&sample(), None, None), chrome_trace(&sample()));
     }
 
     #[test]

@@ -39,7 +39,7 @@ mod wall;
 
 pub use breakdown::{node_breakdown, NodeBreakdown};
 pub use canonical::canonicalize;
-pub use chrome::{chrome_trace, chrome_trace_report, chrome_trace_unified, count_exported, ObjLanes};
+pub use chrome::{chrome_trace, chrome_trace_unified, count_exported};
 pub use event::{BlockReason, Event, NetKind, NodeId, Ps, ThreadUid, TraceEvent, TraceMode};
 pub use flight::{
     arm_panic_dump, disarm_panic_dump, FlightEntry, FlightRecorder, FlightTag, FLIGHT_RING,
