@@ -39,24 +39,6 @@ pub fn spawn_join_all(
     m.bind(j_end);
 }
 
-/// Emit a standard counted loop: binds `idx_slot` from 0 to `bound_slot`'s
-/// value (exclusive); `body` runs each iteration.
-pub fn for_loop_slot(
-    m: &mut MethodBuilder,
-    idx_slot: u16,
-    bound_slot: u16,
-    body: impl Fn(&mut MethodBuilder),
-) {
-    let top = m.new_label();
-    let end = m.new_label();
-    m.const_i32(0).store(idx_slot);
-    m.bind(top);
-    m.load(idx_slot).load(bound_slot).if_icmp(Cmp::Ge, end);
-    body(m);
-    m.iinc(idx_slot, 1).goto(top);
-    m.bind(end);
-}
-
 /// Standard worker-thread constructor boilerplate: emits a `<init>` that
 /// calls `Thread.<init>` and stores each parameter `i` (1-based local) into
 /// the same-named field of `class`.

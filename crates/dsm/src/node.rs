@@ -291,11 +291,6 @@ impl DsmNode {
         self.stats.notice_mem_max = self.stats.notice_mem_max.max(self.notices.mem_bytes());
     }
 
-    /// Local ObjRef of a gid, if a copy (master or cached) exists here.
-    pub fn local_ref(&self, gid: Gid) -> Option<ObjRef> {
-        self.gid_to_ref.get(&gid).copied()
-    }
-
     // ------------------------------------------------------------------
     // Sharing (dynamic local/shared classification, §2)
     // ------------------------------------------------------------------

@@ -30,13 +30,6 @@ impl ProgramBuilder {
         self
     }
 
-    /// Attach an externally built class (used by the rewriter's synthesized
-    /// `C_static` companions).
-    pub fn push_class(&mut self, cf: ClassFile) -> &mut Self {
-        self.classes.push(cf);
-        self
-    }
-
     /// Finish with only the user classes (no bootstrap library).
     pub fn build(self) -> Program {
         Program { classes: self.classes, main_class: self.main_class.into() }
@@ -359,9 +352,6 @@ impl MethodBuilder {
     }
     pub fn if_null(&mut self, l: Label) -> &mut Self {
         self.emit(Instr::IfNull(l.0))
-    }
-    pub fn if_nonnull(&mut self, l: Label) -> &mut Self {
-        self.emit(Instr::IfNonNull(l.0))
     }
     pub fn if_acmp_eq(&mut self, l: Label) -> &mut Self {
         self.emit(Instr::IfACmpEq(l.0))

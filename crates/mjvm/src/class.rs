@@ -104,10 +104,6 @@ impl ClassFile {
         self.methods.iter().find(|m| &*m.sig.name == name)
     }
 
-    pub fn method_by_sig(&self, sig: &Sig) -> Option<&MethodDef> {
-        self.methods.iter().find(|m| &m.sig == sig)
-    }
-
     /// `true` if any declared field is static (such classes get a `C_static`
     /// companion from the rewriter, paper §4.2).
     pub fn has_statics(&self) -> bool {
@@ -127,10 +123,6 @@ pub struct Program {
 impl Program {
     pub fn class(&self, name: &str) -> Option<&ClassFile> {
         self.classes.iter().find(|c| &*c.name == name)
-    }
-
-    pub fn class_mut(&mut self, name: &str) -> Option<&mut ClassFile> {
-        self.classes.iter_mut().find(|c| &*c.name == name)
     }
 
     /// Total instruction count over all method bodies (used by rewriter

@@ -236,23 +236,6 @@ impl LocalVm {
         if let Err(errs) = verifier::verify_program(program, VerifyOptions::ORIGINAL) {
             panic!("program failed verification: {}", errs[0]);
         }
-        Self::new_unverified(program, model, VerifyOptions::ORIGINAL)
-    }
-
-    /// Load without the original-code policy (used by tests that run
-    /// rewriter output on a single node).
-    pub fn new_rewritten(program: &crate::class::Program, model: &'static CostModel) -> Result<LocalVm, LoadError> {
-        if let Err(errs) = verifier::verify_program(program, VerifyOptions::REWRITTEN) {
-            panic!("program failed verification: {}", errs[0]);
-        }
-        Self::new_unverified(program, model, VerifyOptions::REWRITTEN)
-    }
-
-    fn new_unverified(
-        program: &crate::class::Program,
-        model: &'static CostModel,
-        _opts: VerifyOptions,
-    ) -> Result<LocalVm, LoadError> {
         let image = Arc::new(Image::load(program)?);
         let pimage = Arc::new(pcode::predecode(&image, model));
         let mut heap = Heap::new();

@@ -80,8 +80,10 @@ pub enum SyncMode {
 }
 
 /// Live telemetry configuration (`None` on [`ClusterConfig::metrics`] =
-/// disabled, the zero-cost default). All of it is side-band: a run with
-/// metrics on is bit-identical to one with them off.
+/// disabled, the zero-cost default): the registry and its sampler, plus, on
+/// the parallel backends, a per-node flight recorder dumped on panic or
+/// stall. All of it is side-band: a run with metrics on is bit-identical
+/// to one with them off.
 #[derive(Debug, Clone)]
 pub struct MetricsConfig {
     /// Stream newline-delimited JSON samples here (`None` = sample for the
@@ -92,8 +94,6 @@ pub struct MetricsConfig {
     /// Arm the horizon-stall watchdog with this budget (threads backend; a
     /// node whose horizon stays frozen past it gets a blame diagnosis).
     pub watchdog_budget: Option<std::time::Duration>,
-    /// Keep a per-node flight recorder and dump it on panic or stall.
-    pub flight: bool,
     /// Fault injection for watchdog tests: the named node sleeps this many
     /// wall-clock ms before entering its async loop, pinning every peer's
     /// horizon on its unpublished promise. Virtual-time results are
@@ -107,7 +107,6 @@ impl Default for MetricsConfig {
             out: None,
             interval: std::time::Duration::from_millis(50),
             watchdog_budget: None,
-            flight: true,
             stall_inject: None,
         }
     }
@@ -238,11 +237,6 @@ impl ClusterConfig {
         self
     }
 
-    pub fn without_local_locks(mut self) -> Self {
-        self.disable_local_locks = true;
-        self
-    }
-
     pub fn with_protocol(mut self, protocol: ProtocolMode) -> Self {
         self.protocol = protocol;
         self
@@ -288,8 +282,8 @@ impl ClusterConfig {
         self
     }
 
-    /// Enable live telemetry (registry + sampler; watchdog and flight
-    /// recorder per the [`MetricsConfig`]).
+    /// Enable live telemetry (registry + sampler + flight recorder;
+    /// watchdog per the [`MetricsConfig`]).
     pub fn with_metrics(mut self, metrics: MetricsConfig) -> Self {
         self.metrics = Some(metrics);
         self
@@ -354,7 +348,6 @@ mod tests {
         });
         let mc = m.metrics.expect("metrics set");
         assert_eq!(mc.interval, std::time::Duration::from_millis(50));
-        assert!(mc.flight);
         assert_eq!(mc.watchdog_budget, Some(std::time::Duration::from_millis(200)));
         assert!(mc.stall_inject.is_none());
     }

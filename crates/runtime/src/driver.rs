@@ -19,16 +19,18 @@
 //! holds what every driver shares on the way there: program rewrite and
 //! image load, the class-file broadcast (the one helper behind every
 //! bootstrap path), the `C_static` singleton bootstrap of §4.2, the
-//! scheduled-event queue, the telemetry start and the registry cells every
-//! node publishes the same way.
+//! scheduled-event queue, the node event path (`Host`: effect execution,
+//! thread placement and shipping, message delivery), the telemetry start
+//! and the registry cells every node publishes the same way.
 
 use crate::config::{ClusterConfig, MetricsConfig, Mode, NodeSpec};
-use crate::env::CONSOLE_NODE;
-use crate::node::NodeRuntime;
+use crate::env::{NodeEnv, CONSOLE_NODE};
+use crate::node::{Effect, LocalEv, NodeRuntime, SliceResult};
 use crate::telemetry::{Telemetry, WatchdogSpec};
-use jsplit_dsm::DsmStats;
+use jsplit_dsm::Msg;
 use jsplit_mjvm::class::{Program, Sig};
-use jsplit_mjvm::heap::Gid;
+use jsplit_mjvm::heap::{Gid, ObjRef, ThreadUid};
+use jsplit_mjvm::interp::Frame;
 use jsplit_mjvm::loader::{ClassId, Image, LoadError, MethodId};
 use jsplit_mjvm::{stdlib, Value};
 use jsplit_net::{LinkParams, MsgKind, NetStats, NodeId, Transport};
@@ -124,10 +126,7 @@ pub fn ship_classes(net: &mut dyn Transport, now: u64, dst: NodeId, class_bytes:
 
 /// One fresh [`NodeRuntime`] per configured node, in node-id order.
 pub(crate) fn build_nodes(config: &ClusterConfig, prepared: &Prepared) -> Vec<NodeRuntime> {
-    let new = |(i, spec): (usize, &NodeSpec)| {
-        NodeRuntime::new(i as NodeId, *spec, config, prepared.image.clone(), prepared.thread_class)
-    };
-    config.nodes.iter().enumerate().map(new).collect()
+    config.nodes.iter().enumerate().map(|(i, spec)| NodeRuntime::new(i as NodeId, *spec, config, prepared)).collect()
 }
 
 /// Ready the initial pool (JavaSplit mode; a no-op in baseline): ship the
@@ -266,6 +265,118 @@ impl<P: Ord + Copy, T> EventQueue<P, T> {
     }
 }
 
+/// One node's scheduled event: what a driver's queue holds for it.
+pub(crate) enum NodeEv {
+    Local(LocalEv),
+    /// A protocol/runtime message shipped by `src`, due for delivery.
+    Deliver { src: NodeId, msg: Msg },
+}
+
+/// The node event path, written once: executing a node's effect stream,
+/// placing and shipping a started thread (§2), and delivering a message.
+/// A driver supplies what genuinely differs between one global virtual
+/// clock and one conservative engine per node — how an event is queued,
+/// how a message is sent, how a thread uid is allocated, where a trace
+/// event goes — and gets the same node behaviour as every other driver by
+/// construction. `step` is the virtual time of the event being processed
+/// (the engine's queue key carries it; the sim's does not need it).
+pub(crate) trait Host {
+    fn node(&mut self, id: NodeId) -> &mut NodeRuntime;
+    /// The effect scratch buffer, reused across events.
+    fn fx(&mut self) -> &mut Vec<Effect>;
+    /// Queue `node`'s local event at virtual `time`.
+    fn schedule(&mut self, node: NodeId, time: u64, step: u64, ev: LocalEv);
+    /// Account and ship `msg` at virtual `at`; the driver queues its
+    /// delivery on `dst` as a [`NodeEv::Deliver`] from `src`.
+    fn transmit(&mut self, at: u64, step: u64, src: NodeId, dst: NodeId, msg: Msg);
+    /// The uid of a thread about to be installed.
+    fn alloc_uid(&mut self) -> ThreadUid;
+    /// Record one trace event at virtual `t` (no-op when tracing is off).
+    fn record(&mut self, t: u64, ev: TraceEvent);
+    /// Stamp and flush `node`'s buffered trace events at `now`.
+    fn flush_trace(&mut self, node: NodeId, now: u64);
+
+    /// Run `f` on `node` with the effect scratch buffer, then execute the
+    /// effects it emitted, strictly in emission order (the determinism
+    /// contract of [`Effect`]).
+    fn on_node<R>(&mut self, node: NodeId, step: u64, f: impl FnOnce(&mut NodeRuntime, &mut Vec<Effect>) -> R) -> R {
+        let mut fx = std::mem::take(self.fx());
+        let r = f(self.node(node), &mut fx);
+        for effect in fx.drain(..) {
+            match effect {
+                Effect::Local { time, ev } => self.schedule(node, time, step, ev),
+                Effect::Send { at, dst, msg } => self.transmit(at, step, node, dst, msg),
+                Effect::Spawn { now, thread_obj, priority } => self.dispatch_spawn(node, now, step, thread_obj, priority),
+                Effect::Trace { t, ev } => self.record(t, ev),
+                Effect::FlushTrace { now } => self.flush_trace(node, now),
+            }
+        }
+        // Hand the (drained) scratch buffer back for the next event.
+        *self.fx() = fx;
+        r
+    }
+
+    fn add_thread(&mut self, node: NodeId, step: u64, frame: Frame, thread_obj: Option<ObjRef>, now: u64) {
+        let uid = self.alloc_uid();
+        self.on_node(node, step, |n, fx| n.add_thread(uid, frame, thread_obj, now, fx));
+    }
+
+    /// The guest `main` starts on worker 0 (§2: the rewritten classes are
+    /// sent to one of the worker nodes that starts executing main()).
+    fn start_main(&mut self) {
+        let image = self.node(CONSOLE_NODE).image().clone();
+        let main = image.main_method;
+        let frame = Frame::new(main, image.method(main).max_locals, vec![], false);
+        self.add_thread(CONSOLE_NODE, 0, frame, None, 0);
+    }
+
+    /// Place a thread `origin` just started (§2's load-balancing plug-in)
+    /// and ship it there. The placement input is `origin`'s own estimate
+    /// ([`Placement`](crate::balance::Placement)) — never another node's
+    /// state, which a real deployment could not read; load gossip is the
+    /// future refinement for long-lived remote threads.
+    fn dispatch_spawn(&mut self, origin: NodeId, now: u64, step: u64, thread_obj: ObjRef, priority: i32) {
+        let node = self.node(origin);
+        if matches!(node.env, NodeEnv::Baseline(_)) {
+            let frame = node.thread_frame(thread_obj);
+            return self.add_thread(origin, step, frame, Some(thread_obj), now);
+        }
+        let dst = node.placement.place(node.live());
+        // Shipping may share objects, but queues no sends of its own.
+        let msg = node.prepare_spawn(thread_obj, priority);
+        if let Msg::SpawnThread { thread_gid, .. } = &msg {
+            self.record(now, TraceEvent::ThreadShip { from: origin, to: dst, thread_gid: thread_gid.0 });
+        }
+        self.transmit(now, step, origin, dst, msg);
+    }
+
+    /// Deliver one message from `src` to `dst` at virtual `time`.
+    fn deliver(&mut self, time: u64, src: NodeId, dst: NodeId, msg: Msg) {
+        match msg {
+            // Forwarded console output lands in the console node's own
+            // buffer so local and remote lines stay in arrival order.
+            Msg::Println { line, .. } => self.node(dst).push_console(line),
+            Msg::SpawnThread { thread_gid, class, state, priority } => {
+                let uid = self.alloc_uid();
+                self.on_node(dst, time, |n, fx| n.install_spawned_thread(uid, src, thread_gid, class, &state, priority, time, fx));
+            }
+            other => self.on_node(dst, time, |n, fx| n.handle_dsm(time, other, fx)),
+        }
+    }
+
+    /// Execute one of `node`'s scheduled events at virtual `time`.
+    fn process(&mut self, time: u64, node: NodeId, ev: NodeEv) -> SliceResult {
+        match ev {
+            NodeEv::Local(LocalEv::Slice { cpu, thread }) => {
+                return self.on_node(node, time, |n, fx| n.run_slice(time, cpu, thread, fx));
+            }
+            NodeEv::Local(LocalEv::Wake { thread }) => self.on_node(node, time, |n, fx| n.make_ready(thread, time, fx)),
+            NodeEv::Deliver { src, msg } => self.deliver(time, src, node, msg),
+        }
+        SliceResult::default()
+    }
+}
+
 /// Start the side-band telemetry sampler when the run asks for metrics
 /// (`None` otherwise, or when the output file cannot be created — the run
 /// goes on unsampled). `base_ps` arms the horizon-stall watchdog when the
@@ -291,13 +402,20 @@ pub(crate) fn start_telemetry(
     }
 }
 
-/// Publish node `id`'s network and DSM counters into the live-metrics
-/// registry — the cells every driver fills from the same two structs.
-pub(crate) fn publish_node_cells(reg: &MetricsRegistry, id: NodeId, net: &NetStats, dsm: Option<&DsmStats>) {
+/// Publish `node`'s progress, its three virtual-time gauges and its network
+/// and DSM counters into the live-metrics registry — the cells every
+/// driver fills the same way.
+pub(crate) fn publish_node_cells(reg: &MetricsRegistry, node: &NodeRuntime, net: &NetStats, [horizon, next, qnext]: [u64; 3]) {
+    let id = node.id;
+    reg.set(id, Metric::Ops, node.ops);
+    reg.set(id, Metric::LiveThreads, node.live() as u64);
+    reg.set(id, Metric::HorizonPs, horizon);
+    reg.set(id, Metric::NextEventPs, next);
+    reg.set(id, Metric::QueueHeadPs, qnext);
     reg.set(id, Metric::NetMsgsSent, net.msgs_sent);
     reg.set(id, Metric::NetBytesSent, net.bytes_sent);
     reg.set(id, Metric::NetMsgsRecv, net.msgs_recv);
-    if let Some(d) = dsm {
+    if let Some(d) = node.dsm_stats_ref() {
         reg.set(id, Metric::DsmFetches, d.fetches);
         reg.set(id, Metric::DsmDiffs, d.diffs_sent);
         reg.set(id, Metric::DsmInvalidations, d.invalidations);

@@ -62,35 +62,22 @@
 //! equal virtual times, which the deterministic key resolves run-to-run
 //! reproducibly.
 
-use crate::balance::{BalancerState, LoadBalancer};
-use crate::config::{ClusterConfig, Mode};
-use crate::driver::{self, EventQueue};
+use crate::config::ClusterConfig;
+use crate::driver::{self, EventQueue, Host, NodeEv};
 use crate::env::CONSOLE_NODE;
 use crate::node::{Effect, LocalEv, NodeRuntime};
 use crate::report::NodeResult;
 use jsplit_dsm::Msg;
 use jsplit_mjvm::heap::ThreadUid;
-use jsplit_mjvm::interp::Frame;
-use jsplit_mjvm::loader::MethodId;
-use jsplit_mjvm::Value;
-use jsplit_net::{ChannelEndpoint, NodeId, Reader};
+use jsplit_net::{ChannelEndpoint, MsgKind, NodeId, Reader};
 use jsplit_trace::{
-    Event, FlightRecorder, FlightTag, Metric, MetricsRegistry, NodeWallProfile, RingRecorder,
-    SpanKind, SpanRecorder, TraceEvent, TraceMode, TraceSink, VecRecorder,
+    Event, FlightRecorder, FlightTag, Metric, MetricsRegistry, NodeWallProfile, SpanKind, SpanRecorder,
+    TraceEvent, TraceSink,
 };
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Per-node sink construction (the `Send` bound lets it ride to the node's
-/// OS thread; the sim's global `make_sink` doesn't need one).
-fn make_node_sink(mode: TraceMode) -> Box<dyn TraceSink + Send> {
-    match mode {
-        TraceMode::Full => Box::new(VecRecorder::new()),
-        TraceMode::Ring(cap) => Box::new(RingRecorder::new(cap)),
-    }
-}
 
 /// The lookahead tables every horizon decision reads — backend-independent
 /// cluster constants, owned (small vectors) by each node's engine.
@@ -394,13 +381,6 @@ impl OpenTrace {
     }
 }
 
-/// A node-local scheduled event (the per-node analogue of the sim driver's
-/// global queue entry).
-enum NodeEv {
-    Local(LocalEv),
-    Deliver { src: NodeId, msg: Msg },
-}
-
 /// One drained data record awaiting its queue slot:
 /// `(deliver, step, src, frame seq, message)`.
 type Drained = (u64, u64, NodeId, u64, Msg);
@@ -416,21 +396,11 @@ pub(crate) struct SyncEngine {
     /// the sockets backend). Its presence also arms the eager global
     /// counter increments in [`SyncEngine::transmit`].
     pub asy: Option<Arc<AsyncShared>>,
-    mode: Mode,
-    thread_main: MethodId,
     n_nodes: usize,
     /// Strided uid allocation: `id + k·n` — disjoint from every other node
     /// without global coordination. uids are fixed-width on the wire, so
     /// message sizes (and byte counters) match the sim's dense allocation.
     next_uid: ThreadUid,
-    lb: BalancerState,
-    /// `SpawnThread`s this node shipped per destination (the origin-local
-    /// load estimate: remote loads are what we shipped there).
-    shipped_to: Vec<u64>,
-    /// Self-shipped spawns not yet installed (counted into our own load).
-    self_inflight: u64,
-    spawns_sent: u64,
-    spawns_recv: u64,
     /// Local event queue, deterministically ordered by
     /// `(time, step, lane, seq)`: `step` is the virtual time of the event
     /// that produced the entry, `lane` the producing node, `seq` a local
@@ -488,7 +458,7 @@ impl SyncEngine {
     /// `config`. The instruments that need a handle shared with the driver
     /// (async state, metrics, flight recorder) start disabled — drivers arm
     /// the ones their configuration asks for.
-    pub fn new(node: NodeRuntime, endpoint: ChannelEndpoint, config: &ClusterConfig, thread_main: MethodId) -> SyncEngine {
+    pub fn new(node: NodeRuntime, endpoint: ChannelEndpoint, config: &ClusterConfig) -> SyncEngine {
         let n_nodes = config.nodes.len();
         SyncEngine {
             next_uid: node.id as ThreadUid,
@@ -502,14 +472,7 @@ impl SyncEngine {
             endpoint,
             hz: Horizons::of(config),
             asy: None,
-            mode: config.mode,
-            thread_main,
             n_nodes,
-            lb: BalancerState::new(config.balancer),
-            shipped_to: vec![0; n_nodes],
-            self_inflight: 0,
-            spawns_sent: 0,
-            spawns_recv: 0,
             events: EventQueue::new(),
             fx: Vec::new(),
             drain_scratch: Vec::new(),
@@ -519,7 +482,7 @@ impl SyncEngine {
             windows: 0,
             barrier_waits: 0,
             horizon_advances: 0,
-            recorder: config.trace.map(make_node_sink),
+            recorder: config.trace.map(jsplit_trace::make_sink),
             profiler: None,
             metrics: None,
             flight: None,
@@ -539,40 +502,9 @@ impl SyncEngine {
         self.t0 = Instant::now();
         self.profiler = spans.map(|(origin, keep)| SpanRecorder::new(origin, keep));
         if self.endpoint.id == CONSOLE_NODE {
-            let main = self.node.image().main_method;
-            let frame = Frame::new(main, self.node.image().method(main).max_locals, vec![], false);
-            let uid = self.alloc_uid();
-            self.on_node(0, |node, fx| node.add_thread(uid, frame, None, 0, fx));
+            self.start_main();
         }
-        self.drain_trace(0);
-    }
-
-    /// Run `f` on the node with the effect scratch buffer, then execute
-    /// the effects it emitted at processing step `step`.
-    fn on_node<R>(&mut self, step: u64, f: impl FnOnce(&mut NodeRuntime, &mut Vec<Effect>) -> R) -> R {
-        let mut fx = std::mem::take(&mut self.fx);
-        let r = f(&mut self.node, &mut fx);
-        self.fx = fx;
-        self.apply_effects(step);
-        r
-    }
-
-    fn push(&mut self, time: u64, step: u64, lane: NodeId, ev: NodeEv) {
-        self.events.push(time, (step, lane), ev);
-    }
-
-    fn alloc_uid(&mut self) -> ThreadUid {
-        let uid = self.next_uid;
-        self.next_uid += self.n_nodes as ThreadUid;
-        uid
-    }
-
-    /// Record one trace event at virtual time `t` (no-op when disabled).
-    #[inline]
-    fn record(&mut self, t: u64, ev: TraceEvent) {
-        if let Some(r) = &mut self.recorder {
-            r.record(Event { t, ev });
-        }
+        self.flush_trace(self.endpoint.id, 0);
     }
 
     /// Close the wall-profile segment since the previous boundary as
@@ -592,6 +524,48 @@ impl SyncEngine {
         }
     }
 
+    /// The one way a node blocks on its peers — the epoch slot wait and both
+    /// async horizon waits go through here, so none can park without the
+    /// `Parked` gauge the stall watchdog insists on seeing before it blames
+    /// anyone. `wait` runs the blocking primitive: it gets the endpoint and
+    /// a hook to call once, right before it really blocks, and says whether
+    /// it did. The hook closes the wall-profile segment so far as `spans.0`,
+    /// raises the gauge, logs a flight `Park(a, b)` and offers the row to
+    /// the cross-process pump — the only moment a coordinator can be shown
+    /// `Parked = 1`, since the pump runs on this thread; a wait that blocked
+    /// then lowers the gauge, logs `Unpark(a, b)` and closes as `spans.1`.
+    /// (Callers refresh the other gauges first where those can be stale.)
+    fn park(
+        &mut self,
+        (a, b): (u64, u64),
+        spans: (SpanKind, SpanKind),
+        wait: impl FnOnce(&mut ChannelEndpoint, &mut dyn FnMut()) -> bool,
+    ) {
+        let me = self.endpoint.id;
+        let (profiler, metrics, flight, pump) = (&mut self.profiler, &self.metrics, &self.flight, &mut self.metrics_pump);
+        let parked = wait(&mut self.endpoint, &mut || {
+            if let Some(p) = profiler {
+                p.mark(spans.0);
+            }
+            if let Some(reg) = metrics {
+                reg.set(me, Metric::Parked, 1);
+            }
+            if let Some(f) = flight {
+                f.log(me, FlightTag::Park, a, b);
+            }
+            if let Some(pump) = pump {
+                pump(false);
+            }
+        });
+        if parked {
+            if let Some(reg) = &self.metrics {
+                reg.set(me, Metric::Parked, 0);
+            }
+            self.fly(FlightTag::Unpark, a, b);
+        }
+        self.mark(if parked { spans.1 } else { spans.0 });
+    }
+
     /// Publish this node's registry cells: one relaxed store per value, of
     /// counters the loop already maintains. Called at points the hot path
     /// visits anyway (epoch round publish, async burst publish, pre-park);
@@ -601,18 +575,13 @@ impl SyncEngine {
             return;
         };
         let me = self.endpoint.id;
-        reg.set(me, Metric::Ops, self.node.ops);
-        reg.set(me, Metric::LiveThreads, self.node.live() as u64);
         reg.set(me, Metric::Windows, self.windows);
         reg.set(me, Metric::BarrierWaits, self.barrier_waits);
         reg.set(me, Metric::HorizonAdvances, self.horizon_advances);
-        reg.set(me, Metric::HorizonPs, horizon);
-        reg.set(me, Metric::NextEventPs, next);
-        reg.set(me, Metric::QueueHeadPs, qnext);
         let fs = &self.endpoint.frame_stats;
         reg.set(me, Metric::FramesSent, fs.frames_sent);
         reg.set(me, Metric::NullsSent, fs.nulls_sent + fs.nulls_piggybacked);
-        driver::publish_node_cells(reg, me, &self.endpoint.stats, self.node.dsm_stats_ref());
+        driver::publish_node_cells(reg, &self.node, &self.endpoint.stats, [horizon, next, qnext]);
     }
 
     /// Ship the registry row cross-process (no-op when no pump is armed).
@@ -620,138 +589,6 @@ impl SyncEngine {
     fn pump_metrics(&mut self, force: bool) {
         if let Some(f) = &mut self.metrics_pump {
             f(force);
-        }
-    }
-
-    /// Stamp and flush this node's buffered trace events at `now` (no-op
-    /// when disabled).
-    fn drain_trace(&mut self, now: u64) {
-        if let Some(r) = &mut self.recorder {
-            driver::flush_trace(r.as_mut(), self.node.take_dsm_trace(), &mut self.endpoint.trace, now);
-        }
-    }
-
-    /// Execute a node's effect stream at processing step `step` (the
-    /// virtual time of the event being processed).
-    fn apply_effects(&mut self, step: u64) {
-        let mut fx = std::mem::take(&mut self.fx);
-        for f in fx.drain(..) {
-            match f {
-                Effect::Local { time, ev } => {
-                    let lane = self.endpoint.id;
-                    self.push(time, step, lane, NodeEv::Local(ev));
-                }
-                Effect::Send { at, dst, msg } => self.transmit(at, step, dst, msg),
-                Effect::Spawn { now, thread_obj, priority } => {
-                    self.dispatch_spawn(now, step, thread_obj, priority);
-                }
-                Effect::Trace { t, ev } => self.record(t, ev),
-                Effect::FlushTrace { now } => self.drain_trace(now),
-            }
-        }
-        self.fx = fx;
-    }
-
-    /// Encode, account and ship one protocol message at virtual `at`:
-    /// remote messages into the destination's pending frame, self-sends
-    /// straight back into the local queue.
-    fn transmit(&mut self, at: u64, step: u64, dst: NodeId, msg: Msg) {
-        // Async termination counters go up *before* the record can enter a
-        // channel (`endpoint.transmit` may auto-flush a full frame): a
-        // checker that has not seen the increment cannot have seen the
-        // message either — the send-before-flight rule §14.3 leans on.
-        if matches!(msg, Msg::SpawnThread { .. }) {
-            self.spawns_sent += 1;
-            if let Some(a) = &self.asy {
-                a.spawns_sent.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        if dst != self.endpoint.id {
-            if let Some(a) = &self.asy {
-                a.msgs_sent.fetch_add(1, Ordering::SeqCst);
-                // Send-coverage bookkeeping (§14.4): until the receiver
-                // acks the drain, every published `next` of ours is clamped
-                // to this record's send time, so the horizon snapshot keeps
-                // covering it while it is in flight.
-                self.sent_to[dst as usize] += 1;
-                self.unacked[dst as usize].push_back((self.sent_to[dst as usize], at));
-            }
-        }
-        let kind = msg.kind();
-        let (deliver, local) = self.endpoint.transmit(at, step, dst, kind, &mut |w| msg.encode_into(w));
-        if let Some(wire) = local {
-            // Loopback: delivered below any window horizon, so it never
-            // crosses the mesh — it goes straight into our queue. The
-            // bound is profile-derived (`LinkParams::loopback_ps`, clamped
-            // to the base latency); strictly-future delivery keeps the
-            // in-window processing order intact. Round-trip the codec
-            // anyway: the wire sees what a peer would.
-            debug_assert!(
-                deliver >= at + self.endpoint.link().loopback_ps(),
-                "loopback delivered before its profile bound"
-            );
-            self.endpoint.record_recv(wire.payload.len(), wire.kind);
-            let msg = Msg::decode_from(&mut Reader::new(&wire.payload[..])).expect("loopback codec round-trip");
-            self.endpoint.recycle(wire.payload);
-            let lane = self.endpoint.id;
-            self.push(deliver, step, lane, NodeEv::Deliver { src: lane, msg });
-        }
-    }
-
-    /// Place a newly started thread (§2's load-balancing plug-in, with an
-    /// origin-local load estimate: own load = live + own in-flight, remote
-    /// load = spawns shipped there. Identical to the sim's global view as
-    /// long as remote threads neither exit nor spawn before placement
-    /// finishes — true for the fork-join apps; load gossip is the future
-    /// refinement for long-lived remote threads).
-    fn dispatch_spawn(&mut self, now: u64, step: u64, thread_obj: jsplit_mjvm::heap::ObjRef, priority: i32) {
-        let me = self.endpoint.id;
-        match self.mode {
-            Mode::Baseline => {
-                let uid = self.alloc_uid();
-                let locals = self.node.image().method(self.thread_main).max_locals;
-                let frame = Frame::new(self.thread_main, locals, vec![Value::Ref(thread_obj)], false);
-                self.on_node(step, |node, fx| node.add_thread(uid, frame, Some(thread_obj), now, fx));
-            }
-            Mode::JavaSplit => {
-                let loads: Vec<usize> = (0..self.n_nodes)
-                    .map(|i| {
-                        if i == me as usize {
-                            self.node.live() + self.self_inflight as usize
-                        } else {
-                            self.shipped_to[i] as usize
-                        }
-                    })
-                    .collect();
-                let dst = self.lb.pick(&loads, me);
-                self.shipped_to[dst as usize] += 1;
-                if dst == me {
-                    self.self_inflight += 1;
-                }
-                let msg = self.node.prepare_spawn(thread_obj, priority);
-                if let Msg::SpawnThread { thread_gid, .. } = &msg {
-                    self.record(now, jsplit_trace::TraceEvent::ThreadShip { from: me, to: dst, thread_gid: thread_gid.0 });
-                }
-                self.transmit(now, step, dst, msg);
-            }
-        }
-    }
-
-    /// Deliver one protocol message at virtual `time`.
-    fn deliver(&mut self, time: u64, src: NodeId, msg: Msg) {
-        match msg {
-            Msg::Println { line, .. } => self.node.push_console(line),
-            Msg::SpawnThread { thread_gid, class, state, priority } => {
-                self.spawns_recv += 1;
-                if src == self.endpoint.id {
-                    self.self_inflight = self.self_inflight.saturating_sub(1);
-                }
-                let (uid, thread_main) = (self.alloc_uid(), self.thread_main);
-                self.on_node(time, |node, fx| {
-                    node.install_spawned_thread(uid, thread_gid, class, &state, priority, thread_main, time, fx)
-                });
-            }
-            other => self.on_node(time, |node, fx| node.handle_dsm(time, other, fx)),
         }
     }
 
@@ -773,7 +610,7 @@ impl SyncEngine {
     fn enqueue_drained(&mut self, mut batch: Vec<Drained>) {
         batch.sort_unstable_by_key(|&(deliver, step, src, seq, _)| (deliver, step, src, seq));
         for (deliver, step, src, _, msg) in batch.drain(..) {
-            self.push(deliver, step, src, NodeEv::Deliver { src, msg });
+            self.events.push(deliver, (step, src), NodeEv::Deliver { src, msg });
         }
         self.drain_scratch = batch;
     }
@@ -784,25 +621,15 @@ impl SyncEngine {
     /// number of events executed.
     fn run_below(&mut self, horizon: u64, mut every_256: impl FnMut(&mut Self)) -> u64 {
         let mut burst = 0u64;
+        let me = self.endpoint.id;
         while let Some((time, ev)) = self.events.pop_below(horizon) {
-            self.process_one(time, ev);
+            self.process(time, me, ev);
             burst += 1;
             if burst.is_multiple_of(256) {
                 every_256(self);
             }
         }
         burst
-    }
-
-    /// Pop-side of the event loop: execute one scheduled event at `time`.
-    fn process_one(&mut self, time: u64, ev: NodeEv) {
-        match ev {
-            NodeEv::Local(LocalEv::Slice { cpu, thread }) => {
-                self.on_node(time, |node, fx| node.run_slice(time, cpu, thread, fx));
-            }
-            NodeEv::Local(LocalEv::Wake { thread }) => self.on_node(time, |node, fx| node.make_ready(thread, time, fx)),
-            NodeEv::Deliver { src, msg } => self.deliver(time, src, msg),
-        }
     }
 
     /// The epoch-sync body: rounds of flush → barrier → drain → publish →
@@ -844,8 +671,8 @@ impl SyncEngine {
             let slot = EpochSlot {
                 next_event: next,
                 live: self.node.live() as u64,
-                spawns_sent: self.spawns_sent,
-                spawns_recv: self.spawns_recv,
+                spawns_sent: self.node.placement.shipped(),
+                spawns_recv: self.node.placement.installed(),
                 ops: self.node.ops,
             };
             peers.publish(me as NodeId, round, &slot);
@@ -855,30 +682,9 @@ impl SyncEngine {
             // then derives the same global decision from the same values.
             // Attribution splits at the first park: time up to it is
             // SlotSpin, the remainder CondvarWait.
-            let mut profiler = self.profiler.take();
-            let metrics = self.metrics.clone();
-            let flight = self.flight.clone();
-            let parked = peers.wait(round, &mut || {
-                if let Some(p) = &mut profiler {
-                    p.mark(SpanKind::SlotSpin);
-                }
-                // The parked gauge + flight mark ride the same hook: it
-                // runs once, right before the blocking path parks us.
-                if let Some(reg) = &metrics {
-                    reg.set(me as NodeId, Metric::Parked, 1);
-                }
-                if let Some(f) = &flight {
-                    f.log(me as NodeId, FlightTag::Park, round, next);
-                }
+            self.park((round, next), (SpanKind::SlotSpin, SpanKind::CondvarWait), |_, before_park| {
+                peers.wait(round, before_park)
             });
-            self.profiler = profiler;
-            if parked {
-                if let Some(reg) = &self.metrics {
-                    reg.set(me as NodeId, Metric::Parked, 0);
-                }
-                self.fly(FlightTag::Unpark, round, next);
-            }
-            self.mark(if parked { SpanKind::CondvarWait } else { SpanKind::SlotSpin });
             peers.read(round, &mut slots);
             let mut live = 0u64;
             let mut sent = 0u64;
@@ -924,18 +730,19 @@ impl SyncEngine {
             self.run_below(horizon, |_| {});
         }
         self.fly(FlightTag::Decide, if deadlocked { 2 } else if aborted { 3 } else { 1 }, round);
-        // Final publish so the sampler's closing sample carries end-of-run
-        // counters (the horizon gauge goes to ∞: the run is over, nothing
-        // lags anything).
-        self.publish_metrics(u64::MAX, self.queue_head(), self.queue_head());
-        self.pump_metrics(true);
         self.finish_outcome(deadlocked, aborted)
     }
 
-    /// Close the final profiling segment (the decision that broke the
-    /// loop), reconcile against the independently measured thread wall
-    /// time, and package the outcome (shared by both sync modes).
+    /// Publish the closing sample, close the final profiling segment (the
+    /// decision that broke the loop), reconcile against the independently
+    /// measured thread wall time, and package the outcome (shared by every
+    /// sync mode).
     fn finish_outcome(mut self, deadlocked: bool, aborted: bool) -> NodeOutcome {
+        // End-of-run counters, so whole-run mean rates come out right (the
+        // horizon gauge goes to ∞: the run is over, nothing lags anything);
+        // forced past the cross-process pump's rate limit.
+        self.publish_metrics(u64::MAX, self.async_next(), self.queue_head());
+        self.pump_metrics(true);
         let profile = self.profiler.take().map(|mut rec| {
             rec.mark(SpanKind::Decide);
             let wall_ns = u64::try_from(self.t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -1265,9 +1072,10 @@ impl SyncEngine {
                     asy.live.fetch_add(live_now.wrapping_sub(last_live), Ordering::SeqCst);
                     last_live = live_now;
                 }
-                if self.spawns_recv != last_spawns_recv {
-                    asy.spawns_recv.fetch_add(self.spawns_recv - last_spawns_recv, Ordering::SeqCst);
-                    last_spawns_recv = self.spawns_recv;
+                let installed = self.node.placement.installed();
+                if installed != last_spawns_recv {
+                    asy.spawns_recv.fetch_add(installed - last_spawns_recv, Ordering::SeqCst);
+                    last_spawns_recv = installed;
                 }
                 if self.node.ops != last_ops {
                     asy.ops.fetch_add(self.node.ops - last_ops, Ordering::SeqCst);
@@ -1339,18 +1147,13 @@ impl SyncEngine {
             // horizon through nulls).
             let qhead = self.queue_head();
             self.publish_metrics(horizon, self.async_next(), qhead);
-            if let Some(reg) = &self.metrics {
-                reg.set(me as NodeId, Metric::Parked, 1);
-            }
-            self.fly(FlightTag::Park, horizon, qhead);
-            asy.slots[me].parked.store(true, Ordering::SeqCst);
-            self.endpoint.wait_inbound(std::time::Duration::from_millis(1));
-            asy.slots[me].parked.store(false, Ordering::SeqCst);
-            if let Some(reg) = &self.metrics {
-                reg.set(me as NodeId, Metric::Parked, 0);
-            }
-            self.fly(FlightTag::Unpark, horizon, qhead);
-            self.mark(SpanKind::HorizonWait);
+            self.park((horizon, qhead), (SpanKind::Decide, SpanKind::HorizonWait), |endpoint, before_park| {
+                before_park();
+                asy.slots[me].parked.store(true, Ordering::SeqCst);
+                endpoint.wait_inbound(std::time::Duration::from_millis(1));
+                asy.slots[me].parked.store(false, Ordering::SeqCst);
+                true
+            });
         }
         // Two-phase shutdown: ship anything still pending, rendezvous on
         // the flush counter, then drain leftovers so receive accounting
@@ -1369,10 +1172,6 @@ impl SyncEngine {
             self.endpoint.frame_stats.frames_sent,
             self.endpoint.frame_stats.msgs_framed,
         );
-        // Final publish: the sampler's closing sample sees end-of-run
-        // counters, so whole-run mean rates come out right (horizon to ∞:
-        // the run is over, nothing lags anything).
-        self.publish_metrics(u64::MAX, self.async_next(), self.queue_head());
         self.finish_outcome(outcome == async_done::DEADLOCK, outcome == async_done::ABORT)
     }
 
@@ -1410,10 +1209,9 @@ impl SyncEngine {
             if burst > 0 {
                 self.windows += 1;
                 self.publish_metrics(horizon, self.async_next(), self.queue_head());
+                // (Quiet iterations ship their row from the park below.)
+                self.pump_metrics(false);
             }
-            // The pump rate-limits itself, so calling it on quiet
-            // iterations too keeps samples flowing while we idle-park.
-            self.pump_metrics(false);
             self.refresh_promises_wire(&mut promised, horizon);
             // Flush *before* any state report: the report must ride the
             // stream behind every record it accounts for, or the
@@ -1447,7 +1245,11 @@ impl SyncEngine {
             // Refresh gauges right before parking so the coordinator's
             // watchdog judges the park against current values.
             self.publish_metrics(horizon, self.async_next(), st.0);
-            self.endpoint.wait_inbound(std::time::Duration::from_millis(1));
+            self.park((horizon, st.0), (SpanKind::Decide, SpanKind::HorizonWait), |endpoint, before_park| {
+                before_park();
+                endpoint.wait_inbound(std::time::Duration::from_millis(1));
+                true
+            });
         }
         // Shutdown mirrors the in-process mode's two phases, with the
         // coordinator as the rendezvous: flush leftovers, announce, wait
@@ -1456,11 +1258,89 @@ impl SyncEngine {
         self.endpoint.flush();
         peers.flush_rendezvous();
         self.drain_inbox_async(&mut chan);
-        // Closing sample with end-of-run counters (horizon → ∞: the run is
-        // over, nothing lags anything). Forced past the pump's rate limit.
-        self.publish_metrics(u64::MAX, self.async_next(), self.queue_head());
-        self.pump_metrics(true);
         self.finish_outcome(outcome == async_done::DEADLOCK, outcome == async_done::ABORT)
+    }
+}
+
+/// The engine's side of the node event path: one node, its own queue keyed
+/// `(time, step, lane, seq)`, encoded bytes over the endpoint, strided
+/// uids, a private recorder. (`node`/`src` arguments always name this
+/// node.)
+impl Host for SyncEngine {
+    fn node(&mut self, _id: NodeId) -> &mut NodeRuntime {
+        &mut self.node
+    }
+
+    fn fx(&mut self) -> &mut Vec<Effect> {
+        &mut self.fx
+    }
+
+    fn schedule(&mut self, node: NodeId, time: u64, step: u64, ev: LocalEv) {
+        self.events.push(time, (step, node), NodeEv::Local(ev));
+    }
+
+    /// Encode, account and ship one protocol message at virtual `at`:
+    /// remote messages into the destination's pending frame, self-sends
+    /// straight back into the local queue.
+    fn transmit(&mut self, at: u64, step: u64, src: NodeId, dst: NodeId, msg: Msg) {
+        let kind = msg.kind();
+        if let Some(a) = &self.asy {
+            // Async termination counters go up *before* the record can
+            // enter a channel (`endpoint.transmit` may auto-flush a full
+            // frame): a checker that has not seen the increment cannot
+            // have seen the message either — the send-before-flight rule
+            // §14.3 leans on.
+            if kind == MsgKind::Spawn {
+                a.spawns_sent.fetch_add(1, Ordering::SeqCst);
+            }
+            if dst != src {
+                a.msgs_sent.fetch_add(1, Ordering::SeqCst);
+                // Send-coverage bookkeeping (§14.4): until the receiver
+                // acks the drain, every published `next` of ours is clamped
+                // to this record's send time, so the horizon snapshot keeps
+                // covering it while it is in flight.
+                self.sent_to[dst as usize] += 1;
+                self.unacked[dst as usize].push_back((self.sent_to[dst as usize], at));
+            }
+        }
+        let (deliver, local) = self.endpoint.transmit(at, step, dst, kind, &mut |w| msg.encode_into(w));
+        if let Some(wire) = local {
+            // Loopback: delivered below any window horizon, so it never
+            // crosses the mesh — it goes straight into our queue. The
+            // bound is profile-derived (`LinkParams::loopback_ps`, clamped
+            // to the base latency); strictly-future delivery keeps the
+            // in-window processing order intact. Round-trip the codec
+            // anyway: the wire sees what a peer would.
+            debug_assert!(
+                deliver >= at + self.endpoint.link().loopback_ps(),
+                "loopback delivered before its profile bound"
+            );
+            self.endpoint.record_recv(wire.payload.len(), wire.kind);
+            let msg = Msg::decode_from(&mut Reader::new(&wire.payload[..])).expect("loopback codec round-trip");
+            self.endpoint.recycle(wire.payload);
+            self.events.push(deliver, (step, src), NodeEv::Deliver { src, msg });
+        }
+    }
+
+    /// Strided (`id + k·n`): disjoint from every other node's without
+    /// global coordination.
+    fn alloc_uid(&mut self) -> ThreadUid {
+        let uid = self.next_uid;
+        self.next_uid += self.n_nodes as ThreadUid;
+        uid
+    }
+
+    #[inline]
+    fn record(&mut self, t: u64, ev: TraceEvent) {
+        if let Some(r) = &mut self.recorder {
+            r.record(Event { t, ev });
+        }
+    }
+
+    fn flush_trace(&mut self, _node: NodeId, now: u64) {
+        if let Some(r) = &mut self.recorder {
+            driver::flush_trace(r.as_mut(), self.node.take_dsm_trace(), &mut self.endpoint.trace, now);
+        }
     }
 }
 

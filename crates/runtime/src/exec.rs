@@ -11,29 +11,23 @@
 //! backend ([`crate::threads`]) must agree with it on program output and
 //! protocol counters.
 
-use crate::balance::{BalancerState, LoadBalancer};
 use crate::config::{Backend, ClusterConfig, Mode, NodeSpec};
-use crate::driver::{self, EventQueue, Prepared};
-use crate::env::CONSOLE_NODE;
+use crate::driver::{self, EventQueue, Host, NodeEv, Prepared};
 use crate::node::{Effect, LocalEv, NodeRuntime};
 use crate::report::{NodeResult, RunReport};
 use crate::telemetry::Telemetry;
 use jsplit_mjvm::class::Program;
-use jsplit_mjvm::heap::{ObjRef, ThreadUid};
-use jsplit_mjvm::interp::Frame;
-use jsplit_mjvm::Value;
+use jsplit_mjvm::heap::ThreadUid;
 use jsplit_net::{Network, NodeId};
-use jsplit_trace::{make_sink, Metric, MetricsRegistry, TraceEvent, TraceSink};
+use jsplit_trace::{make_sink, MetricsRegistry, TraceEvent, TraceSink};
 use std::sync::Arc;
 
 pub use crate::driver::ClusterError;
 
 /// A scheduled event.
 enum Ev {
-    /// A node-local event (CPU slice or sleeper wake).
-    Local { node: NodeId, ev: LocalEv },
-    /// Deliver a protocol/runtime message.
-    Deliver { dst: NodeId, msg: jsplit_dsm::Msg },
+    /// One node's CPU slice, sleeper wake or message delivery.
+    Node(NodeId, NodeEv),
     /// A new worker joins the pool (paper §2).
     Join { spec: NodeSpec },
 }
@@ -49,15 +43,11 @@ pub struct Cluster {
     next_uid: ThreadUid,
     live_threads: usize,
     ops: u64,
-    lb: BalancerState,
-    /// Spawns dispatched but not yet delivered, per node — counted into the
-    /// load-balancing loads so a burst of starts still spreads out.
-    in_flight: Vec<u32>,
     /// Virtual time spent distributing class files before the run.
     setup_ps: u64,
     /// Structured event recorder (`None` = tracing disabled, the default;
     /// every producer site checks this before doing any work).
-    recorder: Option<Box<dyn TraceSink>>,
+    recorder: Option<Box<dyn TraceSink + Send>>,
     /// Scratch buffer for node effect drains, reused across events.
     fx: Vec<Effect>,
     /// Live-metrics registry (`None` = metrics off, the default; the
@@ -80,13 +70,9 @@ impl Cluster {
         let mut nodes = driver::build_nodes(&config, &prepared);
         let setup_ps = driver::set_up_pool(&config, &prepared, &mut nodes, &mut net);
 
-        // Sized eagerly for the initial pool (and grown in `join_worker`),
-        // never lazily in the dispatch path.
-        let in_flight = vec![0; nodes.len()];
         let recorder = config.trace.map(make_sink);
         let metrics = config.metrics.as_ref().map(|_| MetricsRegistry::new(nodes.len()));
         let mut cluster = Cluster {
-            lb: BalancerState::new(config.balancer),
             config,
             prepared,
             nodes,
@@ -95,7 +81,6 @@ impl Cluster {
             next_uid: 0,
             live_threads: 0,
             ops: 0,
-            in_flight,
             setup_ps,
             recorder,
             fx: Vec::new(),
@@ -108,149 +93,27 @@ impl Cluster {
             cluster.push(t, Ev::Join { spec });
         }
 
-        // The main thread starts on worker 0 (§2: the rewritten classes are
-        // sent to one of the worker nodes that starts executing main()).
-        let main = cluster.prepared.image.main_method;
-        let locals = cluster.prepared.image.method(main).max_locals;
-        let frame = Frame::new(main, locals, vec![], false);
-        cluster.add_thread(CONSOLE_NODE, frame, None, 0);
+        cluster.start_main();
 
         // Setup-phase activity (statics bootstrap, class shipping) is part
         // of the trace too; stamp its buffered DSM events at t = 0.
         for n in 0..cluster.nodes.len() {
-            cluster.drain_trace_buffers(n as NodeId, 0);
+            cluster.flush_trace(n as NodeId, 0);
         }
 
         Ok(cluster)
-    }
-
-    /// Record one trace event at virtual time `t` (no-op when disabled).
-    #[inline]
-    fn tr(&mut self, t: u64, ev: TraceEvent) {
-        if let Some(r) = &mut self.recorder {
-            r.record(jsplit_trace::Event { t, ev });
-        }
-    }
-
-    /// Stamp and flush `node`'s buffered trace events at `now` (no-op when
-    /// disabled).
-    fn drain_trace_buffers(&mut self, node: NodeId, now: u64) {
-        if let Some(r) = &mut self.recorder {
-            driver::flush_trace(r.as_mut(), self.nodes[node as usize].take_dsm_trace(), &mut self.net.trace, now);
-        }
     }
 
     fn push(&mut self, time: u64, ev: Ev) {
         self.events.push(time, (), ev);
     }
 
-    /// Execute a node's ordered effect stream. Effects become event-queue
-    /// pushes in emission order, which is what makes the refactored driver
-    /// bit-identical to the old monolithic scheduler: global sequence
-    /// numbers are assigned exactly where they always were.
-    fn apply_effects(&mut self, node: NodeId) {
-        let mut fx = std::mem::take(&mut self.fx);
-        for f in fx.drain(..) {
-            match f {
-                Effect::Local { time, ev } => self.push(time, Ev::Local { node, ev }),
-                Effect::Send { at, dst, msg } => self.transmit(at, node, dst, msg),
-                Effect::Spawn { now, thread_obj, priority } => self.dispatch_spawn(node, thread_obj, priority, now),
-                Effect::Trace { t, ev } => self.tr(t, ev),
-                Effect::FlushTrace { now } => self.drain_trace_buffers(node, now),
-            }
-        }
-        // Hand the (drained) scratch buffer back for the next event.
-        self.fx = fx;
-    }
-
-    /// Run `f` on `node` with the effect scratch buffer, then execute the
-    /// effects it emitted.
-    fn on_node<R>(&mut self, node: NodeId, f: impl FnOnce(&mut NodeRuntime, &mut Vec<Effect>) -> R) -> R {
-        debug_assert!(self.fx.is_empty());
-        let mut fx = std::mem::take(&mut self.fx);
-        let r = f(&mut self.nodes[node as usize], &mut fx);
-        self.fx = fx;
-        self.apply_effects(node);
-        r
-    }
-
-    /// The next thread uid (dense and global under this driver); its
-    /// thread counts as live from here on.
-    fn alloc_uid(&mut self) -> ThreadUid {
-        self.live_threads += 1;
-        self.next_uid += 1;
-        self.next_uid - 1
-    }
-
-    fn add_thread(&mut self, node: NodeId, frame: Frame, thread_obj: Option<ObjRef>, now: u64) {
-        let uid = self.alloc_uid();
-        self.on_node(node, |n, fx| n.add_thread(uid, frame, thread_obj, now, fx));
-    }
-
-    fn transmit(&mut self, now: u64, src: NodeId, dst: NodeId, msg: jsplit_dsm::Msg) {
-        let bytes = msg.wire_len();
-        let at = self.net.send(now, src, dst, bytes, msg.kind());
-        self.push(at, Ev::Deliver { dst, msg });
-    }
-
-    /// Place a newly started thread per the load-balancing function (§2).
-    fn dispatch_spawn(&mut self, origin: NodeId, thread_obj: ObjRef, priority: i32, now: u64) {
-        match self.config.mode {
-            Mode::Baseline => {
-                let thread_main = self.prepared.thread_main;
-                let m = self.prepared.image.method(thread_main);
-                let frame = Frame::new(thread_main, m.max_locals, vec![Value::Ref(thread_obj)], false);
-                self.add_thread(origin, frame, Some(thread_obj), now);
-            }
-            Mode::JavaSplit => {
-                let loads: Vec<usize> = self
-                    .nodes
-                    .iter()
-                    .enumerate()
-                    .map(|(i, w)| w.live() + self.in_flight[i] as usize)
-                    .collect();
-                let dst = self.lb.pick(&loads, origin);
-                self.in_flight[dst as usize] += 1;
-                let msg = self.nodes[origin as usize].prepare_spawn(thread_obj, priority);
-                if let jsplit_dsm::Msg::SpawnThread { thread_gid, .. } = &msg {
-                    self.tr(now, TraceEvent::ThreadShip { from: origin, to: dst, thread_gid: thread_gid.0 });
-                }
-                // Shipping may have shared objects; nothing else to drain
-                // (prepare_spawn itself queues no sends).
-                self.transmit(now, origin, dst, msg);
-            }
-        }
-    }
-
-    fn run_slice(&mut self, time: u64, node: NodeId, cpu: usize, thread: ThreadUid) {
-        let r = self.on_node(node, |n, fx| n.run_slice(time, cpu, thread, fx));
-        self.ops += r.ops;
-        if r.exited {
-            self.live_threads -= 1;
-        }
-    }
-
-    fn deliver(&mut self, time: u64, dst: NodeId, msg: jsplit_dsm::Msg) {
-        match msg {
-            jsplit_dsm::Msg::Println { line, .. } => {
-                // Forwarded console output lands in the console node's own
-                // buffer so local and remote lines stay in arrival order.
-                self.nodes[dst as usize].push_console(line);
-            }
-            jsplit_dsm::Msg::SpawnThread { thread_gid, class, state, priority } => {
-                let slot = &mut self.in_flight[dst as usize];
-                *slot = slot.saturating_sub(1);
-                let (uid, thread_main) = (self.alloc_uid(), self.prepared.thread_main);
-                self.on_node(dst, |n, fx| {
-                    n.install_spawned_thread(uid, thread_gid, class, &state, priority, thread_main, time, fx)
-                });
-            }
-            other => self.on_node(dst, |n, fx| n.handle_dsm(time, other, fx)),
-        }
-    }
-
-    fn wake(&mut self, time: u64, node: NodeId, thread: ThreadUid) {
-        self.on_node(node, |n, fx| n.make_ready(thread, time, fx));
+    /// Spawned-but-undelivered threads: shipped by some node, installed by
+    /// none yet.
+    fn spawns_in_flight(&self) -> u64 {
+        let (shipped, installed) =
+            self.nodes.iter().fold((0, 0), |(s, i), n| (s + n.placement.shipped(), i + n.placement.installed()));
+        shipped - installed
     }
 
     /// Publish every node's counters into the live-metrics registry. The
@@ -261,21 +124,15 @@ impl Cluster {
     /// not sampled — the registry is fixed at creation.
     fn publish_metrics(&self, now: u64) {
         let Some(reg) = &self.metrics else { return };
-        for (i, node) in self.nodes.iter().enumerate().take(reg.n_nodes()) {
-            let id = i as NodeId;
-            reg.set(id, Metric::Ops, node.ops);
-            reg.set(id, Metric::LiveThreads, node.live() as u64);
-            reg.set(id, Metric::HorizonPs, now);
-            reg.set(id, Metric::NextEventPs, now);
-            reg.set(id, Metric::QueueHeadPs, now);
-            driver::publish_node_cells(reg, id, &self.net.stats[i], node.dsm_stats_ref());
+        for (node, net) in self.nodes.iter().zip(&self.net.stats).take(reg.n_nodes()) {
+            driver::publish_node_cells(reg, node, net, [now; 3]);
         }
     }
 
     fn join_worker(&mut self, time: u64, spec: NodeSpec) {
         let id = self.net.add_node(driver::link_params(spec));
         let image = self.prepared.image.clone();
-        let mut w = NodeRuntime::new(id, spec, &self.config, image.clone(), self.prepared.thread_class);
+        let mut w = NodeRuntime::new(id, spec, &self.config, &self.prepared);
         // The joiner downloads the rewritten classes first (the paper's
         // applet workers fetch them over HTTP).
         if self.config.mode == Mode::JavaSplit {
@@ -288,8 +145,11 @@ impl Cluster {
             let singletons = driver::singleton_specs(&mut self.nodes[0], &image);
             driver::install_singletons(&mut w, &image, &singletons);
         }
+        // Every origin's load estimate learns of the (idle) newcomer.
+        for n in &mut self.nodes {
+            n.placement.grow();
+        }
         self.nodes.push(w);
-        self.in_flight.push(0);
     }
 
     /// Run to completion and produce the report.
@@ -308,8 +168,7 @@ impl Cluster {
             }
             // Spawned-but-undelivered threads count as live: a main that
             // exits immediately after `start()` must not end the run.
-            let spawning: u32 = self.in_flight.iter().sum();
-            if self.live_threads == 0 && spawning == 0 {
+            if self.live_threads == 0 && self.spawns_in_flight() == 0 {
                 break;
             }
             if self.ops > self.config.max_ops {
@@ -317,9 +176,13 @@ impl Cluster {
                 break;
             }
             match ev {
-                Ev::Local { node, ev: LocalEv::Slice { cpu, thread } } => self.run_slice(time, node, cpu, thread),
-                Ev::Local { node, ev: LocalEv::Wake { thread } } => self.wake(time, node, thread),
-                Ev::Deliver { dst, msg } => self.deliver(time, dst, msg),
+                Ev::Node(node, ev) => {
+                    let r = self.process(time, node, ev);
+                    self.ops += r.ops;
+                    if r.exited {
+                        self.live_threads -= 1;
+                    }
+                }
                 Ev::Join { spec } => self.join_worker(time, spec),
             }
         }
@@ -332,7 +195,7 @@ impl Cluster {
         // byte-comparable across backends.
         let finish = self.nodes.iter().map(|n| n.finish_time).max().unwrap_or(0);
         for n in 0..self.nodes.len() {
-            self.drain_trace_buffers(n as NodeId, finish);
+            self.flush_trace(n as NodeId, finish);
         }
         self.publish_metrics(finish);
         let telemetry = telemetry.map(Telemetry::finish);
@@ -347,6 +210,49 @@ impl Cluster {
             .map(|(node, net)| NodeResult { deadlocked, aborted, slab_high_water, setup_ps, ..node.into_result(net) })
             .collect();
         RunReport::assemble(&self.config, self.prepared, started, results, trace, None, telemetry)
+    }
+}
+
+/// The sim's side of the node event path: one global queue (ties at equal
+/// times break by insertion order, whatever the step), the virtual-time
+/// network, dense global uids, one global recorder.
+impl Host for Cluster {
+    fn node(&mut self, id: NodeId) -> &mut NodeRuntime {
+        &mut self.nodes[id as usize]
+    }
+
+    fn fx(&mut self) -> &mut Vec<Effect> {
+        &mut self.fx
+    }
+
+    fn schedule(&mut self, node: NodeId, time: u64, _step: u64, ev: LocalEv) {
+        self.push(time, Ev::Node(node, NodeEv::Local(ev)));
+    }
+
+    /// Priced from `wire_len()`: nothing is encoded under this driver.
+    fn transmit(&mut self, now: u64, _step: u64, src: NodeId, dst: NodeId, msg: jsplit_dsm::Msg) {
+        let at = self.net.send(now, src, dst, msg.wire_len(), msg.kind());
+        self.push(at, Ev::Node(dst, NodeEv::Deliver { src, msg }));
+    }
+
+    /// Dense and global; the thread counts as live from here on.
+    fn alloc_uid(&mut self) -> ThreadUid {
+        self.live_threads += 1;
+        self.next_uid += 1;
+        self.next_uid - 1
+    }
+
+    #[inline]
+    fn record(&mut self, t: u64, ev: TraceEvent) {
+        if let Some(r) = &mut self.recorder {
+            r.record(jsplit_trace::Event { t, ev });
+        }
+    }
+
+    fn flush_trace(&mut self, node: NodeId, now: u64) {
+        if let Some(r) = &mut self.recorder {
+            driver::flush_trace(r.as_mut(), self.nodes[node as usize].take_dsm_trace(), &mut self.net.trace, now);
+        }
     }
 }
 

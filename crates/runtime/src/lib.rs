@@ -51,7 +51,7 @@ pub mod sockets;
 pub mod telemetry;
 pub mod threads;
 
-pub use balance::{Balancer, LoadBalancer};
+pub use balance::Balancer;
 pub use config::{Backend, ClusterConfig, MetricsConfig, Mode, NodeSpec, SyncMode};
 pub use driver::ClusterError;
 pub use exec::Cluster;

@@ -14,7 +14,9 @@
 //!
 //! [driver]: crate::driver
 
+use crate::balance::Placement;
 use crate::config::{ClusterConfig, Mode, NodeSpec};
+use crate::driver::Prepared;
 use crate::env::{JsEnv, NodeEnv};
 use crate::report::NodeResult;
 use jsplit_dsm::node::Action;
@@ -22,7 +24,7 @@ use jsplit_dsm::{DsmConfig, DsmNode, Msg};
 use jsplit_mjvm::cost::CostModel;
 use jsplit_mjvm::heap::{Heap, ObjRef, ThreadUid};
 use jsplit_mjvm::interp::{self, Frame, StepCtx, StepState, Thread, VmError};
-use jsplit_mjvm::loader::{ClassId, Image};
+use jsplit_mjvm::loader::{Image, MethodId};
 use jsplit_mjvm::opstats::OpStats;
 use jsplit_mjvm::pcode::{self, PImage};
 use jsplit_net::{NetStats, NodeId};
@@ -54,8 +56,8 @@ pub enum Effect {
     /// Transmit a protocol message at virtual time `at` (the driver owns
     /// latency, delivery and accounting via its transport).
     Send { at: u64, dst: NodeId, msg: Msg },
-    /// A newly started thread needs placing — load balancing, uid
-    /// allocation and shipping are driver concerns.
+    /// A newly started thread needs placing and shipping
+    /// (`driver::Host::dispatch_spawn`).
     Spawn { now: u64, thread_obj: ObjRef, priority: i32 },
     /// Record one trace event (emitted only when tracing is enabled).
     Trace { t: u64, ev: TraceEvent },
@@ -80,7 +82,11 @@ pub struct NodeRuntime {
     pub model: &'static CostModel,
     pub heap: Heap,
     pub env: NodeEnv,
+    /// Where this node places the threads it starts (§2).
+    pub placement: Placement,
     image: Arc<Image>,
+    /// `JSRuntime.threadMain`, the entry frame of every started thread.
+    thread_main: MethodId,
     /// Thread slab: a thread's slot is stable for its whole life (slots of
     /// exited threads are recycled through `free_slots`), so a CPU slice
     /// runs the thread in place.
@@ -117,7 +123,8 @@ pub struct NodeRuntime {
 
 impl NodeRuntime {
     /// Build a fresh worker: heap with statics, environment per mode.
-    pub fn new(id: NodeId, spec: NodeSpec, config: &ClusterConfig, image: Arc<Image>, thread_class: ClassId) -> NodeRuntime {
+    pub fn new(id: NodeId, spec: NodeSpec, config: &ClusterConfig, prepared: &Prepared) -> NodeRuntime {
+        let (image, thread_class) = (prepared.image.clone(), prepared.thread_class);
         let model = spec.profile.cost_model();
         let mut heap = Heap::new();
         heap.init_statics(&image);
@@ -159,7 +166,9 @@ impl NodeRuntime {
             model,
             heap,
             env,
+            placement: Placement::new(config.balancer, id, config.nodes.len()),
             image,
+            thread_main: prepared.thread_main,
             threads: Vec::new(),
             free_slots: Vec::new(),
             live: 0,
@@ -520,27 +529,34 @@ impl NodeRuntime {
         self.drain_effects(time + handler_ps, out);
     }
 
-    /// Install a shipped thread object (driver-allocated `uid`), schedule
-    /// it and drain the install's effects — the `SpawnThread` delivery path.
+    /// The entry frame of a started thread: `threadMain(thread_obj)`.
+    pub fn thread_frame(&self, thread_obj: ObjRef) -> Frame {
+        let locals = self.image.method(self.thread_main).max_locals;
+        Frame::new(self.thread_main, locals, vec![jsplit_mjvm::Value::Ref(thread_obj)], false)
+    }
+
+    /// Install a thread object shipped by `src` (driver-allocated `uid`),
+    /// schedule it and drain the install's effects — the `SpawnThread`
+    /// delivery path.
     #[allow(clippy::too_many_arguments)]
     pub fn install_spawned_thread(
         &mut self,
         uid: ThreadUid,
+        src: NodeId,
         thread_gid: jsplit_mjvm::heap::Gid,
         class: u32,
         state: &jsplit_dsm::WireState,
         priority: i32,
-        thread_main: jsplit_mjvm::loader::MethodId,
         time: u64,
         out: &mut Vec<Effect>,
     ) {
+        self.placement.credit(src);
         let obj = {
             let image = self.image.clone();
             let env = self.env.js();
             env.dsm.install_spawned(&mut self.heap, &image, thread_gid, class, state)
         };
-        let m = self.image.method(thread_main);
-        let frame = Frame::new(thread_main, m.max_locals, vec![jsplit_mjvm::Value::Ref(obj)], false);
+        let frame = self.thread_frame(obj);
         self.add_thread(uid, frame, Some(obj), time, out);
         self.set_priority(uid, priority);
         self.drain_effects(time, out);

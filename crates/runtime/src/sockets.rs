@@ -782,8 +782,7 @@ fn run_worker_body(
         }
     });
 
-    let mut node =
-        NodeRuntime::new(me, config.nodes[me as usize], &config, prepared.image.clone(), prepared.thread_class);
+    let mut node = NodeRuntime::new(me, config.nodes[me as usize], &config, &prepared);
     // Setup accounting, replicated per process: worker 0 plans the class
     // sends (it is the console node that ships them), every other worker
     // records its own receive — together they reproduce exactly the mesh
@@ -797,14 +796,13 @@ fn run_worker_body(
         // Replay node 0's singleton creation on a scratch runtime: gid
         // assignment is deterministic, so the specs come out identical
         // to the ones the real node 0 produced in its own process.
-        let mut scratch =
-            NodeRuntime::new(0, config.nodes[0], &config, prepared.image.clone(), prepared.thread_class);
+        let mut scratch = NodeRuntime::new(0, config.nodes[0], &config, &prepared);
         driver::bootstrap_statics(std::slice::from_mut(&mut scratch), &prepared.image);
         let singles = driver::singleton_specs(&mut scratch, &prepared.image);
         driver::install_singletons(&mut node, &prepared.image, &singles);
     }
 
-    let mut eng = SyncEngine::new(node, endpoint, &config, prepared.thread_main);
+    let mut eng = SyncEngine::new(node, endpoint, &config);
     eng.flight = flight.clone();
     if metrics_interval_us > 0 {
         // Local one-writer registry; the pump ships our row toward the
@@ -972,7 +970,7 @@ impl SocketsDriver {
         if self.config.objprof {
             wflags |= WF_OBJPROF;
         }
-        if self.config.metrics.as_ref().is_some_and(|m| m.flight) {
+        if self.config.metrics.is_some() {
             wflags |= WF_FLIGHT;
         }
         let mut claimed = vec![false; n];

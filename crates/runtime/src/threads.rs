@@ -234,7 +234,7 @@ impl ThreadsDriver {
         // without `--metrics` — the hot paths then pay one untaken branch.
         let metrics_cfg = self.config.metrics.clone();
         let registry = metrics_cfg.as_ref().map(|_| MetricsRegistry::new(n));
-        let flight = metrics_cfg.as_ref().filter(|c| c.flight).map(|_| FlightRecorder::new(n));
+        let flight = metrics_cfg.as_ref().map(|_| FlightRecorder::new(n));
         if let Some(f) = &flight {
             jsplit_trace::arm_panic_dump(f);
         }
@@ -249,7 +249,7 @@ impl ThreadsDriver {
         let mut handles = Vec::with_capacity(n);
         for (node, endpoint) in self.nodes.into_iter().zip(self.endpoints) {
             let shared = shared.clone();
-            let mut eng = SyncEngine::new(node, endpoint, &self.config, self.prepared.thread_main);
+            let mut eng = SyncEngine::new(node, endpoint, &self.config);
             eng.asy = asy.clone();
             eng.metrics = registry.clone();
             eng.flight = flight.clone();

@@ -3,17 +3,33 @@
 
 use jsplit_mjvm::class::Program;
 use jsplit_runtime::config::SocketsConfig;
-use jsplit_runtime::RunReport;
+use jsplit_runtime::{Balancer, RunReport};
 
-/// The three paper applications at test scale.
+pub mod spawn_shapes;
+
+/// The three paper applications at test scale (one fork-join wave each),
+/// then a two-wave and a nested-spawn program.
 pub fn apps() -> Vec<(&'static str, Program)> {
     use jsplit_apps::{raytracer, series, tsp};
     vec![
         ("tsp", tsp::program(tsp::TspParams { n: 8, seed: 42, depth: 2, threads: 8 })),
         ("series", series::program(series::SeriesParams { n: 16, intervals: 40, threads: 8 })),
         ("raytracer", raytracer::program(raytracer::RayParams { size: 16, grid: 2, threads: 8 })),
+        ("two-wave", spawn_shapes::two_wave(3, 2)),
+        ("nested", spawn_shapes::nested(2, 2)),
     ]
 }
+
+/// Multi-wave and nested-spawn shapes, for 3-node runs under each of
+/// [`BALANCERS`]: every backend must place every thread where the sim does.
+pub fn spawn_shape_programs() -> Vec<(String, Program)> {
+    let waves = [(1, 1), (3, 2), (2, 3), (4, 4)].map(|(a, b)| (format!("waves {a}+{b}"), spawn_shapes::two_wave(a, b)));
+    let nests = [(2, 2), (3, 1), (1, 3)].map(|(o, i)| (format!("nested {o}x{i}"), spawn_shapes::nested(o, i)));
+    waves.into_iter().chain(nests).collect()
+}
+
+/// The balancers with placement state (a load estimate, a cursor).
+pub const BALANCERS: [Balancer; 2] = [Balancer::LeastLoaded, Balancer::RoundRobin];
 
 /// The spawned worker binary: the test harness's `current_exe` is the
 /// test runner, so point the coordinator at the real `jsplit` binary

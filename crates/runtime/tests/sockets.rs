@@ -30,7 +30,7 @@ use jsplit_runtime::exec::run_cluster;
 use jsplit_runtime::{Backend, ClusterConfig, ClusterError, RunReport, SyncMode};
 
 mod common;
-use common::{apps, assert_reports_match, sockets_config};
+use common::{apps, assert_reports_match, sockets_config, spawn_shape_programs, BALANCERS};
 
 fn run_sim(proto: ProtocolMode, nodes: usize, p: &Program) -> RunReport {
     let cfg = ClusterConfig::javasplit(JvmProfile::SunSim, nodes).with_protocol(proto);
@@ -61,6 +61,26 @@ fn sockets_backend_matches_sim_on_all_apps_both_protocols_both_sync_modes() {
             for sync in [SyncMode::Epoch, SyncMode::Async] {
                 let skt = run_sockets(proto, 4, sync, p);
                 assert_reports_match(&format!("{app} ({proto:?}, {sync:?})"), &sim, &skt);
+            }
+        }
+    }
+}
+
+/// Multi-wave and nested-spawn programs over real processes: every worker
+/// places the threads it starts from its own load estimate, exactly as
+/// the sim's nodes do — both stateful balancers, both sync protocols.
+#[test]
+fn sockets_multi_wave_and_nested_spawns_match_sim_under_both_balancers() {
+    for (shape, p) in &spawn_shape_programs() {
+        for balancer in BALANCERS {
+            let cfg = ClusterConfig::javasplit(JvmProfile::SunSim, 3).with_balancer(balancer);
+            let sim = run_cluster(cfg.clone(), p).expect("cluster setup");
+            sim.expect_clean();
+            for sync in [SyncMode::Epoch, SyncMode::Async] {
+                let cfg = cfg.clone().with_backend(Backend::Sockets).with_sync(sync).with_sockets(sockets_config());
+                let skt = run_cluster(cfg, p).expect("cluster setup");
+                skt.expect_clean();
+                assert_reports_match(&format!("{shape} ({balancer:?}, {sync:?})"), &sim, &skt);
             }
         }
     }

@@ -125,6 +125,26 @@ fn metrics_jsonl_is_wellformed_and_monotone() {
     }
 }
 
+/// A sockets worker waiting on its horizon says so: its `parked` gauge is
+/// up in rows the coordinator samples, under `--sync async` too. The stall
+/// watchdog refuses to blame anyone for a node it never saw parked, so a
+/// wire loop that parked without the gauge left it inert.
+#[test]
+fn sockets_async_workers_report_parked() {
+    let out = scratch("parked");
+    run(
+        cfg(Backend::Sockets, SyncMode::Async, 2).with_sockets(common::sockets_config()).with_metrics(MetricsConfig {
+            out: Some(out.clone()),
+            interval: Duration::from_millis(1),
+            ..MetricsConfig::default()
+        }),
+        &tsp(),
+    );
+    let text = std::fs::read_to_string(&out).expect("metrics file written");
+    let _ = std::fs::remove_file(&out);
+    assert!(text.contains("\"parked\":1"), "no sampled row ever showed a parked worker:\n{text}");
+}
+
 /// An injected stalled peer (node 1 sleeps before its first async
 /// iteration, promise pinned at 0) is detected within the watchdog budget
 /// and blamed — by name — by the nodes it pins; the run itself still

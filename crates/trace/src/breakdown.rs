@@ -50,16 +50,6 @@ impl NodeBreakdown {
     pub fn checks_out(&self, horizon: Ps) -> bool {
         self.total_ps() == horizon * self.cpus as u64
     }
-
-    /// Fraction of the budget spent computing, in [0, 1].
-    pub fn utilization(&self, horizon: Ps) -> f64 {
-        let budget = horizon * self.cpus as u64;
-        if budget == 0 {
-            0.0
-        } else {
-            self.compute_ps as f64 / budget as f64
-        }
-    }
 }
 
 // Sweep-line deltas: at time `t`, bucket `which` gains `delta` members.

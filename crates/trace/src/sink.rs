@@ -77,8 +77,9 @@ impl TraceSink for RingRecorder {
     }
 }
 
-/// Build the sink selected by a `TraceMode`.
-pub fn make_sink(mode: TraceMode) -> Box<dyn TraceSink> {
+/// Build the sink selected by a `TraceMode` (`Send`: a parallel driver's
+/// node carries its private sink onto its own OS thread).
+pub fn make_sink(mode: TraceMode) -> Box<dyn TraceSink + Send> {
     match mode {
         TraceMode::Full => Box::new(VecRecorder::new()),
         TraceMode::Ring(cap) => Box::new(RingRecorder::new(cap)),

@@ -23,8 +23,33 @@ use javasplit::mjvm::class::Program;
 use javasplit::mjvm::cost::JvmProfile;
 use javasplit::mjvm::instr::{Cmp, ElemTy, Ty};
 use javasplit::runtime::exec::run_cluster;
-use javasplit::runtime::ClusterConfig;
+use javasplit::runtime::{Balancer, ClusterConfig};
 use proptest::prelude::*;
+
+#[path = "../crates/runtime/tests/common/spawn_shapes.rs"]
+mod spawn_shapes;
+
+/// The hand-built multi-wave and nested-spawn programs of the backend
+/// matrix (`crates/runtime/tests`) are transparent too: the sequential
+/// single-JVM `LocalVm`, the one-node baseline and a 3-node cluster under
+/// either stateful balancer all print the oracle's lines.
+#[test]
+fn spawn_shape_programs_match_the_local_vm_oracle() {
+    for (prog, leaves) in [(spawn_shapes::two_wave(3, 2), 5), (spawn_shapes::nested(2, 2), 4)] {
+        let expected = spawn_shapes::expected_output(leaves);
+        let local = javasplit::mjvm::localvm::run_program(&prog);
+        assert!(local.errors.is_empty(), "LocalVm trapped: {:?}", local.errors);
+        assert_eq!(local.output, expected, "LocalVm vs oracle");
+        let mut configs = vec![ClusterConfig::baseline(JvmProfile::SunSim, 2)];
+        configs.extend([Balancer::LeastLoaded, Balancer::RoundRobin].map(|b| ClusterConfig::javasplit(JvmProfile::SunSim, 3).with_balancer(b)));
+        for cfg in configs {
+            let ctx = format!("{:?}/{:?}", cfg.mode, cfg.balancer);
+            let r = run_cluster(cfg, &prog).unwrap();
+            r.expect_clean();
+            assert_eq!(r.output, expected, "{ctx} vs oracle");
+        }
+    }
+}
 
 /// One worker action.
 #[derive(Debug, Clone)]
