@@ -292,7 +292,7 @@ pub fn block_array_kernel(len: i32, threads: i32) -> Program {
 /// Skewed variant of [`block_array_kernel`]: worker 0 refills its block
 /// `skew` times (idempotent overwrites — the checksum is unchanged), every
 /// other worker once. One straggler node doing ~`skew`× the work is the
-/// barrier-convoy scenario: under epoch sync each round is paced by the
+/// round-convoy scenario: under epoch sync each round is paced by the
 /// slow node, under async sync the fast nodes run ahead to their own
 /// horizons and park — the wall-clock gap between the two sync modes on
 /// this kernel is what the convoy-regression tests measure.

@@ -5,8 +5,8 @@
 //! of the sockets backend: it carries the *same* frame bytes the in-process
 //! channel mesh ships (see [`crate::transport`]) inside `Data` envelopes,
 //! plus the control vocabulary the coordinator and workers speak — the
-//! handshake, the epoch barrier/slot exchange, the async idle reports, and
-//! the shutdown sequence.
+//! handshake, the epoch slot exchange, the async idle reports, and the
+//! shutdown sequence.
 //!
 //! ## Envelope format
 //!
@@ -19,15 +19,14 @@
 //! DESIGN.md §16 reduces to "bytes written earlier on a stream are read
 //! earlier".
 //!
-//! ## Slot publishes on the wire
+//! ## The epoch exchange on the wire
 //!
 //! Under the threads backend a node *publishes* its epoch slot with a
 //! Release store and peers Acquire-load it. Over TCP the same handoff is an
-//! explicit [`Envelope::Slot`] record: the act of writing the envelope
-//! after the node's data flush is the release (program order = stream
-//! order), and the peer reading the relayed [`Envelope::Slots`] after its
-//! own inbox drain is the acquire — the values observed can never be older
-//! than the frames that preceded them on the stream.
+//! explicit [`Envelope::Slot`] record: writing it after the node's data
+//! flush is the release (program order = stream order), and reading the
+//! relayed [`Envelope::Slots`] is the acquire — every frame that preceded a
+//! peer's `Slot` on its stream precedes `Slots` on ours.
 
 use crate::sim::NodeId;
 use std::io::{self, Read, Write};
@@ -39,7 +38,10 @@ pub const MAGIC: u32 = 0x4A53_504C;
 /// Wire-protocol version; bumped on any envelope change.
 /// v2: `Welcome` carries telemetry arming (`metrics_interval_us`, `flags`);
 /// `Metrics` and `Fault` envelopes added.
-pub const VERSION: u16 = 2;
+/// v3: one rendezvous per epoch round — the round-barrier envelope pair
+/// (tags 5, 6) retired, `Slot` carries `min_out`; the wire config lost its
+/// lookahead and batch bytes (PR 13), the node report its barrier count.
+pub const VERSION: u16 = 3;
 /// `Hello.node_id` value asking the coordinator to assign one.
 pub const ANY_NODE: u16 = u16::MAX;
 /// Upper bound on a single envelope body (corrupt-stream guard).
@@ -80,14 +82,15 @@ pub enum Envelope {
     Reject { reason: String },
     /// A transport frame (record batch) from `src`, relayed toward `dst`.
     Data { src: u16, dst: u16, frame: Vec<u8> },
-    /// Worker → coordinator: epoch `round`'s sends are all on the stream.
-    Barrier { round: u64 },
-    /// Coordinator → worker: every node passed `Barrier(round)`; all of the
-    /// window's data frames precede this on the stream.
-    BarrierAck { round: u64 },
-    /// Worker → coordinator: post-drain slot publish for `round`.
-    Slot { round: u64, slot: SlotWire },
-    /// Coordinator → worker: all nodes' slots for `round`, in node order.
+    /// Worker → coordinator: the closing window's sends are all on the
+    /// stream; this is the node's pre-drain slot for `round`, and
+    /// `min_out[d]` the earliest delivery time of any record it framed for
+    /// node `d` in that window (`u64::MAX` = none).
+    Slot { round: u64, slot: SlotWire, min_out: Vec<u64> },
+    /// Coordinator → worker: all nodes' slots for `round`, in node order,
+    /// each `next_event` already folded with every sender's `min_out` —
+    /// and every window frame addressed to this worker precedes it on the
+    /// stream.
     Slots { round: u64, slots: Vec<SlotWire> },
     /// Worker → coordinator (async sync): progress report for the
     /// coordinator's termination scan — queue head, records drained from
@@ -118,8 +121,7 @@ const T_HELLO: u8 = 1;
 const T_WELCOME: u8 = 2;
 const T_REJECT: u8 = 3;
 const T_DATA: u8 = 4;
-const T_BARRIER: u8 = 5;
-const T_BARRIER_ACK: u8 = 6;
+// 5 and 6 were the round-barrier pair through v2; retired, never reused.
 const T_SLOT: u8 = 7;
 const T_SLOTS: u8 = 8;
 const T_STATE: u8 = 9;
@@ -173,6 +175,13 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// A `u16`-counted run of `u64`s (the count is at most 64 Ki, so a
+    /// hostile one cannot over-allocate before `take` refuses it).
+    fn u64s(&mut self) -> io::Result<Vec<u64>> {
+        let n = self.u16()? as usize;
+        self.take(8 * n)?.chunks_exact(8).map(|b| Ok(u64::from_le_bytes(b.try_into().unwrap()))).collect()
+    }
+
     fn rest(&mut self) -> &'a [u8] {
         let s = &self.b[self.at..];
         self.at = self.b.len();
@@ -214,18 +223,14 @@ pub fn encode_envelope(env: &Envelope) -> Vec<u8> {
             put_u16(&mut b, *dst);
             b.extend_from_slice(frame);
         }
-        Envelope::Barrier { round } => {
-            b.push(T_BARRIER);
-            put_u64(&mut b, *round);
-        }
-        Envelope::BarrierAck { round } => {
-            b.push(T_BARRIER_ACK);
-            put_u64(&mut b, *round);
-        }
-        Envelope::Slot { round, slot } => {
+        Envelope::Slot { round, slot, min_out } => {
             b.push(T_SLOT);
             put_u64(&mut b, *round);
             for v in slot {
+                put_u64(&mut b, *v);
+            }
+            put_u16(&mut b, min_out.len() as u16);
+            for v in min_out {
                 put_u64(&mut b, *v);
             }
         }
@@ -309,15 +314,13 @@ fn decode_body(ty: u8, body: &[u8]) -> io::Result<Envelope> {
             let dst = c.u16()?;
             Envelope::Data { src, dst, frame: c.rest().to_vec() }
         }
-        T_BARRIER => Envelope::Barrier { round: c.u64()? },
-        T_BARRIER_ACK => Envelope::BarrierAck { round: c.u64()? },
         T_SLOT => {
             let round = c.u64()?;
             let mut slot = [0u64; 5];
             for v in &mut slot {
                 *v = c.u64()?;
             }
-            Envelope::Slot { round, slot }
+            Envelope::Slot { round, slot, min_out: c.u64s()? }
         }
         T_SLOTS => {
             let round = c.u64()?;
@@ -342,15 +345,7 @@ fn decode_body(ty: u8, body: &[u8]) -> io::Result<Envelope> {
         T_FLUSHED => Envelope::Flushed,
         T_SHUTDOWN => Envelope::Shutdown,
         T_REPORT => Envelope::Report { body: c.rest().to_vec() },
-        T_METRICS => {
-            let node = c.u16()?;
-            let n = c.u16()? as usize;
-            let mut cells = Vec::with_capacity(n);
-            for _ in 0..n {
-                cells.push(c.u64()?);
-            }
-            Envelope::Metrics { node, cells }
-        }
+        T_METRICS => Envelope::Metrics { node: c.u16()?, cells: c.u64s()? },
         T_FAULT => {
             let node = c.u16()?;
             let mlen = c.u32()? as usize;
@@ -561,9 +556,8 @@ mod tests {
             Envelope::Reject { reason: "nope".into() },
             Envelope::Data { src: 1, dst: 2, frame: vec![0xAB; 95] },
             Envelope::Data { src: 0, dst: 7, frame: Vec::new() },
-            Envelope::Barrier { round: 42 },
-            Envelope::BarrierAck { round: 42 },
-            Envelope::Slot { round: 9, slot: [u64::MAX, 1, 2, 3, 4] },
+            Envelope::Slot { round: 9, slot: [u64::MAX, 1, 2, 3, 4], min_out: vec![u64::MAX, 7, 0] },
+            Envelope::Slot { round: 1, slot: [0; 5], min_out: Vec::new() },
             Envelope::Slots { round: 9, slots: vec![[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]] },
             Envelope::State { qhead: u64::MAX, drained: 17, live: 0, ops: 12345 },
             Envelope::Done { outcome: 1 },
@@ -590,6 +584,31 @@ mod tests {
             assert_eq!(got, env);
             assert!(r.is_empty(), "reader consumed exactly one envelope");
         }
+    }
+
+    /// Tags 5 and 6 carried the round-barrier pair through v2. A stale
+    /// peer is refused at the handshake, but an envelope of its that did
+    /// reach the decoder must be an error — never a panic, never misparsed
+    /// as something live.
+    #[test]
+    fn retired_tags_decode_to_an_error() {
+        for tag in [5u8, 6] {
+            let mut bytes = vec![9, 0, 0, 0, tag];
+            bytes.extend_from_slice(&42u64.to_le_bytes());
+            let err = read_envelope(&mut &bytes[..]).expect_err("retired tag accepted");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(&format!("unknown envelope type {tag}")), "{err}");
+        }
+    }
+
+    /// A `Slot` whose `min_out` count outruns its body is refused before
+    /// anything is allocated for it.
+    #[test]
+    fn slot_with_a_lying_min_out_count_is_refused() {
+        let mut bytes = encode_envelope(&Envelope::Slot { round: 1, slot: [0; 5], min_out: vec![1, 2] });
+        let count_at = 4 + 1 + 8 + 40;
+        bytes[count_at..count_at + 2].copy_from_slice(&u16::MAX.to_le_bytes());
+        assert!(read_envelope(&mut &bytes[..]).is_err());
     }
 
     #[test]
@@ -686,8 +705,8 @@ mod tests {
             ),
             (any::<u16>(), any::<u16>(), proptest::collection::vec(any::<u8>(), 0..200))
                 .prop_map(|(src, dst, frame)| Envelope::Data { src, dst, frame }),
-            any::<u64>().prop_map(|round| Envelope::Barrier { round }),
-            (any::<u64>(), arb_slot()).prop_map(|(round, slot)| Envelope::Slot { round, slot }),
+            (any::<u64>(), arb_slot(), proptest::collection::vec(any::<u64>(), 0..9))
+                .prop_map(|(round, slot, min_out)| Envelope::Slot { round, slot, min_out }),
             (any::<u64>(), proptest::collection::vec(arb_slot(), 0..9))
                 .prop_map(|(round, slots)| Envelope::Slots { round, slots }),
             (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(

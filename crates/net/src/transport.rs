@@ -199,6 +199,10 @@ pub struct ChannelEndpoint {
     /// FIFO slot per destination: delivery times on a (src,dst) link are
     /// strictly increasing, same rule as [`Network::send`].
     last_delivery: Vec<u64>,
+    /// Earliest delivery time of any record framed for each peer since the
+    /// last [`Self::take_min_out`] (`u64::MAX` = none) — what lets the
+    /// epoch exchange know a receiver's queue head before it drains.
+    min_out: Vec<u64>,
     pub stats: NetStats,
     pub frame_stats: FrameStats,
     /// Send-event buffer, mirroring [`Network::send`]'s recording exactly
@@ -267,6 +271,7 @@ impl ChannelEndpoint {
             pool: Vec::new(),
             batch,
             last_delivery: vec![0; n],
+            min_out: vec![u64::MAX; n],
             stats: NetStats::default(),
             frame_stats: FrameStats::default(),
             trace: None,
@@ -372,6 +377,8 @@ impl ChannelEndpoint {
         buf[start + 24] = kind.wire_id();
         buf[start + 25..start + 29].copy_from_slice(&(payload_len as u32).to_le_bytes());
         self.frame_stats.msgs_framed += 1;
+        let m = &mut self.min_out[dst as usize];
+        *m = (*m).min(deliver_ps);
         self.pending[dst as usize] = buf;
         if !self.batch || self.pending[dst as usize].len() >= FRAME_CHUNK {
             self.flush_to(dst);
@@ -399,6 +406,13 @@ impl ChannelEndpoint {
         for dst in 0..self.pending.len() {
             self.flush_to(dst as NodeId);
         }
+    }
+
+    /// Copy out the per-peer earliest delivery times of everything framed
+    /// since the previous call, and start the next window's record.
+    pub fn take_min_out(&mut self, out: &mut [u64]) {
+        out.copy_from_slice(&self.min_out);
+        self.min_out.fill(u64::MAX);
     }
 
     /// Append a null record (promise `promise_ps`) to the frame under
@@ -581,6 +595,12 @@ mod tests {
         let (at1, l) = put(&mut mesh[0], 42, 1, MsgKind::Control, b"hello wire");
         assert!(l.is_none());
         let (at2, _) = put(&mut mesh[0], 43, 1, MsgKind::Diff, b"again");
+        // The window's earliest framed delivery per peer, handed over once.
+        let mut min_out = [0u64; 2];
+        mesh[0].take_min_out(&mut min_out);
+        assert_eq!(min_out, [u64::MAX, at1]);
+        mesh[0].take_min_out(&mut min_out);
+        assert_eq!(min_out, [u64::MAX; 2]);
         // Nothing arrives until the sender flushes: both records coalesce
         // into one frame.
         let mut got = Vec::new();
@@ -646,6 +666,9 @@ mod tests {
         let msg = local.expect("loopback returned to caller");
         assert_eq!(msg.deliver_ps, at);
         assert_eq!(at, crate::sim::LOOPBACK_PS);
+        let mut min_out = [0u64; 2];
+        mesh[0].take_min_out(&mut min_out);
+        assert_eq!(min_out, [u64::MAX; 2], "a loopback is not an outbound record");
         let mut any = false;
         mesh[0].drain_frames(&mut |_, _, _, _, _, _| any = true);
         assert!(!any);

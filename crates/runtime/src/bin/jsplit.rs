@@ -240,10 +240,9 @@ fn cmd_run(rest: &[String]) {
     if matches!(backend, Backend::Threads | Backend::Sockets) {
         let s = &report.sync;
         eprintln!(
-            "[jsplit] sync mode={} windows={} barrier_waits={} frames={} msgs_batched={} bytes/frame={:.1}",
+            "[jsplit] sync mode={} windows={} frames={} msgs_batched={} bytes/frame={:.1}",
             if sync == SyncMode::Async { "async" } else { "epoch" },
             s.windows,
-            s.barrier_waits,
             s.frames_sent,
             s.msgs_batched(),
             s.bytes_per_frame_avg(),

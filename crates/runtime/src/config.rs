@@ -66,15 +66,15 @@ impl Default for SocketsConfig {
 /// How the threads backend's nodes agree on safe horizons.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncMode {
-    /// Windowed rounds: flush → single `Barrier::wait` → publish node
-    /// slots → identical local decision (DESIGN.md §12). Every node pays
-    /// for the slowest node every round.
+    /// Windowed rounds: flush → one slot exchange → drain → identical
+    /// local decision (DESIGN.md §12). Every node pays for the slowest
+    /// node every round.
     #[default]
     Epoch,
     /// Fully asynchronous conservative sync (DESIGN.md §14): per-peer
     /// channel clocks advanced by data deliveries and Chandy–Misra–Bryant
     /// null-message promises; each node executes up to its own input
-    /// horizon with no barrier and no global round structure. Virtual-time
+    /// horizon with no global round structure. Virtual-time
     /// results are identical to `Epoch` and to the sim.
     Async,
 }
@@ -164,8 +164,8 @@ pub struct ClusterConfig {
     /// Which driver executes the run (sim by default; mid-run joins still
     /// require the sim backend).
     pub backend: Backend,
-    /// Synchronization protocol for the threads backend (epoch barrier
-    /// rounds vs asynchronous per-pair horizons; results are identical).
+    /// Synchronization protocol for the live backends (epoch rounds vs
+    /// asynchronous per-pair horizons; results are identical).
     pub sync: SyncMode,
     /// Live telemetry: lock-free registry + wall-clock sampler (+ watchdog
     /// and flight recorder on the threads backend). `None` = off, the

@@ -6,12 +6,11 @@
 //! backend. What *varies* per backend is how progress crosses node
 //! boundaries, and that seam is two small traits:
 //!
-//! * [`EpochPeers`] — the windowed (barrier-round) protocol's four
-//!   primitives: round barrier, slot publish, publish wait, slot read.
-//!   The threads backend implements them over shared-memory atomics and a
-//!   `std::sync::Barrier`; the sockets backend over `Barrier`/`BarrierAck`/
-//!   `Slot`/`Slots` envelopes relayed by the coordinator.
-//! * [`WirePeers`] — what the barrier-free async mode needs from a
+//! * [`EpochPeers`] — the windowed protocol's one primitive: the per-round
+//!   slot exchange. The threads backend implements it over double-buffered
+//!   shared-memory atomics; the sockets backend as one `Slot` → `Slots`
+//!   round trip through the coordinator.
+//! * [`WirePeers`] — what the roundless async mode needs from a
 //!   message-passing fabric whose peers share no memory: outcome polling,
 //!   idle-state reports for the coordinator's termination scan, and the
 //!   final-flush rendezvous.
@@ -42,10 +41,11 @@
 //! ```
 //!
 //! The first term bounds any chain of causality *starting at a peer*: all
-//! of `i`'s sends this round happen at virtual times ≥ `next_i` (it drains
-//! only at round boundaries, and every effect of an event at `t` is
-//! stamped ≥ `t`), so anything reaching `j` — directly or through other
-//! nodes, which only add nonnegative hops — arrives ≥ `next_i + base_i`.
+//! of `i`'s sends this round happen at virtual times ≥ `next_i` (what it
+//! runs this round was queued at ≥ `next_i` — an early frame, below, waits
+//! above the horizon — and every effect of an event at `t` is stamped
+//! ≥ `t`), so anything reaching `j` — directly or through other nodes,
+//! which only add nonnegative hops — arrives ≥ `next_i + base_i`.
 //! The second term bounds chains starting at `j` itself: `j`'s earliest
 //! send leaves at ≥ `next_j`, needs `base_j` to reach any peer and at
 //! least the cheapest peer base to come back. Without it a two-hop echo
@@ -61,6 +61,28 @@
 //! residual freedom is tie-ordering of *distinct nodes'* events at exactly
 //! equal virtual times, which the deterministic key resolves run-to-run
 //! reproducibly.
+//!
+//! ## One exchange per epoch round
+//!
+//! A round is `flush → exchange → drain → decide → execute`. To decide,
+//! every node needs every node's *post-drain* queue head `next_i`, yet
+//! nobody has drained when the slots cross: each node publishes its
+//! pre-drain head plus `min_out[d]`, the earliest delivery time of any
+//! record it framed for `d` in the closing window, and [`fold_slot`]
+//! rebuilds `next_i = min(head_i, min_s min_out_s[i])` — exactly `i`'s
+//! queue head once it drains, because the exchange returns only after
+//! every peer's flush is in `i`'s inbound channel.
+//!
+//! *Early frames.* With one meeting per round a fast node can run window
+//! `r` and flush before a slow peer's round-`r` drain, which then picks up
+//! round-`r+1` records (never later ones: the fast node cannot leave
+//! exchange `r+1` before the slow one entered it). Harmless: such a record
+//! was sent at ≥ its sender's `next`, so it delivers at or above the
+//! receiver's round-`r` horizon and is not run in window `r`; and its
+//! `(time, step, lane)` key — unique among remote records, as per-pair
+//! deliveries strictly increase — orders it the same whichever drain
+//! queued it. The receiver's folded `next` is then an upper bound on its
+//! queue head instead of equal to it.
 
 use crate::config::ClusterConfig;
 use crate::driver::{self, EventQueue, Host, NodeEv};
@@ -147,14 +169,15 @@ impl Horizons {
 }
 
 /// One node's per-round aggregates under epoch sync: the values every node
-/// publishes after its drain and reads from every peer before deciding.
-/// The quintuple is what crosses backends — shared-memory atomics in the
-/// threads backend, an explicit `Slot` wire record in the sockets backend.
+/// publishes before its drain and reads, folded, from every peer before
+/// deciding. The quintuple is what crosses backends — shared-memory atomics
+/// in the threads backend, an explicit `Slot` wire record over sockets.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct EpochSlot {
-    /// Earliest local event time after this round's drain — a lower bound
-    /// on the virtual time of *any* future send by this node (`u64::MAX`
-    /// if idle). Non-decreasing across rounds.
+    /// As published: the earliest local event before this round's drain.
+    /// As read (folded with every sender's `min_out`): the earliest after
+    /// it — a lower bound on the virtual time of *any* future send by this
+    /// node (`u64::MAX` if idle). Non-decreasing across rounds.
     pub next_event: u64,
     pub live: u64,
     /// Cumulative `SpawnThread` messages sent / installed (their difference
@@ -164,30 +187,54 @@ pub(crate) struct EpochSlot {
     pub ops: u64,
 }
 
-/// The epoch protocol's synchronization seam. Contract per round `r`
-/// (DESIGN.md §16.2):
-///
-/// 1. [`EpochPeers::barrier`] returns only after every node has entered it
-///    for round `r`, and everything a peer flushed before entering is in
-///    this node's inbound channel when it returns;
-/// 2. [`EpochPeers::publish`] makes this node's round-`r` slot readable by
-///    every peer (a Release-equivalent: peers that observe the publish
-///    observe the slot values);
-/// 3. [`EpochPeers::wait`] returns once all `n` round-`r` slots are
-///    readable (the matching Acquire), reporting whether it parked;
-/// 4. [`EpochPeers::read`] yields all `n` slots for round `r` — the same
-///    values on every node, so every node derives the same decision.
-pub(crate) trait EpochPeers {
-    fn barrier(&mut self);
-    fn publish(&mut self, me: NodeId, round: u64, slot: &EpochSlot);
-    /// `before_park` runs once, after any spin budget and before the
-    /// blocking path — the engine hangs profiling marks and the parked
-    /// gauge there. Returns whether the wait blocked.
-    fn wait(&mut self, round: u64, before_park: &mut dyn FnMut()) -> bool;
-    fn read(&mut self, round: u64, out: &mut [EpochSlot]);
+impl EpochSlot {
+    /// What a round's accumulator starts from: nothing queued or counted.
+    pub const IDLE: EpochSlot = EpochSlot { next_event: u64::MAX, live: 0, spawns_sent: 0, spawns_recv: 0, ops: 0 };
+
+    /// The quintuple in wire order (`jsplit_net::tcp::SlotWire`).
+    pub fn to_array(self) -> [u64; 5] {
+        [self.next_event, self.live, self.spawns_sent, self.spawns_recv, self.ops]
+    }
+
+    pub fn from_array(w: [u64; 5]) -> EpochSlot {
+        EpochSlot { next_event: w[0], live: w[1], spawns_sent: w[2], spawns_recv: w[3], ops: w[4] }
+    }
 }
 
-/// What the barrier-free async mode needs from a fabric whose peers live
+/// Fold node `from`'s published round record into the round's view `acc`
+/// (which starts as all [`EpochSlot::IDLE`]): its counters land in its own
+/// entry, its pre-drain head and each `min_out[d]` only ever lower a
+/// `next_event`. Order-independent, so once all `n` records are in, every
+/// folder — each thread, or the sockets coordinator — holds the same view.
+pub(crate) fn fold_slot(acc: &mut [EpochSlot], from: usize, slot: EpochSlot, min_out: impl Iterator<Item = u64>) {
+    acc[from] = EpochSlot { next_event: acc[from].next_event.min(slot.next_event), ..slot };
+    for (a, m) in acc.iter_mut().zip(min_out) {
+        a.next_event = a.next_event.min(m);
+    }
+}
+
+/// The epoch protocol's synchronization seam: one rendezvous per round
+/// (module docs, "One exchange per epoch round").
+pub(crate) trait EpochPeers {
+    /// Publish this node's round record — its pre-drain `slot` and the
+    /// window's `min_out` — and return once `out` holds all `n` folded
+    /// slots for the round: the same values on every node, so every node
+    /// derives the same decision. Everything a peer flushed before its own
+    /// call is inbound here on return. `before_park` runs once, after any
+    /// spin budget and before the blocking path — the engine hangs
+    /// profiling marks and the parked gauge there. Returns whether the
+    /// wait blocked.
+    fn exchange(
+        &mut self,
+        round: u64,
+        slot: &EpochSlot,
+        min_out: &[u64],
+        out: &mut [EpochSlot],
+        before_park: &mut dyn FnMut(),
+    ) -> bool;
+}
+
+/// What the roundless async mode needs from a fabric whose peers live
 /// in other processes (the sockets backend): the coordinator owns
 /// termination (DESIGN.md §16.3), the engine only reports and polls.
 pub(crate) trait WirePeers {
@@ -204,7 +251,7 @@ pub(crate) trait WirePeers {
 }
 
 /// Cross-node state for the in-process asynchronous sync mode (DESIGN.md
-/// §14): no barrier, no rounds — progress rides per-channel promises, and
+/// §14): no rounds — progress rides per-channel promises, and
 /// the only shared state is what termination detection needs.
 ///
 /// Counter discipline (all `SeqCst`; the proofs in §14.3 lean on the
@@ -423,7 +470,6 @@ pub(crate) struct SyncEngine {
     /// Reused per-drain record counts per source (ack credits).
     ack_scratch: Vec<u64>,
     windows: u64,
-    barrier_waits: u64,
     /// Times the safe horizon strictly advanced (async sync only).
     horizon_advances: u64,
     /// This node's private trace sink (`None` = tracing off). Never shared:
@@ -480,7 +526,6 @@ impl SyncEngine {
             unacked: (0..n_nodes).map(|_| VecDeque::new()).collect(),
             ack_scratch: vec![0; n_nodes],
             windows: 0,
-            barrier_waits: 0,
             horizon_advances: 0,
             recorder: config.trace.map(jsplit_trace::make_sink),
             profiler: None,
@@ -524,7 +569,7 @@ impl SyncEngine {
         }
     }
 
-    /// The one way a node blocks on its peers — the epoch slot wait and both
+    /// The one way a node blocks on its peers — the epoch exchange and both
     /// async horizon waits go through here, so none can park without the
     /// `Parked` gauge the stall watchdog insists on seeing before it blames
     /// anyone. `wait` runs the blocking primitive: it gets the endpoint and
@@ -568,7 +613,7 @@ impl SyncEngine {
 
     /// Publish this node's registry cells: one relaxed store per value, of
     /// counters the loop already maintains. Called at points the hot path
-    /// visits anyway (epoch round publish, async burst publish, pre-park);
+    /// visits anyway (epoch round decision, async burst publish, pre-park);
     /// with metrics off the whole thing is one untaken branch.
     fn publish_metrics(&self, horizon: u64, next: u64, qnext: u64) {
         let Some(reg) = &self.metrics else {
@@ -576,7 +621,6 @@ impl SyncEngine {
         };
         let me = self.endpoint.id;
         reg.set(me, Metric::Windows, self.windows);
-        reg.set(me, Metric::BarrierWaits, self.barrier_waits);
         reg.set(me, Metric::HorizonAdvances, self.horizon_advances);
         let fs = &self.endpoint.frame_stats;
         reg.set(me, Metric::FramesSent, fs.frames_sent);
@@ -632,9 +676,9 @@ impl SyncEngine {
         burst
     }
 
-    /// The epoch-sync body: rounds of flush → barrier → drain → publish →
-    /// wait → identical decision → process-window, until the cluster-wide
-    /// decision says stop. Backend-independent: every synchronization
+    /// The epoch-sync body: rounds of flush → exchange → drain → identical
+    /// decision → process-window (module docs), until the cluster-wide
+    /// decision says stop. Backend-independent: the one synchronization
     /// primitive goes through `peers`.
     pub fn run_epoch(mut self, peers: &mut dyn EpochPeers) -> NodeOutcome {
         let me = self.endpoint.id as usize;
@@ -643,49 +687,44 @@ impl SyncEngine {
         let mut aborted = false;
         let mut round: u64 = 0;
         let mut slots = vec![EpochSlot::default(); n];
+        let mut min_out = vec![u64::MAX; n];
         loop {
             round += 1;
             // Span accounting (when on) is boundary-chained: each `mark`
-            // closes the segment since the previous boundary, so the seven
+            // closes the segment since the previous boundary, so the
             // categories tile this thread's wall time with no gaps. The
             // mark here attributes everything since the last horizon
             // decision — window processing, plus bootstrap on round 1 — to
             // Execute.
             self.mark(SpanKind::Execute);
             // Everything this node sent in the previous window (and during
-            // bootstrap) ships now; the barrier then guarantees every
-            // peer's sends are in our channel before we drain. Draining
-            // *after* the barrier is load-bearing: a message missed here
-            // could fall inside a later (wider) horizon.
+            // bootstrap) ships now, ahead of the slot that accounts for it.
             self.endpoint.flush();
             self.mark(SpanKind::FrameFlush);
-            peers.barrier();
-            self.barrier_waits += 1;
-            self.mark(SpanKind::BarrierWait);
-            self.drain_inbox();
-            self.mark(SpanKind::InboxDrain);
-            // Publish this round's aggregates (in the threads backend:
-            // plain field stores, then the epoch release-store that makes
-            // them readable; on the wire: an explicit Slot record).
-            let next = self.queue_head();
             let slot = EpochSlot {
-                next_event: next,
+                next_event: self.queue_head(),
                 live: self.node.live() as u64,
                 spawns_sent: self.node.placement.shipped(),
                 spawns_recv: self.node.placement.installed(),
                 ops: self.node.ops,
             };
-            peers.publish(me as NodeId, round, &slot);
-            self.fly(FlightTag::EpochPublish, round, next);
-            self.mark(SpanKind::Decide);
-            // Wait until every peer has published this round; each node
-            // then derives the same global decision from the same values.
-            // Attribution splits at the first park: time up to it is
-            // SlotSpin, the remainder CondvarWait.
-            self.park((round, next), (SpanKind::SlotSpin, SpanKind::CondvarWait), |_, before_park| {
-                peers.wait(round, before_park)
+            self.endpoint.take_min_out(&mut min_out);
+            self.fly(FlightTag::EpochPublish, round, slot.next_event);
+            // The round's one rendezvous: every node then derives the same
+            // global decision from the same folded values. Attribution
+            // splits at the first park: time up to it is SlotSpin, the
+            // remainder CondvarWait.
+            self.park((round, slot.next_event), (SpanKind::SlotSpin, SpanKind::CondvarWait), |_, before_park| {
+                peers.exchange(round, &slot, &min_out, &mut slots, before_park)
             });
-            peers.read(round, &mut slots);
+            // Every peer flushed before it published, so the whole closing
+            // window is inbound. Draining *before* deciding is
+            // load-bearing: a message missed here could fall inside a
+            // later (wider) horizon.
+            self.drain_inbox();
+            self.mark(SpanKind::InboxDrain);
+            let next = slots[me].next_event;
+            debug_assert!(self.queue_head() <= next, "folded next {next} below the drained queue head");
             let mut live = 0u64;
             let mut sent = 0u64;
             let mut recv = 0u64;
@@ -710,7 +749,7 @@ impl SyncEngine {
             if min_next == u64::MAX {
                 // Live threads, no scheduled events anywhere, empty
                 // channels (anything sent last round was flushed before
-                // the barrier and just drained): nothing can ever run
+                // the exchange and just drained): nothing can ever run
                 // again.
                 deadlocked = true;
                 break;
@@ -762,7 +801,6 @@ impl SyncEngine {
             aborted,
             slab_high_water: self.events.high_water(),
             windows: self.windows,
-            barrier_waits: self.barrier_waits,
             horizon_advances: self.horizon_advances,
             frames: self.endpoint.frame_stats,
             ..self.node.into_result(self.endpoint.stats)
@@ -980,7 +1018,7 @@ impl SyncEngine {
     }
 
     /// The in-process body under `--sync async` (DESIGN.md §14): no
-    /// barrier, no rounds. Each iteration drains whatever has arrived,
+    /// rounds. Each iteration drains whatever has arrived,
     /// advances the safe horizon from the per-peer channel clocks,
     /// executes the burst of events strictly below it, publishes
     /// termination-detection state, ships pending frames plus null
@@ -1364,5 +1402,60 @@ mod tests {
         assert_eq!(hz.horizon(0, one_idle), 1_200 + 500);
         // A single node has no peers: one unbounded window.
         assert_eq!(Horizons::new(vec![700], u64::MAX).horizon(0, |_| 5), u64::MAX);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The identity the single exchange rests on: fold every node's
+        /// pre-drain head with every sender's `min_out` and you have each
+        /// node's queue head *after* it drains the closing window — and
+        /// when a peer's next-window frames land early (framed after its
+        /// `take_min_out`, drained in the same pass), the folded value can
+        /// only sit above the head, never below it.
+        #[test]
+        fn folded_next_is_the_post_drain_queue_head(
+            n in 2usize..5,
+            queued in proptest::collection::vec((0usize..4, 1u64..5_000_000), 0..12),
+            window in proptest::collection::vec((0usize..4, 0usize..4, 0u64..5_000_000, 0usize..300), 0..24),
+            early in proptest::collection::vec((0usize..4, 0usize..4, 5_000_000u64..9_000_000, 0usize..300), 0..6),
+        ) {
+            let links = vec![jsplit_net::LinkParams { base_ns: 85_800, per_byte_ns: 91 }; n];
+            let mut mesh = ChannelEndpoint::mesh(&links, true);
+            let mut queues: Vec<EventQueue<(), ()>> = (0..n).map(|_| EventQueue::new()).collect();
+            for (i, t) in queued {
+                queues[i % n].push(t, (), ());
+            }
+            let send = |mesh: &mut [ChannelEndpoint], (src, dst, at, len): (usize, usize, u64, usize)| {
+                let (src, dst) = (src % n, dst % n);
+                if src != dst {
+                    mesh[src].transmit(at, at, dst as NodeId, MsgKind::Diff, &mut |w| {
+                        for _ in 0..len {
+                            w.u8(0);
+                        }
+                    });
+                }
+            };
+            for &s in &window {
+                send(&mut mesh, s);
+            }
+            let mut folded = vec![EpochSlot::IDLE; n];
+            let mut min_out = vec![0u64; n];
+            for (i, ep) in mesh.iter_mut().enumerate() {
+                ep.flush();
+                ep.take_min_out(&mut min_out);
+                fold_slot(&mut folded, i, EpochSlot { next_event: queues[i].head(), ..EpochSlot::IDLE }, min_out.iter().copied());
+            }
+            for &s in &early {
+                send(&mut mesh, s);
+            }
+            let any_early = early.iter().any(|&(s, d, ..)| s % n != d % n);
+            mesh.iter_mut().for_each(ChannelEndpoint::flush);
+            for ((ep, q), f) in mesh.iter_mut().zip(&mut queues).zip(&folded) {
+                ep.drain_frames(&mut |_, _, deliver, _, _, _| q.push(deliver, (), ()));
+                prop_assert!(q.head() <= f.next_event);
+                prop_assert!(any_early || q.head() == f.next_event);
+            }
+        }
     }
 }

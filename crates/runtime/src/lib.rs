@@ -15,8 +15,8 @@
 //!   discrete-event scheduler whose virtual time advances by the
 //!   per-instruction costs of each node's JVM-brand cost model and by the
 //!   simulated network's message latencies. [`threads::ThreadsDriver`]
-//!   runs each node on its own OS thread under a conservative
-//!   barrier-windowed lookahead loop, shipping every protocol message as
+//!   runs each node on its own OS thread under a conservative windowed
+//!   lookahead loop, shipping every protocol message as
 //!   encoded bytes over channels — same stdout, same virtual time, same
 //!   protocol counters, plus real parallel wall-clock speedup.
 //! * The `Transport` trait (`jsplit-net`) abstracts the wire: the

@@ -26,9 +26,6 @@ use std::time::Instant;
 pub struct SyncStats {
     /// Synchronization windows (epoch rounds) the cluster ran.
     pub windows: u64,
-    /// Total `Barrier::wait` calls across nodes (one per node per round
-    /// under the epoch protocol; the pre-overhaul driver paid two).
-    pub barrier_waits: u64,
     /// Frames shipped across all nodes.
     pub frames_sent: u64,
     /// Total frame bytes (headers + payloads) across all nodes.
@@ -84,7 +81,6 @@ pub struct NodeResult {
     /// Windows this node processed (identical on every node under epoch
     /// sync; per-node bursts-with-work under async; zero under the sim).
     pub windows: u64,
-    pub barrier_waits: u64,
     pub horizon_advances: u64,
     /// Virtual time this node's share of class distribution took.
     pub setup_ps: u64,
@@ -222,7 +218,6 @@ impl RunReport {
                 SyncMode::Epoch => results[0].windows,
                 SyncMode::Async => sum(|r| r.windows),
             },
-            barrier_waits: sum(|r| r.barrier_waits),
             frames_sent: sum(|r| r.frames.frames_sent),
             frame_bytes: sum(|r| r.frames.frame_bytes),
             msgs_framed: sum(|r| r.frames.msgs_framed),
@@ -378,9 +373,8 @@ impl RunReport {
         if self.sync.windows > 0 {
             let _ = writeln!(
                 s,
-                "sync: {} windows, {} barrier waits, {} frames ({} msgs framed, {} batched, {:.1} B/frame avg)",
+                "sync: {} windows, {} frames ({} msgs framed, {} batched, {:.1} B/frame avg)",
                 self.sync.windows,
-                self.sync.barrier_waits,
                 self.sync.frames_sent,
                 self.sync.msgs_framed,
                 self.sync.msgs_batched(),
@@ -399,11 +393,10 @@ impl RunReport {
         if let Some(wall) = &self.wall {
             let _ = writeln!(
                 s,
-                "{:>4} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9} {:>9} {:>9}",
+                "{:>4} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9} {:>9} {:>9}",
                 "node",
                 "wall ms",
                 "exec%",
-                "barr%",
                 "hrzn%",
                 "spin%",
                 "cv%",
@@ -417,27 +410,28 @@ impl RunReport {
             for n in &wall.nodes {
                 let tot = n.accounted_ns().max(1) as f64;
                 let pct = |k: SpanKind| 100.0 * n.stats_of(k).total_ns as f64 / tot;
-                // Wait percentiles: barrier waits under epoch sync, horizon
-                // waits under async (exactly one of the two is populated).
-                let bw = n.stats_of(SpanKind::BarrierWait);
-                let wait = if bw.count > 0 { bw } else { n.stats_of(SpanKind::HorizonWait) };
+                // Wait percentiles: the exchange's spin and park segments
+                // under epoch sync, horizon waits under async (only one
+                // of the two sides is ever populated).
+                let mut wait = n.stats_of(SpanKind::HorizonWait).hist.clone();
+                wait.merge(&n.stats_of(SpanKind::SlotSpin).hist);
+                wait.merge(&n.stats_of(SpanKind::CondvarWait).hist);
                 let us = |ns: u64| format!("{:.1}us", ns as f64 / 1_000.0);
                 let _ = writeln!(
                     s,
-                    "{:>4} {:>9.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>9} {:>9} {:>9}",
+                    "{:>4} {:>9.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>9} {:>9} {:>9}",
                     n.node,
                     n.wall_ns as f64 / 1e6,
                     pct(SpanKind::Execute),
-                    pct(SpanKind::BarrierWait),
                     pct(SpanKind::HorizonWait),
                     pct(SpanKind::SlotSpin),
                     pct(SpanKind::CondvarWait),
                     pct(SpanKind::InboxDrain),
                     pct(SpanKind::FrameFlush),
                     pct(SpanKind::Decide),
-                    us(wait.hist.percentile(0.50)),
-                    us(wait.hist.percentile(0.90)),
-                    us(wait.hist.percentile(0.99)),
+                    us(wait.percentile(0.50)),
+                    us(wait.percentile(0.90)),
+                    us(wait.percentile(0.99)),
                 );
             }
             if let Some((kind, ns)) = wall.dominant_stall() {
@@ -547,7 +541,6 @@ mod tests {
                     finish_time: [50, 90, 70][i as usize],
                     slab_high_water: 4 * (i + 1),
                     windows: 10 + i,
-                    barrier_waits: 11,
                     horizon_advances: i,
                     setup_ps: if i == 0 { 777 } else { 0 },
                     net: NetStats { msgs_sent: i, ..NetStats::default() },
@@ -574,7 +567,7 @@ mod tests {
         assert!(r.trace.is_none() && r.breakdown.is_empty() && r.opstats.is_none() && r.objprof.is_none());
         // Epoch rounds are cluster-global: node 0's count is the cluster's.
         assert_eq!(r.sync.windows, 10);
-        assert_eq!((r.sync.barrier_waits, r.sync.horizon_advances), (33, 3));
+        assert_eq!(r.sync.horizon_advances, 3);
         assert_eq!((r.sync.frames_sent, r.sync.frame_bytes, r.sync.msgs_framed), (15, 1500, 27));
         // Async bursts are per-node: the cluster figure is the sum.
         assert_eq!(assemble(&epoch.clone().with_sync(SyncMode::Async)).sync.windows, 33);

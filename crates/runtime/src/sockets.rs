@@ -10,18 +10,17 @@
 //!   relayed by a star coordinator (workers never dial each other — the
 //!   coordinator is the switch, which keeps deployment to "every worker
 //!   knows one address"),
-//! * the epoch protocol's four primitives ([`EpochPeers`]) become
-//!   `Barrier`/`BarrierAck`/`Slot`/`Slots` round-trips. The ordering
-//!   argument that replaces the threads backend's Release/Acquire pair is
-//!   two FIFOs end to end: each worker's window data precedes its
-//!   `Barrier` on its own stream (per-stream FIFO), the coordinator's
-//!   relay loop is one thread draining one mpsc queue whose per-producer
-//!   FIFO keeps that order, so when the n-th `Barrier` is dequeued every
-//!   window frame has already been written toward its destination — and
-//!   per-stream FIFO again delivers those frames to each worker *before*
-//!   its `BarrierAck`. A worker that returns from the barrier therefore
-//!   holds everything its peers sent in the window, exactly the guarantee
-//!   the shared-memory barrier gave (DESIGN.md §16.2).
+//! * the epoch protocol's one primitive ([`EpochPeers`]) is one `Slot` →
+//!   `Slots` round trip, the coordinator folding every `min_out` into the
+//!   slots it broadcasts ([`EpochRound`]). The ordering argument that
+//!   replaces the threads backend's Release/Acquire pair is two FIFOs
+//!   composed: each worker's window data precedes its `Slot` on its own
+//!   stream, the coordinator's relay loop is one thread draining one mpsc
+//!   queue whose per-producer FIFO keeps that order, so when the n-th
+//!   `Slot` is dequeued every window frame has already been written toward
+//!   its destination — and per-stream FIFO again delivers those frames to
+//!   each worker *before* its `Slots`. The whole window is inbound when
+//!   `Slots` arrives (DESIGN.md §16.3).
 //! * the async mode runs pure per-channel Chandy–Misra–Bryant promises
 //!   ([`SyncEngine::run_async_wire`]); the in-process mode's shared
 //!   send-coverage counters have no wire analogue, so *the coordinator*
@@ -62,7 +61,7 @@
 use crate::balance::Balancer;
 use crate::config::{Backend, ClusterConfig, Mode, NodeSpec, SyncMode};
 use crate::driver::{self, ClusterError, Prepared};
-use crate::engine::{async_done, EpochPeers, EpochSlot, Horizons, SyncEngine, WirePeers};
+use crate::engine::{async_done, fold_slot, EpochPeers, EpochSlot, Horizons, SyncEngine, WirePeers};
 use crate::env::CONSOLE_NODE;
 use crate::node::NodeRuntime;
 use crate::report::{NodeResult, RunReport};
@@ -80,7 +79,6 @@ use jsplit_net::tcp::{
 use jsplit_net::transport::{frame_data_records, FrameStats};
 use jsplit_net::{ChannelEndpoint, Frame, NetStats, NodeId, SoloSetup};
 use jsplit_trace::{FlightRecorder, MetricsRegistry, ObjProfile, ALL_METRICS, METRICS};
-use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
@@ -347,7 +345,6 @@ fn encode_node_result(rep: &NodeResult) -> Vec<u8> {
         .u64(rep.finish_time)
         .u64(rep.slab_high_water)
         .u64(rep.windows)
-        .u64(rep.barrier_waits)
         .u64(rep.horizon_advances)
         .u64(rep.setup_ps);
     encode_net_stats(&mut w, &rep.net);
@@ -402,7 +399,6 @@ fn decode_node_result(bytes: &[u8]) -> Result<NodeResult, CodecError> {
     let finish_time = r.u64()?;
     let slab_high_water = r.u64()?;
     let windows = r.u64()?;
-    let barrier_waits = r.u64()?;
     let horizon_advances = r.u64()?;
     let setup_ps = r.u64()?;
     let net = decode_net_stats(&mut r)?;
@@ -435,7 +431,6 @@ fn decode_node_result(bytes: &[u8]) -> Result<NodeResult, CodecError> {
         finish_time,
         slab_high_water,
         windows,
-        barrier_waits,
         horizon_advances,
         setup_ps,
         net,
@@ -454,7 +449,7 @@ fn decode_node_result(bytes: &[u8]) -> Result<NodeResult, CodecError> {
 /// The worker's view of its peers: one socket to the coordinator (writes
 /// go out directly; the ingress pump routes inbound `Data` into the
 /// endpoint's frame channel and everything else into `ctrl`). Implements
-/// both engine seams — [`EpochPeers`] as envelope round-trips, and
+/// both engine seams — [`EpochPeers`] as one envelope round trip, and
 /// [`WirePeers`] for the coordinator-terminated async mode. Connection
 /// loss panics, matching [`TcpFrameLink`]: a worker without its
 /// coordinator has no recovery path, and the process exit *is* the error
@@ -463,11 +458,21 @@ struct WirePeerLink {
     sock: TcpStream,
     ctrl: Receiver<io::Result<Envelope>>,
     me: NodeId,
-    /// Round counter for [`EpochPeers::barrier`] (the engine does not pass
-    /// one); advances in lockstep with the engine's own round variable.
-    round: u64,
-    /// Peer slots from the last `Slots` broadcast, held for `read`.
-    slots: Vec<SlotWire>,
+}
+
+/// Unpack the coordinator's answer to our round-`round` `Slot` into `out`:
+/// anything but a `Slots` for that round carrying exactly one slot per
+/// node is a protocol error.
+fn unpack_slots(env: Envelope, round: u64, out: &mut [EpochSlot]) -> Result<(), String> {
+    match env {
+        Envelope::Slots { round: r, slots } if r == round && slots.len() == out.len() => {
+            for (o, w) in out.iter_mut().zip(slots) {
+                *o = EpochSlot::from_array(w);
+            }
+            Ok(())
+        }
+        other => Err(format!("expected Slots({round}) for {} nodes, got {other:?}", out.len())),
+    }
 }
 
 impl WirePeerLink {
@@ -496,51 +501,26 @@ impl WirePeerLink {
 }
 
 impl EpochPeers for WirePeerLink {
-    fn barrier(&mut self) {
-        self.round += 1;
-        let round = self.round;
-        self.send(&Envelope::Barrier { round });
-        // The ack arrives strictly after every window frame the
-        // coordinator relayed to us (per-stream FIFO), so returning here
-        // gives the same "all previous-window sends are inbound" guarantee
-        // as the shared-memory barrier.
-        match self.recv_ctrl() {
-            Envelope::BarrierAck { round: r } if r == round => {}
-            other => panic!("worker {}: expected BarrierAck({round}), got {other:?}", self.me),
-        }
-    }
-
-    fn publish(&mut self, _me: NodeId, round: u64, slot: &EpochSlot) {
-        self.send(&Envelope::Slot {
-            round,
-            slot: [slot.next_event, slot.live, slot.spawns_sent, slot.spawns_recv, slot.ops],
-        });
-    }
-
-    fn wait(&mut self, round: u64, before_park: &mut dyn FnMut()) -> bool {
+    fn exchange(
+        &mut self,
+        round: u64,
+        slot: &EpochSlot,
+        min_out: &[u64],
+        out: &mut [EpochSlot],
+        before_park: &mut dyn FnMut(),
+    ) -> bool {
+        self.send(&Envelope::Slot { round, slot: slot.to_array(), min_out: min_out.to_vec() });
+        // `Slots` arrives strictly after every window frame the
+        // coordinator relayed to us (per-stream FIFO), so on return the
+        // whole closing window is inbound.
         let polled = self.poll_ctrl();
         let parked = polled.is_none();
         let env = polled.unwrap_or_else(|| {
             before_park();
             self.recv_ctrl()
         });
-        match env {
-            Envelope::Slots { round: r, slots } if r == round => self.slots = slots,
-            other => panic!("worker {}: expected Slots({round}), got {other:?}", self.me),
-        }
+        unpack_slots(env, round, out).unwrap_or_else(|e| panic!("worker {}: protocol error: {e}", self.me));
         parked
-    }
-
-    fn read(&mut self, _round: u64, out: &mut [EpochSlot]) {
-        for (o, s) in out.iter_mut().zip(&self.slots) {
-            *o = EpochSlot {
-                next_event: s[0],
-                live: s[1],
-                spawns_sent: s[2],
-                spawns_recv: s[3],
-                ops: s[4],
-            };
-        }
     }
 }
 
@@ -824,13 +804,7 @@ fn run_worker_body(
         }));
     }
     eng.start(None);
-    let mut link = WirePeerLink {
-        sock: stream.try_clone().map_err(sock_err)?,
-        ctrl: ctrl_rx,
-        me,
-        round: 0,
-        slots: vec![[0; 5]; n],
-    };
+    let mut link = WirePeerLink { sock: stream.try_clone().map_err(sock_err)?, ctrl: ctrl_rx, me };
     let outcome = match config.sync {
         SyncMode::Epoch => eng.run_epoch(&mut link),
         SyncMode::Async => eng.run_async_wire(&mut link),
@@ -1063,8 +1037,8 @@ impl SocketsDriver {
         // One reader thread per worker feeds a single sequencing queue;
         // this main thread does every write. Per-producer mpsc FIFO is the
         // ordering backbone: a worker's Data is dequeued before its
-        // Barrier/Slot/State/Flushed, so every broadcast below happens
-        // after the frames it logically follows have been relayed.
+        // Slot/State/Flushed, so every broadcast below happens after the
+        // frames it logically follows have been relayed.
         let (tx, rx) = mpsc::channel::<(u16, io::Result<Envelope>)>();
         for (id, s) in streams.iter().enumerate() {
             let mut rs = s
@@ -1090,8 +1064,7 @@ impl SocketsDriver {
         drop(tx);
 
         let mut fwd_to = vec![0u64; n];
-        let mut barrier_pending: HashMap<u64, u16> = HashMap::new();
-        let mut slot_pending: HashMap<u64, (u16, Vec<SlotWire>)> = HashMap::new();
+        let mut epoch = EpochRound::new(n);
         let mut states: Vec<Option<(u64, u64, u64, u64)>> = vec![None; n];
         let mut done_sent = false;
         let mut flushed = 0usize;
@@ -1139,20 +1112,11 @@ impl SocketsDriver {
                     fwd_to[d] += frame_data_records(&frame);
                     tcp::write_data(&mut streams[d], src, dst, &frame).map_err(|e| werr(dst, e))?;
                 }
-                Envelope::Barrier { round } => {
-                    let c = barrier_pending.entry(round).or_insert(0);
-                    *c += 1;
-                    if *c as usize == n {
-                        barrier_pending.remove(&round);
-                        broadcast(&mut streams, &Envelope::BarrierAck { round })?;
-                    }
-                }
-                Envelope::Slot { round, slot } => {
-                    let e = slot_pending.entry(round).or_insert_with(|| (0, vec![[0u64; 5]; n]));
-                    e.1[from as usize] = slot;
-                    e.0 += 1;
-                    if e.0 as usize == n {
-                        let (_, slots) = slot_pending.remove(&round).expect("just inserted");
+                Envelope::Slot { round, slot, min_out } => {
+                    let folded = epoch.post(from as usize, round, slot, &min_out).map_err(|e| {
+                        ClusterError::Config(format!("sockets coordinator: worker {from} {e}"))
+                    })?;
+                    if let Some(slots) = folded {
                         broadcast(&mut streams, &Envelope::Slots { round, slots })?;
                     }
                 }
@@ -1248,6 +1212,47 @@ impl SocketsDriver {
             }
         }
         Ok(RunReport::assemble(&self.config, self.prepared, started, reports, None, None, telemetry_summary))
+    }
+}
+
+/// The coordinator's side of the epoch exchange. Rounds are lockstep — no
+/// worker can post round `r+1` before it has been sent the round-`r`
+/// `Slots` — so one accumulator serves the whole run.
+struct EpochRound {
+    /// The round in flight.
+    round: u64,
+    posted: Vec<bool>,
+    acc: Vec<EpochSlot>,
+}
+
+impl EpochRound {
+    fn new(n: usize) -> EpochRound {
+        EpochRound { round: 1, posted: vec![false; n], acc: vec![EpochSlot::IDLE; n] }
+    }
+
+    /// Fold worker `from`'s `Slot` into the round in flight; the n-th one
+    /// yields the folded slots to broadcast and opens the next round. A
+    /// record the lockstep rules out — wrong round, a second post, a
+    /// `min_out` not sized to the cluster — is refused (the caller names
+    /// the worker).
+    fn post(&mut self, from: usize, round: u64, slot: SlotWire, min_out: &[u64]) -> Result<Option<Vec<SlotWire>>, String> {
+        let n = self.acc.len();
+        if round != self.round || self.posted[from] {
+            return Err(format!("posted a slot for round {round} while round {} awaits others", self.round));
+        }
+        if min_out.len() != n {
+            return Err(format!("posted a slot with {} min_out entries in a {n}-node cluster", min_out.len()));
+        }
+        fold_slot(&mut self.acc, from, EpochSlot::from_array(slot), min_out.iter().copied());
+        self.posted[from] = true;
+        if !self.posted.iter().all(|&p| p) {
+            return Ok(None);
+        }
+        let folded = self.acc.iter().map(|s| s.to_array()).collect();
+        self.acc.fill(EpochSlot::IDLE);
+        self.posted.fill(false);
+        self.round += 1;
+        Ok(Some(folded))
     }
 }
 
@@ -1353,7 +1358,6 @@ mod tests {
             finish_time: 987_654_321,
             slab_high_water: 64,
             windows: 17,
-            barrier_waits: 5,
             horizon_advances: 31,
             setup_ps: 555,
             net,
@@ -1397,6 +1401,48 @@ mod tests {
             ..rep
         };
         assert_eq!(decode_node_result(&encode_node_result(&rep2)).unwrap(), rep2);
+    }
+
+    /// The coordinator's fold: the n-th `Slot` of the round in flight
+    /// yields every node's post-drain head; anything the lockstep rules
+    /// out is refused, not folded.
+    #[test]
+    fn epoch_round_folds_min_out_and_refuses_what_lockstep_rules_out() {
+        let m = u64::MAX;
+        let mut epoch = EpochRound::new(3);
+        assert_eq!(epoch.post(1, 1, [400, 2, 0, 0, 7], &[m, m, 250]), Ok(None));
+        // Not the round in flight, a second post, a mis-sized `min_out`.
+        let err = epoch.post(0, 2, [0; 5], &[m; 3]).unwrap_err();
+        assert!(err.contains("round 2") && err.contains("round 1"), "{err}");
+        assert!(epoch.post(1, 1, [0; 5], &[m; 3]).is_err());
+        for bad in [&[m; 2][..], &[m; 4][..], &[][..]] {
+            let err = epoch.post(0, 1, [0; 5], bad).unwrap_err();
+            assert!(err.contains("min_out") && err.contains("3-node"), "{err}");
+        }
+        assert_eq!(epoch.post(2, 1, [300, 3, 1, 1, 8], &[700, m, m]), Ok(None));
+        let folded = epoch.post(0, 1, [m, 1, 0, 0, 6], &[m, 900, m]).unwrap().expect("third post completes the round");
+        assert_eq!(folded, vec![[700, 1, 0, 0, 6], [400, 2, 0, 0, 7], [250, 3, 1, 1, 8]]);
+        // The accumulator starts over: round 1 is history, round 2 is clean.
+        assert!(epoch.post(0, 1, [0; 5], &[m; 3]).is_err());
+        assert_eq!(epoch.post(0, 2, [5, 0, 0, 0, 0], &[m; 3]), Ok(None));
+        assert_eq!(epoch.post(1, 2, [m, 0, 0, 0, 0], &[m; 3]), Ok(None));
+        let folded = epoch.post(2, 2, [m, 0, 0, 0, 0], &[m; 3]).unwrap().unwrap();
+        assert_eq!(folded, vec![[5, 0, 0, 0, 0], [m, 0, 0, 0, 0], [m, 0, 0, 0, 0]]);
+    }
+
+    /// A worker takes exactly `n` slots for the round it posted, or fails
+    /// loudly — never a silent zip-truncation.
+    #[test]
+    fn worker_refuses_slots_of_the_wrong_shape() {
+        let mut out = [EpochSlot::IDLE; 2];
+        let slots = |round, k: usize| Envelope::Slots { round, slots: vec![[9, 1, 2, 3, 4]; k] };
+        assert_eq!(unpack_slots(slots(4, 2), 4, &mut out), Ok(()));
+        assert_eq!(out, [EpochSlot { next_event: 9, live: 1, spawns_sent: 2, spawns_recv: 3, ops: 4 }; 2]);
+        for bad in [slots(4, 1), slots(4, 3), slots(5, 2), Envelope::Shutdown] {
+            let mut out = [EpochSlot::IDLE; 2];
+            assert!(unpack_slots(bad, 4, &mut out).is_err());
+            assert_eq!(out, [EpochSlot::IDLE; 2], "a refused envelope must not be half-applied");
+        }
     }
 
     #[test]

@@ -10,21 +10,14 @@
 //! independent. This module is the *instantiation* over one address space:
 //!
 //! * frames cross [`ChannelEndpoint`] in-process channels,
-//! * the epoch protocol's four primitives ([`crate::engine::EpochPeers`])
-//!   are shared-memory: a `std::sync::Barrier` for the round barrier and
-//!   seqlock-style [`NodeSlot`]s (plain stores + an epoch-counter release
-//!   store; waiters spin briefly, then park on a condvar) for
-//!   publish/wait/read,
+//! * the epoch protocol's one primitive ([`crate::engine::EpochPeers`]) is
+//!   shared-memory: seqlock-style [`NodeSlot`]s, double-buffered by round
+//!   parity (plain stores + an epoch-counter release store; waiters spin
+//!   briefly, then park on a condvar),
 //! * async mode shares an [`engine::AsyncShared`] directly — published
 //!   slots, per-pair ack cells and CAS-decided termination, which only
 //!   exist because the peers *can* share memory (the sockets backend
 //!   replaces all of it with coordinator-side counting, DESIGN.md §16.3).
-//!
-//! Each epoch round: flush pending frames, cross the barrier (after it,
-//! everything peers sent in the previous window is in our channel), drain,
-//! publish per-node aggregates, wait for all peers' epochs, and derive the
-//! same global decision on every thread — finish, abort, deadlock, or a
-//! window horizon (argument in the engine docs).
 //!
 //! ## Tracing and profiling
 //!
@@ -36,48 +29,45 @@
 //! byte-identical event stream to the sim backend (asserted by the
 //! differential trace test). Wall-clock profiling ([`ClusterConfig`]'s
 //! `profile`) adds a per-node [`SpanRecorder`]: boundary-timestamp marks
-//! around each phase of the epoch loop (flush / barrier / drain / decide /
-//! spin / condvar / execute), so the span categories tile each thread's
-//! wall time exactly; disabled runs pay one `Option` branch per site.
+//! around each phase of the epoch loop (flush / spin / condvar / drain /
+//! decide / execute), so the span categories tile each thread's wall time
+//! exactly; disabled runs pay one `Option` branch per site.
 //!
 //! Restrictions vs the sim driver: no mid-run joins, and the `max_ops`
 //! abort guard is enforced at window granularity rather than per event.
 
 use crate::config::{ClusterConfig, SyncMode};
 use crate::driver::{self, ClusterError, Prepared};
-use crate::engine::{AsyncShared, EpochPeers, EpochSlot, Horizons, NodeOutcome, SyncEngine};
+use crate::engine::{fold_slot, AsyncShared, EpochPeers, EpochSlot, Horizons, NodeOutcome, SyncEngine};
 use crate::env::CONSOLE_NODE;
 use crate::node::NodeRuntime;
 use crate::report::RunReport;
 use crate::telemetry::Telemetry;
-use jsplit_net::{ChannelEndpoint, MeshSetup, NodeId};
+use jsplit_net::{ChannelEndpoint, MeshSetup};
 use jsplit_trace::{FlightRecorder, MetricsRegistry, WallProfile};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
-/// Per-node aggregates, published once per round. Field stores are plain
-/// (`Relaxed`); the `epoch` release store makes them visible, seqlock
-/// style — a reader that has observed `epoch ≥ r` reads round-`r` values.
-/// A slot is never overwritten while readable: publishing round `r+1`
-/// happens after the round-`r+1` barrier, which no peer reaches before it
-/// finished reading round `r`.
-#[derive(Default)]
+/// One round's published record: the five [`EpochSlot`] values, then the
+/// node's `n` `min_out` entries. Field stores are plain (`Relaxed`); the
+/// owning slot's `epoch` release store makes them visible, seqlock style.
+type Bank = Vec<AtomicU64>;
+
+/// Per-node aggregates, published once per round into the bank of the
+/// round's parity — a reader that has observed `epoch ≥ r` reads round-`r`
+/// values from `banks[r % 2]`. Two banks are exactly enough: with one
+/// rendezvous per round a fast node may publish `r+1` while a peer still
+/// reads `r` (the other bank), but it cannot reach its `r+2` publish before
+/// leaving exchange `r+1`, which waits for that peer's `r+1` publish — made
+/// only after the peer finished reading `r`.
 struct NodeSlot {
-    next_event: AtomicU64,
-    live: AtomicU64,
-    spawns_sent: AtomicU64,
-    spawns_recv: AtomicU64,
-    ops: AtomicU64,
-    /// Publication counter: holds the latest round whose values are
-    /// readable from this slot.
+    banks: [Bank; 2],
+    /// Publication counter: the latest round this node has published.
     epoch: AtomicU64,
 }
 
 struct Shared {
     slots: Vec<NodeSlot>,
-    /// The one barrier per round, separating "all sends of the previous
-    /// window are flushed" from "drain and decide".
-    barrier: Barrier,
     /// Blocking fallback for the epoch wait: a publisher that stored its
     /// epoch takes this lock and notifies; a waiter whose short spin
     /// failed re-checks under the lock and parks. On machines with a core
@@ -88,6 +78,15 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(n: usize) -> Arc<Shared> {
+        let bank = || (0..5 + n).map(|_| AtomicU64::new(0)).collect();
+        Arc::new(Shared {
+            slots: (0..n).map(|_| NodeSlot { banks: [bank(), bank()], epoch: AtomicU64::new(0) }).collect(),
+            epoch_lock: Mutex::new(()),
+            epoch_cv: Condvar::new(),
+        })
+    }
+
     /// Publish node `me`'s epoch counter for `round` and wake parked
     /// waiters. The lock round-trip *between* the store and the notify is
     /// what closes the lost-wakeup window: a waiter that missed the store
@@ -108,12 +107,11 @@ impl Shared {
     /// parked (untimed) condvar wait. Returns whether the wait parked.
     /// `before_park` runs once, after the spin budget is exhausted and
     /// before the parking path's locked re-check — the epoch loop hangs
-    /// its profiling mark there, and the lost-wakeup regression test
-    /// injects a publisher to force the publish-between-spin-and-park
-    /// interleaving. The wait is untimed on purpose: the publish protocol
-    /// above makes a missed wakeup impossible, and the 200µs timeout the
-    /// pre-async driver carried as a crutch cost a spurious-wakeup storm
-    /// per round on oversubscribed hosts.
+    /// its profiling mark there, and the regression test holds a node back
+    /// there to force the publish-between-spin-and-park interleaving. The
+    /// wait is untimed on purpose: the publish protocol above makes a
+    /// missed wakeup impossible, and a timeout costs a spurious-wakeup
+    /// storm per round on oversubscribed hosts.
     fn wait_epochs(&self, round: u64, before_park: &mut dyn FnMut()) -> bool {
         let mut spins = 0u32;
         let mut parked = false;
@@ -137,43 +135,36 @@ impl Shared {
     }
 }
 
-/// The shared-memory instantiation of the epoch protocol: the engine's
-/// four primitives mapped onto the barrier + seqlock slots above. The
-/// publish's release store pairs with the wait/read side's acquire loads —
-/// the Release/Acquire contract [`EpochPeers`] names.
+/// The shared-memory instantiation of the epoch exchange. The publish's
+/// release store pairs with the wait's acquire loads; the fold then runs
+/// over all `n` banks on every reader, identically.
 struct ThreadPeers {
     shared: Arc<Shared>,
+    me: usize,
 }
 
 impl EpochPeers for ThreadPeers {
-    fn barrier(&mut self) {
-        self.shared.barrier.wait();
-    }
-
-    fn publish(&mut self, me: NodeId, round: u64, slot: &EpochSlot) {
-        let s = &self.shared.slots[me as usize];
-        s.next_event.store(slot.next_event, Ordering::Relaxed);
-        s.live.store(slot.live, Ordering::Relaxed);
-        s.spawns_sent.store(slot.spawns_sent, Ordering::Relaxed);
-        s.spawns_recv.store(slot.spawns_recv, Ordering::Relaxed);
-        s.ops.store(slot.ops, Ordering::Relaxed);
-        // Wake anyone parked on the epoch ([`Shared::publish_epoch`]'s
-        // lock round-trip is what makes a missed wakeup impossible).
-        self.shared.publish_epoch(me as usize, round);
-    }
-
-    fn wait(&mut self, round: u64, before_park: &mut dyn FnMut()) -> bool {
-        self.shared.wait_epochs(round, before_park)
-    }
-
-    fn read(&mut self, _round: u64, out: &mut [EpochSlot]) {
-        for (s, o) in self.shared.slots.iter().zip(out.iter_mut()) {
-            o.next_event = s.next_event.load(Ordering::Relaxed);
-            o.live = s.live.load(Ordering::Relaxed);
-            o.spawns_sent = s.spawns_sent.load(Ordering::Relaxed);
-            o.spawns_recv = s.spawns_recv.load(Ordering::Relaxed);
-            o.ops = s.ops.load(Ordering::Relaxed);
+    fn exchange(
+        &mut self,
+        round: u64,
+        slot: &EpochSlot,
+        min_out: &[u64],
+        out: &mut [EpochSlot],
+        before_park: &mut dyn FnMut(),
+    ) -> bool {
+        let parity = (round % 2) as usize;
+        let mine = &self.shared.slots[self.me].banks[parity];
+        for (cell, &v) in mine.iter().zip(slot.to_array().iter().chain(min_out)) {
+            cell.store(v, Ordering::Relaxed);
         }
+        self.shared.publish_epoch(self.me, round);
+        let parked = self.shared.wait_epochs(round, before_park);
+        out.fill(EpochSlot::IDLE);
+        for (from, s) in self.shared.slots.iter().enumerate() {
+            let v = |i: usize| s.banks[parity][i].load(Ordering::Relaxed);
+            fold_slot(out, from, EpochSlot::from_array(std::array::from_fn(v)), (5..5 + out.len()).map(v));
+        }
+        parked
     }
 }
 
@@ -218,15 +209,16 @@ impl ThreadsDriver {
     /// Run to completion: one OS thread per node, then merge the outcomes
     /// into the same [`RunReport`] shape the sim driver produces.
     pub fn run(self) -> RunReport {
+        self.run_with(|peers| peers)
+    }
+
+    /// [`Self::run`] with each node's epoch peers passed through `wrap` —
+    /// the seam the skewed-schedule test drives the engine through.
+    fn run_with<P: EpochPeers>(self, wrap: impl Fn(ThreadPeers) -> P + Clone + Send + 'static) -> RunReport {
         let started = std::time::Instant::now();
         let n = self.nodes.len();
-        let shared = Arc::new(Shared {
-            slots: (0..n).map(|_| NodeSlot::default()).collect(),
-            barrier: Barrier::new(n),
-            epoch_lock: Mutex::new(()),
-            epoch_cv: Condvar::new(),
-        });
-        // Async sync mode swaps the epoch loop for the barrier-free burst
+        let shared = Shared::new(n);
+        // Async sync mode swaps the epoch loop for the roundless burst
         // loop, sharing termination state directly.
         let asy = (self.config.sync == SyncMode::Async).then(|| Arc::new(AsyncShared::new(n)));
         // Live telemetry: registry + flight recorder shared with the node
@@ -247,8 +239,9 @@ impl ThreadsDriver {
         let spans = (self.config.profile || trace_mode.is_some()).then_some((started, trace_mode.is_some()));
 
         let mut handles = Vec::with_capacity(n);
-        for (node, endpoint) in self.nodes.into_iter().zip(self.endpoints) {
+        for (me, (node, endpoint)) in self.nodes.into_iter().zip(self.endpoints).enumerate() {
             let shared = shared.clone();
+            let wrap = wrap.clone();
             let mut eng = SyncEngine::new(node, endpoint, &self.config);
             eng.asy = asy.clone();
             eng.metrics = registry.clone();
@@ -258,7 +251,7 @@ impl ThreadsDriver {
                 if eng.asy.is_some() {
                     eng.run_async()
                 } else {
-                    eng.run_epoch(&mut ThreadPeers { shared })
+                    eng.run_epoch(&mut wrap(ThreadPeers { shared, me }))
                 }
             }));
         }
@@ -294,56 +287,161 @@ impl ThreadsDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Backend;
     use std::sync::mpsc;
     use std::time::Duration;
 
-    fn shared_pair() -> Arc<Shared> {
-        Arc::new(Shared {
-            slots: (0..2).map(|_| NodeSlot::default()).collect(),
-            barrier: Barrier::new(1),
-            epoch_lock: Mutex::new(()),
-            epoch_cv: Condvar::new(),
-        })
+    /// Node `me`'s synthetic round-`r` record: every value names its round,
+    /// so a reader handed another round's bank cannot go unnoticed, and
+    /// some `min_out` entries undercut the heads they fold into.
+    fn record(me: usize, r: u64, n: usize) -> (EpochSlot, Vec<u64>) {
+        let v = |k: u64| r * 1_000 + 100 + me as u64 * 10 + k;
+        let slot = EpochSlot { next_event: v(0), live: v(1), spawns_sent: v(2), spawns_recv: v(3), ops: v(4) };
+        (slot, (0..n).map(|d| r * 1_000 + (me * 7 + d * 3 + r as usize) as u64 % 20 * 10).collect())
     }
 
-    /// Regression for the epoch-wait lost wakeup: a peer that publishes
-    /// its epoch *between* a waiter's exhausted spin and its condvar park
-    /// must still be observed. [`Shared::wait_epochs`] is untimed, so
-    /// before the locked re-check + publish-side lock round-trip existed
-    /// this interleaving parked forever (with the old 200µs-timeout wait
-    /// it "only" cost a silent timeout per occurrence). The `before_park`
-    /// hook pins the publish to exactly that window on even iterations;
-    /// odd iterations race a late publisher against the park itself to
-    /// cover the notify path too.
+    fn folded(r: u64, n: usize) -> Vec<EpochSlot> {
+        let mut want = vec![EpochSlot::IDLE; n];
+        for from in 0..n {
+            let (slot, min_out) = record(from, r, n);
+            fold_slot(&mut want, from, slot, min_out.into_iter());
+        }
+        want
+    }
+
+    /// The double buffer never tears, and no wakeup is lost. Every round
+    /// is forced through the one interleaving a single bank per node
+    /// cannot survive: node 2 holds its publish until node 1 is in its park
+    /// hook; node 1 stays there until node 0 — racing, no delay — has read
+    /// round `r` and published `r+1`; only then does node 1 read `r`. With
+    /// one bank that publish lands on the values node 1 is about to read.
+    /// The same schedule is the lost-wakeup regression: node 2 always
+    /// publishes *between* node 1's exhausted spin and its park (only the
+    /// locked re-check sees it), and while node 0 is already parked (only
+    /// the notify wakes it) — and the wait is untimed, so before the
+    /// re-check + publish-side lock round-trip existed this hung.
     #[test]
-    fn epoch_wait_survives_publish_between_spin_and_park() {
-        for i in 0..200u32 {
-            let shared = shared_pair();
-            shared.publish_epoch(0, 1);
-            let (tx, rx) = mpsc::channel();
-            let s = shared.clone();
-            let waiter = std::thread::spawn(move || {
-                let s2 = s.clone();
-                let mut publisher = None;
-                s.wait_epochs(1, &mut || {
-                    if i % 2 == 0 {
-                        s2.publish_epoch(1, 1);
-                    } else {
-                        let s3 = s2.clone();
-                        publisher = Some(std::thread::spawn(move || {
-                            std::thread::sleep(Duration::from_micros(50));
-                            s3.publish_epoch(1, 1);
-                        }));
+    fn forced_skew_neither_tears_a_slot_nor_loses_a_wakeup() {
+        const N: usize = 3;
+        const ROUNDS: u64 = 2_000;
+        let shared = Shared::new(N);
+        let (in_hook_tx, in_hook_rx) = mpsc::channel::<()>();
+        let (published_tx, published_rx) = mpsc::channel::<u64>();
+        let (torn_tx, torn_rx) = mpsc::channel();
+        let (mut published_rx, mut in_hook_rx) = (Some(published_rx), Some(in_hook_rx));
+        for me in 0..N {
+            let mut peers = ThreadPeers { shared: shared.clone(), me };
+            // Node 0 announces its publishes, node 1 waits on them in its
+            // hook, node 2 waits for node 1 to be there.
+            let published_tx = (me == 0).then(|| published_tx.clone());
+            let published_rx = published_rx.take_if(|_| me == 1);
+            let in_hook_rx = in_hook_rx.take_if(|_| me == 2);
+            let (in_hook_tx, torn_tx) = (in_hook_tx.clone(), torn_tx.clone());
+            std::thread::spawn(move || {
+                let mut out = [EpochSlot::IDLE; N];
+                // A panic mid-run would strand the peers in their next
+                // exchange: note the first torn round instead.
+                let mut torn = None;
+                for r in 1..=ROUNDS {
+                    if let Some(node_1_in_hook) = &in_hook_rx {
+                        node_1_in_hook.recv().unwrap();
                     }
-                });
-                if let Some(p) = publisher {
-                    p.join().unwrap();
+                    let (slot, min_out) = record(me, r, N);
+                    peers.exchange(r, &slot, &min_out, &mut out, &mut || {
+                        if let Some(tx) = &published_tx {
+                            tx.send(r).unwrap();
+                        }
+                        if let Some(node_0_published) = &published_rx {
+                            in_hook_tx.send(()).unwrap();
+                            while r < ROUNDS && node_0_published.recv().unwrap() <= r {}
+                        }
+                    });
+                    if out[..] != folded(r, N)[..] {
+                        torn.get_or_insert(r);
+                    }
                 }
-                tx.send(()).unwrap();
+                torn_tx.send((me, torn)).unwrap();
             });
-            rx.recv_timeout(Duration::from_secs(10))
-                .expect("waiter hung: epoch publish lost between spin and park");
-            waiter.join().unwrap();
+        }
+        for _ in 0..N {
+            let (me, torn) = torn_rx.recv_timeout(Duration::from_secs(30)).expect("a node hung: epoch publish lost");
+            assert_eq!(torn, None, "node {me} read a torn round");
+        }
+    }
+
+    /// [`ThreadPeers`] under the most skewed schedule one exchange per
+    /// round allows: the slow node sits on every exchange result until
+    /// each peer has run the window, flushed and entered the next
+    /// exchange, so its round-`r` drain always finds the peers' round-`r+1`
+    /// frames already inbound.
+    struct Skewed {
+        inner: ThreadPeers,
+        slow: usize,
+        /// Last round each node entered (`u64::MAX` once it left the run).
+        entered: Arc<Vec<AtomicU64>>,
+        early_rounds: Arc<AtomicU64>,
+    }
+
+    impl EpochPeers for Skewed {
+        fn exchange(
+            &mut self,
+            round: u64,
+            slot: &EpochSlot,
+            min_out: &[u64],
+            out: &mut [EpochSlot],
+            before_park: &mut dyn FnMut(),
+        ) -> bool {
+            let me = self.inner.me;
+            self.entered[me].store(round, Ordering::Release);
+            let parked = self.inner.exchange(round, slot, min_out, out, before_park);
+            if me == self.slow {
+                let peer_rounds = || self.entered.iter().enumerate().filter(|&(i, _)| i != me).map(|(_, e)| e.load(Ordering::Acquire));
+                while peer_rounds().any(|e| e <= round) {
+                    std::thread::yield_now();
+                }
+                if peer_rounds().any(|e| e == round + 1) {
+                    self.early_rounds.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            parked
+        }
+    }
+
+    impl Drop for Skewed {
+        fn drop(&mut self) {
+            self.entered[self.inner.me].store(u64::MAX, Ordering::Release);
+        }
+    }
+
+    /// Early frames are harmless (engine docs, "One exchange per epoch
+    /// round"): with each node in turn made the slow one, the run is the
+    /// sim's — output, virtual time, per-node counters, canonical trace.
+    #[test]
+    fn early_frames_leave_the_run_identical_to_the_sim() {
+        use jsplit_apps::tsp;
+        let program = tsp::program(tsp::TspParams { n: 8, seed: 42, depth: 2, threads: 8 });
+        let config = |backend| {
+            ClusterConfig::javasplit(jsplit_mjvm::cost::JvmProfile::SunSim, 3)
+                .with_backend(backend)
+                .with_trace(jsplit_trace::TraceMode::Full)
+        };
+        let sim = crate::exec::run_cluster(config(Backend::Sim), &program).expect("sim setup");
+        sim.expect_clean();
+        for slow in 0..3 {
+            let entered: Arc<Vec<AtomicU64>> = Arc::new((0..3).map(|_| AtomicU64::new(0)).collect());
+            let early_rounds = Arc::new(AtomicU64::new(0));
+            let (e, c) = (entered.clone(), early_rounds.clone());
+            let thr = ThreadsDriver::new(config(Backend::Threads), &program)
+                .expect("threads setup")
+                .run_with(move |inner| Skewed { inner, slow, entered: e.clone(), early_rounds: c.clone() });
+            thr.expect_clean();
+            assert!(early_rounds.load(Ordering::Relaxed) > 0, "slow node {slow}: the schedule never skewed");
+            assert_eq!(sim.output, thr.output, "slow node {slow}: stdout");
+            assert_eq!(sim.exec_time_ps, thr.exec_time_ps, "slow node {slow}: virtual time");
+            assert_eq!(sim.ops_per_node, thr.ops_per_node, "slow node {slow}: per-node ops");
+            assert_eq!(sim.dsm_per_node, thr.dsm_per_node, "slow node {slow}: DSM stats");
+            assert_eq!(sim.net_per_node, thr.net_per_node, "slow node {slow}: net stats");
+            assert_eq!(sim.trace, thr.trace, "slow node {slow}: canonical trace");
         }
     }
 }

@@ -8,8 +8,8 @@
 //! stdout, virtual execution time, instruction counts, per-node DSM
 //! protocol counters, and per-node network message/byte totals must all
 //! match the sim exactly, on all three paper applications, in both
-//! protocol modes, under both sync protocols (epoch barriers and the
-//! barrier-free async promises). Only wall-clock, frame and sync counters
+//! protocol modes, under both sync protocols (epoch rounds and the
+//! roundless async promises). Only wall-clock, frame and sync counters
 //! — *how* the run was orchestrated — may differ.
 //!
 //! The handshake tests exercise the failure paths end to end: a
@@ -165,12 +165,10 @@ fn coordinator_rejects_mismatched_peers_and_names_missing_workers() {
     assert!(msg.contains("rejected dial-ins"), "error should carry the rejections: {msg}");
 }
 
-/// A frame's `src` is peer-claimed, and the receiving engine indexes its
-/// channel clocks and event lanes by it: the coordinator must refuse a
-/// frame whose `src` is not the stream it arrived on — promptly, with an
-/// error naming the worker — instead of relaying it.
-#[test]
-fn coordinator_rejects_frames_with_a_forged_source() {
+/// A two-node coordinator with both workers handshaken in by hand (hash
+/// 0 = "any config"): the streams to misbehave on, and where the run's
+/// result will appear.
+fn coordinator_with_hand_driven_workers() -> (Vec<TcpStream>, std::sync::mpsc::Receiver<Result<RunReport, ClusterError>>) {
     let addr = free_addr();
     let (_, p) = &apps()[1];
     let cfg = ClusterConfig::javasplit(JvmProfile::SunSim, 2)
@@ -185,9 +183,7 @@ fn coordinator_rejects_frames_with_a_forged_source() {
     std::thread::spawn(move || {
         let _ = done_tx.send(run_cluster(cfg, &prog));
     });
-
-    // Handshake both workers in by hand (hash 0 = "any config").
-    let mut workers: Vec<TcpStream> = (0..2u16)
+    let workers = (0..2u16)
         .map(|node_id| {
             let mut s = connect_retry(addr);
             tcp::write_envelope(
@@ -202,14 +198,48 @@ fn coordinator_rejects_frames_with_a_forged_source() {
             s
         })
         .collect();
+    (workers, done_rx)
+}
 
-    tcp::write_data(&mut workers[0], 7, 1, &[]).expect("send forged frame");
-    let err = done_rx
+/// The coordinator's prompt failure after `workers` misbehaved.
+fn coordinator_error(done: std::sync::mpsc::Receiver<Result<RunReport, ClusterError>>) -> String {
+    let err = done
         .recv_timeout(Duration::from_secs(10))
         .expect("coordinator must fail promptly, not relay and wait")
-        .expect_err("a forged source must fail the run");
+        .expect_err("outside input the protocol rules out must fail the run");
     let ClusterError::Config(msg) = err else { panic!("expected Config error") };
+    msg
+}
+
+/// A frame's `src` is peer-claimed, and the receiving engine indexes its
+/// channel clocks and event lanes by it: the coordinator must refuse a
+/// frame whose `src` is not the stream it arrived on — promptly, with an
+/// error naming the worker — instead of relaying it.
+#[test]
+fn coordinator_rejects_frames_with_a_forged_source() {
+    let (mut workers, done) = coordinator_with_hand_driven_workers();
+    tcp::write_data(&mut workers[0], 7, 1, &[]).expect("send forged frame");
+    let msg = coordinator_error(done);
     assert!(msg.contains("worker 0") && msg.contains("node 7"), "error should name the worker and the claim: {msg}");
+}
+
+/// A `Slot` is outside input too: its `min_out` is folded by index and its
+/// round selects nothing (one accumulator serves the lockstep run), so a
+/// record that is mis-sized or not for the round in flight is refused,
+/// naming the worker, instead of being folded into everyone's horizon.
+#[test]
+fn coordinator_rejects_malformed_slots() {
+    let (mut workers, done) = coordinator_with_hand_driven_workers();
+    tcp::write_envelope(&mut workers[1], &Envelope::Slot { round: 1, slot: [0; 5], min_out: vec![0; 3] })
+        .expect("send mis-sized slot");
+    let msg = coordinator_error(done);
+    assert!(msg.contains("worker 1") && msg.contains("min_out"), "error should name the worker and the fault: {msg}");
+
+    let (mut workers, done) = coordinator_with_hand_driven_workers();
+    tcp::write_envelope(&mut workers[0], &Envelope::Slot { round: 2, slot: [0; 5], min_out: vec![0; 2] })
+        .expect("send out-of-round slot");
+    let msg = coordinator_error(done);
+    assert!(msg.contains("worker 0") && msg.contains("round 2"), "error should name the worker and the round: {msg}");
 }
 
 fn connect_retry(addr: SocketAddr) -> TcpStream {

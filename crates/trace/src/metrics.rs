@@ -62,8 +62,6 @@ pub enum Metric {
     Windows,
     /// Times the safe horizon strictly advanced (counter; async sync).
     HorizonAdvances,
-    /// `Barrier::wait` calls (counter; epoch sync).
-    BarrierWaits,
     /// Live guest threads on this node (gauge).
     LiveThreads,
     /// Current safe horizon in virtual ps (gauge; `u64::MAX` = unbounded).
@@ -79,7 +77,7 @@ pub enum Metric {
 }
 
 /// Number of metrics (array-indexed registry cells).
-pub const METRICS: usize = 18;
+pub const METRICS: usize = 17;
 
 /// All metrics in display/serialization order.
 pub const ALL_METRICS: [Metric; METRICS] = [
@@ -95,7 +93,6 @@ pub const ALL_METRICS: [Metric; METRICS] = [
     Metric::NullsSent,
     Metric::Windows,
     Metric::HorizonAdvances,
-    Metric::BarrierWaits,
     Metric::LiveThreads,
     Metric::HorizonPs,
     Metric::NextEventPs,
@@ -118,12 +115,11 @@ impl Metric {
             Metric::NullsSent => 9,
             Metric::Windows => 10,
             Metric::HorizonAdvances => 11,
-            Metric::BarrierWaits => 12,
-            Metric::LiveThreads => 13,
-            Metric::HorizonPs => 14,
-            Metric::NextEventPs => 15,
-            Metric::QueueHeadPs => 16,
-            Metric::Parked => 17,
+            Metric::LiveThreads => 12,
+            Metric::HorizonPs => 13,
+            Metric::NextEventPs => 14,
+            Metric::QueueHeadPs => 15,
+            Metric::Parked => 16,
         }
     }
 
@@ -153,7 +149,6 @@ impl Metric {
             Metric::NullsSent => "nulls_sent",
             Metric::Windows => "windows",
             Metric::HorizonAdvances => "horizon_advances",
-            Metric::BarrierWaits => "barrier_waits",
             Metric::LiveThreads => "live_threads",
             Metric::HorizonPs => "horizon_ps",
             Metric::NextEventPs => "next_event_ps",

@@ -23,27 +23,31 @@ use std::time::Instant;
 pub enum SpanKind {
     /// Serializing + shipping pending wire frames to peers.
     FrameFlush,
-    /// Blocked in the round's single `Barrier::wait`.
+    /// Never recorded — the slot exchange is the epoch round's one
+    /// rendezvous. Kept, with its `barrier_wait` label, only because the
+    /// frozen benchmark manifest derives `runtime.threads.barrier_wait_share`
+    /// from [`ALL_SPAN_KINDS`]; ROADMAP item 1 releases both.
     BarrierWait,
     /// Merging delivered frames into the local event queue.
     InboxDrain,
-    /// Publishing the node slot, aggregating peers, computing the horizon.
+    /// Aggregating the round's slots, computing the horizon.
     Decide,
-    /// Spinning on peer slot `epoch` counters (seqlock fast path).
+    /// In the epoch exchange up to the first park: publishing the slot and
+    /// spinning on peer `epoch` counters (seqlock fast path).
     SlotSpin,
-    /// Parked on the epoch condvar after the spin budget ran out.
+    /// Parked in the epoch exchange after the spin budget ran out.
     CondvarWait,
     /// Blocked waiting for a peer promise to advance the safe horizon
-    /// (async sync mode only — the asynchronous analogue of
-    /// `BarrierWait` + `CondvarWait`, which are both zero there).
+    /// (async sync mode only — the asynchronous analogue of `SlotSpin` +
+    /// `CondvarWait`, which are both zero there).
     HorizonWait,
     /// Executing guest events below the horizon (the useful work).
     Execute,
 }
 
 /// Number of span kinds (array-indexed accounting). Any single run uses at
-/// most seven: epoch-mode runs never record `HorizonWait`, async-mode runs
-/// never record `BarrierWait` or `CondvarWait` — either way the categories
+/// most six: epoch-mode runs never record `HorizonWait`, async-mode runs
+/// never record `SlotSpin` or `CondvarWait` — either way the categories
 /// that do appear tile the thread's wall time exactly.
 pub const SPAN_KINDS: usize = 8;
 
