@@ -49,6 +49,9 @@ pub mod node;
 pub mod notice;
 pub mod protocol;
 pub mod stats;
+#[cfg(test)]
+#[path = "../../mjvm/src/wire_check.rs"]
+mod wire_check;
 
 pub use node::{Action, DsmConfig, DsmNode, ProtocolMode};
 pub use protocol::{LockRequest, Msg, Timestamp, WaitEntry, WireState};

@@ -2,7 +2,6 @@
 //! the custom codec (messages really are serialized and deserialized, so
 //! their simulated sizes are the honest encoded sizes).
 
-use bytes::Buf;
 use jsplit_net::codec::{CodecError, Reader, Writer};
 use jsplit_net::{MsgKind, NodeId};
 use jsplit_mjvm::heap::{Gid, ThreadUid};
@@ -83,15 +82,9 @@ impl Requirement {
         }
     }
 
-    fn decode<B: Buf>(r: &mut Reader<B>) -> Result<Requirement, CodecError> {
+    fn decode(r: &mut Reader) -> Result<Requirement, CodecError> {
         let scalar = r.u32()?;
-        let n = r.varu()? as usize;
-        let mut vector = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let node = r.u16()?;
-            let interval = r.u32()?;
-            vector.insert(node, interval);
-        }
+        let vector = r.seq(6, |r| Ok((r.u16()?, r.u32()?)))?.into_iter().collect();
         Ok(Requirement { scalar, vector })
     }
 }
@@ -187,28 +180,13 @@ impl WireState {
         }
     }
 
-    fn decode<B: Buf>(r: &mut Reader<B>) -> Result<WireState, CodecError> {
+    fn decode(r: &mut Reader) -> Result<WireState, CodecError> {
         Ok(match r.u8()? {
-            0 => {
-                let n = r.varu()? as usize;
-                WireState::Fields((0..n).map(|_| decode_wire_value(r)).collect::<Result<_, _>>()?)
-            }
-            1 => {
-                let n = r.varu()? as usize;
-                WireState::ArrI32((0..n).map(|_| r.i32()).collect::<Result<_, _>>()?)
-            }
-            2 => {
-                let n = r.varu()? as usize;
-                WireState::ArrI64((0..n).map(|_| r.i64()).collect::<Result<_, _>>()?)
-            }
-            3 => {
-                let n = r.varu()? as usize;
-                WireState::ArrF64((0..n).map(|_| r.f64()).collect::<Result<_, _>>()?)
-            }
-            4 => {
-                let n = r.varu()? as usize;
-                WireState::ArrRef((0..n).map(|_| decode_wire_value(r)).collect::<Result<_, _>>()?)
-            }
+            0 => WireState::Fields(r.seq(1, decode_wire_value)?),
+            1 => WireState::ArrI32(r.seq(4, Reader::i32)?),
+            2 => WireState::ArrI64(r.seq(8, Reader::i64)?),
+            3 => WireState::ArrF64(r.seq(8, Reader::f64)?),
+            4 => WireState::ArrRef(r.seq(1, decode_wire_value)?),
             5 => WireState::Str(r.str()?),
             _ => return Err(CodecError("bad state tag")),
         })
@@ -238,7 +216,7 @@ fn encode_wire_value(w: &mut Writer, v: &WVal) {
     }
 }
 
-fn decode_wire_value<B: Buf>(r: &mut Reader<B>) -> Result<WVal, CodecError> {
+fn decode_wire_value(r: &mut Reader) -> Result<WVal, CodecError> {
     Ok(match r.u8()? {
         0 => WVal::I32(r.i32()?),
         1 => WVal::I64(r.i64()?),
@@ -337,7 +315,7 @@ impl Msg {
     pub fn encode(&self) -> bytes::Bytes {
         let mut w = Writer::new();
         self.encode_into(&mut w);
-        w.finish()
+        w.into_inner().into()
     }
 
     /// Encode into a caller-provided writer (reusable frame/pool buffers).
@@ -419,68 +397,47 @@ impl Msg {
         }
     }
 
-    /// Decode from wire bytes.
+    /// Decode one whole message: the wire bytes, all of them.
     pub fn decode(bytes: bytes::Bytes) -> Result<Msg, CodecError> {
-        let mut r = Reader::new(bytes);
-        Msg::decode_from(&mut r)
+        Msg::decode_slice(&bytes)
     }
 
-    /// Decode from any reader — framed receives decode straight out of the
-    /// frame slice with zero per-message copies.
-    pub fn decode_from<B: Buf>(r: &mut Reader<B>) -> Result<Msg, CodecError> {
+    /// [`Msg::decode`] straight out of a frame slice, with zero
+    /// per-message copies. The bytes are a peer's: every count is vetted
+    /// against what is left before anything is allocated for it.
+    pub fn decode_slice(bytes: &[u8]) -> Result<Msg, CodecError> {
+        let r = &mut Reader::new(bytes);
+        let vc = |r: &mut Reader| r.seq(4, Reader::u32);
         let msg = match r.u8()? {
-            0 => {
-                let lock = r.gid()?;
-                let node = r.u16()?;
-                let thread = r.u32()?;
-                let priority = r.i32()?;
-                let n = r.varu()? as usize;
-                let vc = (0..n).map(|_| r.u32()).collect::<Result<_, _>>()?;
-                Msg::LockReq { lock, node, thread, priority, vc }
-            }
-            1 => {
-                let lock = r.gid()?;
-                let to_thread = r.u32()?;
-                let resume_wait = r.u8()? != 0;
-                let saved_count = r.u32()?;
-                let nr = r.varu()? as usize;
-                let request_q = (0..nr)
-                    .map(|_| {
-                        Ok(LockRequest {
-                            node: r.u16()?,
-                            thread: r.u32()?,
-                            priority: r.i32()?,
-                            resume_wait: r.u8()? != 0,
-                            saved_count: r.u32()?,
-                            vc: {
-                                let n = r.varu()? as usize;
-                                (0..n).map(|_| r.u32()).collect::<Result<_, _>>()?
-                            },
-                        })
+            0 => Msg::LockReq { lock: r.gid()?, node: r.u16()?, thread: r.u32()?, priority: r.i32()?, vc: vc(r)? },
+            1 => Msg::LockGrant {
+                lock: r.gid()?,
+                to_thread: r.u32()?,
+                resume_wait: r.u8()? != 0,
+                saved_count: r.u32()?,
+                request_q: r.seq(16, |r| {
+                    Ok(LockRequest {
+                        node: r.u16()?,
+                        thread: r.u32()?,
+                        priority: r.i32()?,
+                        resume_wait: r.u8()? != 0,
+                        saved_count: r.u32()?,
+                        vc: vc(r)?,
                     })
-                    .collect::<Result<_, CodecError>>()?;
-                let nw = r.varu()? as usize;
-                let wait_q = (0..nw)
-                    .map(|_| Ok(WaitEntry { node: r.u16()?, thread: r.u32()?, priority: r.i32()?, saved_count: r.u32()? }))
-                    .collect::<Result<_, CodecError>>()?;
-                let nn = r.varu()? as usize;
-                let notices = (0..nn)
-                    .map(|_| Ok((r.gid()?, Requirement::decode(&mut *r)?)))
-                    .collect::<Result<_, CodecError>>()?;
-                let nv = r.varu()? as usize;
-                let vc = (0..nv).map(|_| r.u32()).collect::<Result<_, _>>()?;
-                Msg::LockGrant { lock, to_thread, resume_wait, saved_count, request_q, wait_q, notices, vc }
-            }
+                })?,
+                wait_q: r.seq(14, |r| {
+                    Ok(WaitEntry { node: r.u16()?, thread: r.u32()?, priority: r.i32()?, saved_count: r.u32()? })
+                })?,
+                notices: r.seq(13, |r| Ok((r.gid()?, Requirement::decode(r)?)))?,
+                vc: vc(r)?,
+            },
             2 => Msg::OwnerChange { lock: r.gid()?, new_owner: r.u16()? },
             3 => {
                 let gid = r.gid()?;
                 let node = r.u16()?;
                 let interval = r.u32()?;
                 let want_ack = r.u8()? != 0;
-                let n = r.varu()? as usize;
-                let entries = (0..n)
-                    .map(|_| Ok((r.varu()? as u32, decode_wire_value(&mut *r)?)))
-                    .collect::<Result<_, CodecError>>()?;
+                let entries = r.seq(2, |r| Ok((r.varu()? as u32, decode_wire_value(r)?)))?;
                 Msg::DiffFlush { gid, entries, node, interval, want_ack }
             }
             4 => Msg::DiffAck { gid: r.gid()?, version: r.u32()? },
@@ -489,38 +446,31 @@ impl Msg {
                 let node = r.u16()?;
                 let thread = r.u32()?;
                 let want_idx = r.u32()?;
-                let need = Requirement::decode(&mut *r)?;
-                Msg::Fetch { gid, need, node, thread, want_idx }
+                Msg::Fetch { gid, need: Requirement::decode(r)?, node, thread, want_idx }
             }
             6 => {
                 let gid = r.gid()?;
                 let class = r.u32()?;
                 let version = r.u32()?;
                 let to_thread = r.u32()?;
-                let n = r.varu()? as usize;
-                let applied = (0..n).map(|_| Ok((r.u16()?, r.u32()?))).collect::<Result<_, CodecError>>()?;
+                let applied = r.seq(6, |r| Ok((r.u16()?, r.u32()?)))?;
                 let offset = r.u32()?;
                 let chunk_info = match r.u8()? {
                     0 => None,
                     _ => Some((r.u32()?, r.u32()?, r.u32()?)),
                 };
-                let state = WireState::decode(&mut *r)?;
-                Msg::ObjState { gid, class, state, version, applied, to_thread, offset, chunk_info }
+                Msg::ObjState { gid, class, state: WireState::decode(r)?, version, applied, to_thread, offset, chunk_info }
             }
             7 => {
                 let thread_gid = r.gid()?;
                 let class = r.u32()?;
                 let priority = r.i32()?;
-                let state = WireState::decode(&mut *r)?;
-                Msg::SpawnThread { thread_gid, class, state, priority }
+                Msg::SpawnThread { thread_gid, class, state: WireState::decode(r)?, priority }
             }
-            8 => {
-                let line = r.str()?;
-                let origin = r.u16()?;
-                Msg::Println { line, origin }
-            }
+            8 => Msg::Println { line: r.str()?, origin: r.u16()? },
             _ => return Err(CodecError("bad message tag")),
         };
+        r.finish()?;
         Ok(msg)
     }
 
@@ -533,6 +483,7 @@ impl Msg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire_check;
 
     fn round_trip(m: Msg) {
         let bytes = m.encode();
@@ -540,77 +491,104 @@ mod tests {
         assert_eq!(m, back);
     }
 
-    #[test]
-    fn all_messages_round_trip() {
-        round_trip(Msg::LockReq { lock: Gid::new(1, 2), node: 3, thread: 4, priority: 5, vc: vec![1, 2, 3] });
-        round_trip(Msg::LockGrant {
-            lock: Gid::new(0, 9),
-            to_thread: 7,
-            resume_wait: true,
-            saved_count: 2,
-            request_q: vec![LockRequest { node: 1, thread: 2, priority: 9, resume_wait: false, saved_count: 0, vc: vec![3, 1] }],
-            wait_q: vec![WaitEntry { node: 2, thread: 5, priority: 5, saved_count: 3 }],
-            notices: vec![
-                (Gid::new(0, 1), Requirement { scalar: 4, vector: Default::default() }),
-                (Gid::new(1, 2), Requirement { scalar: 0, vector: [(2u16, 7u32)].into_iter().collect() }),
-            ],
-            vc: vec![0, 1],
-        });
-        round_trip(Msg::OwnerChange { lock: Gid::new(2, 2), new_owner: 5 });
-        round_trip(Msg::DiffFlush {
-            gid: Gid::new(1, 1),
-            entries: vec![(0, WVal::I32(5)), (3, WVal::Ref(Gid::new(0, 7), 4)), (9, WVal::Null)],
-            node: 2,
-            interval: 11,
-            want_ack: true,
-        });
-        round_trip(Msg::DiffAck { gid: Gid::new(1, 1), version: 12 });
-        round_trip(Msg::Fetch {
-            gid: Gid::new(0, 3),
-            need: Requirement { scalar: 2, vector: [(1u16, 4u32)].into_iter().collect() },
-            node: 1,
-            thread: 0,
-            want_idx: u32::MAX,
-        });
-        round_trip(Msg::ObjState {
-            gid: Gid::new(0, 3),
-            class: 17,
-            state: WireState::Fields(vec![WVal::I32(1), WVal::Ref(Gid::new(2, 2), 9), WVal::Null]),
-            version: 5,
-            applied: vec![(0, 1), (2, 3)],
-            to_thread: 4,
-            offset: 0,
-            chunk_info: Some((4, 256, 1000)),
-        });
-        round_trip(Msg::SpawnThread {
-            thread_gid: Gid::new(0, 1),
-            class: 3,
-            state: WireState::Fields(vec![WVal::Null, WVal::I32(5), WVal::I32(1)]),
-            priority: 5,
-        });
-        round_trip(Msg::Println { line: "hello".into(), origin: 2 });
+    /// One message of each kind.
+    fn samples() -> Vec<Msg> {
+        vec![
+            Msg::LockReq { lock: Gid::new(1, 2), node: 3, thread: 4, priority: 5, vc: vec![1, 2, 3] },
+            Msg::LockGrant {
+                lock: Gid::new(0, 9),
+                to_thread: 7,
+                resume_wait: true,
+                saved_count: 2,
+                request_q: vec![LockRequest { node: 1, thread: 2, priority: 9, resume_wait: false, saved_count: 0, vc: vec![3, 1] }],
+                wait_q: vec![WaitEntry { node: 2, thread: 5, priority: 5, saved_count: 3 }],
+                notices: vec![
+                    (Gid::new(0, 1), Requirement { scalar: 4, vector: Default::default() }),
+                    (Gid::new(1, 2), Requirement { scalar: 0, vector: [(2u16, 7u32)].into_iter().collect() }),
+                ],
+                vc: vec![0, 1],
+            },
+            Msg::OwnerChange { lock: Gid::new(2, 2), new_owner: 5 },
+            Msg::DiffFlush {
+                gid: Gid::new(1, 1),
+                entries: vec![(0, WVal::I32(5)), (3, WVal::Ref(Gid::new(0, 7), 4)), (9, WVal::Null)],
+                node: 2,
+                interval: 11,
+                want_ack: true,
+            },
+            Msg::DiffAck { gid: Gid::new(1, 1), version: 12 },
+            Msg::Fetch {
+                gid: Gid::new(0, 3),
+                need: Requirement { scalar: 2, vector: [(1u16, 4u32)].into_iter().collect() },
+                node: 1,
+                thread: 0,
+                want_idx: u32::MAX,
+            },
+            Msg::ObjState {
+                gid: Gid::new(0, 3),
+                class: 17,
+                state: WireState::Fields(vec![WVal::I32(1), WVal::Ref(Gid::new(2, 2), 9), WVal::Null]),
+                version: 5,
+                applied: vec![(0, 1), (2, 3)],
+                to_thread: 4,
+                offset: 0,
+                chunk_info: Some((4, 256, 1000)),
+            },
+            Msg::SpawnThread {
+                thread_gid: Gid::new(0, 1),
+                class: 3,
+                state: WireState::Fields(vec![WVal::Null, WVal::I32(5), WVal::I32(1)]),
+                priority: 5,
+            },
+            Msg::Println { line: "hello".into(), origin: 2 },
+        ]
     }
 
     #[test]
-    fn array_states_round_trip() {
-        for st in [
+    fn all_messages_round_trip() {
+        samples().into_iter().chain(array_samples()).for_each(round_trip);
+    }
+
+    #[test]
+    fn message_bytes_are_pinned() {
+        let all: Vec<u8> = samples().iter().chain(&array_samples()).flat_map(|m| m.encode().to_vec()).collect();
+        wire_check::assert_pinned("one Msg of each kind", &all, (0x231, 0x8ddc_d956_be7d_ea79));
+    }
+
+    /// An `ObjState` of each array / string state shape.
+    fn array_samples() -> Vec<Msg> {
+        [
             WireState::ArrI32(vec![1, -2, 3]),
             WireState::ArrI64(vec![i64::MIN, 0, i64::MAX]),
             WireState::ArrF64(vec![0.5, -1.25]),
             WireState::ArrRef(vec![WVal::Null, WVal::Ref(Gid::new(1, 1), 2), WVal::Str("inline".into())]),
             WireState::Str("héllo".into()),
-        ] {
-            round_trip(Msg::ObjState {
-                gid: Gid::new(0, 0),
-                class: 0,
-                state: st,
-                version: 0,
-                applied: vec![],
-                to_thread: 0,
-                offset: 0,
-                chunk_info: None,
-            });
-        }
+        ]
+        .into_iter()
+        .map(|state| Msg::ObjState {
+            gid: Gid::new(0, 0),
+            class: 0,
+            state,
+            version: 0,
+            applied: vec![],
+            to_thread: 0,
+            offset: 0,
+            chunk_info: None,
+        })
+        .collect()
+    }
+
+    /// A count in a message is a peer's claim: a maximal one is refused
+    /// against the bytes actually left, not handed to `with_capacity`.
+    #[test]
+    fn maximal_counts_are_refused_not_allocated_for() {
+        let need = Requirement { scalar: 2, vector: Default::default() };
+        let mut fetch = Msg::Fetch { gid: Gid::new(0, 3), need, node: 1, thread: 0, want_idx: 7 }.encode().to_vec();
+        // The message ends with the requirement's vector count: swap the
+        // one-byte zero for the ten-byte varint of `u64::MAX`.
+        assert_eq!(fetch.pop(), Some(0));
+        fetch.extend_from_slice(&[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01]);
+        assert_eq!(Msg::decode_slice(&fetch), Err(CodecError("count exceeds message")));
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Per-node DSM statistics — the observable protocol behaviour the tests
 //! and benchmarks assert on.
 
+use jsplit_net::codec::Counter;
+
 /// Counters for one node's DSM engine.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct DsmStats {
@@ -43,51 +45,38 @@ pub struct DsmStats {
 }
 
 impl DsmStats {
+    /// The field table, in wire order: every counter sums across nodes
+    /// except the two notice-board high-water marks.
+    pub const FIELDS: &'static [Counter<DsmStats>] = jsplit_mjvm::counters!(DsmStats:
+        sum promotions,
+        sum local_acquires,
+        sum shared_acquires_local,
+        sum shared_acquires_remote,
+        sum grants_sent,
+        sum fetches,
+        sum diffs_sent,
+        sum diff_fields,
+        sum diffs_applied,
+        sum releases_awaiting_acks,
+        sum invalidations,
+        sum waits,
+        sum notifies,
+        max notices_stored_max,
+        max notice_mem_max,
+        sum homed_objects,
+        sum fetches_delayed_at_home,
+    );
+
     /// Merge another node's counters into a cluster-wide summary.
     pub fn merge(&mut self, o: &DsmStats) {
-        self.promotions += o.promotions;
-        self.local_acquires += o.local_acquires;
-        self.shared_acquires_local += o.shared_acquires_local;
-        self.shared_acquires_remote += o.shared_acquires_remote;
-        self.grants_sent += o.grants_sent;
-        self.fetches += o.fetches;
-        self.diffs_sent += o.diffs_sent;
-        self.diff_fields += o.diff_fields;
-        self.diffs_applied += o.diffs_applied;
-        self.releases_awaiting_acks += o.releases_awaiting_acks;
-        self.invalidations += o.invalidations;
-        self.waits += o.waits;
-        self.notifies += o.notifies;
-        self.notices_stored_max = self.notices_stored_max.max(o.notices_stored_max);
-        self.notice_mem_max = self.notice_mem_max.max(o.notice_mem_max);
-        self.homed_objects += o.homed_objects;
-        self.fetches_delayed_at_home += o.fetches_delayed_at_home;
+        Counter::merge(DsmStats::FIELDS, self, o);
     }
 
     /// The counter called `name` (its field name), `None` if there is no
     /// such field — how reports and checks that carry counter names as
     /// data (`jsplit_trace::STATS_MAPPED`) read them back.
     pub fn get(&self, name: &str) -> Option<u64> {
-        Some(match name {
-            "promotions" => self.promotions,
-            "local_acquires" => self.local_acquires,
-            "shared_acquires_local" => self.shared_acquires_local,
-            "shared_acquires_remote" => self.shared_acquires_remote,
-            "grants_sent" => self.grants_sent,
-            "fetches" => self.fetches,
-            "diffs_sent" => self.diffs_sent,
-            "diff_fields" => self.diff_fields,
-            "diffs_applied" => self.diffs_applied,
-            "releases_awaiting_acks" => self.releases_awaiting_acks,
-            "invalidations" => self.invalidations,
-            "waits" => self.waits,
-            "notifies" => self.notifies,
-            "notices_stored_max" => self.notices_stored_max as u64,
-            "notice_mem_max" => self.notice_mem_max as u64,
-            "homed_objects" => self.homed_objects,
-            "fetches_delayed_at_home" => self.fetches_delayed_at_home,
-            _ => return None,
-        })
+        Counter::by_name(DsmStats::FIELDS, self, name)
     }
 }
 

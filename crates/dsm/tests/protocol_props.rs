@@ -380,11 +380,17 @@ fn arb_println() -> impl Strategy<Value = Msg> {
     (".{0,40}", any::<u16>()).prop_map(|(line, origin)| Msg::Println { line, origin })
 }
 
+#[path = "../../mjvm/src/wire_check.rs"]
+mod wire_check;
+
 /// encode→decode must reproduce the message, `wire_len` must agree with the
-/// actual encoding, and the statistics category must be stable.
+/// actual encoding, the statistics category must be stable — and the
+/// decoder must be total around this encoding (prefixes, trailing bytes,
+/// mutations: an error, never a panic).
 fn check_roundtrip(msg: Msg) -> Result<(), TestCaseError> {
     let bytes = msg.encode();
     prop_assert_eq!(bytes.len(), msg.wire_len(), "wire_len mismatch for {:?}", msg);
+    wire_check::assert_total(Msg::decode_slice, &bytes);
     let decoded = Msg::decode(bytes).expect("decode");
     prop_assert_eq!(decoded.kind(), msg.kind());
     prop_assert_eq!(decoded, msg);

@@ -14,100 +14,38 @@
 
 use crate::class::{ClassFile, FieldDef, MethodDef, Program, Sig};
 use crate::instr::{AccessKind, Cmp, ElemTy, Instr, Ty};
-use crate::loader::{ClassId, MethodId, SigId};
 use crate::value::Value;
+use crate::wire::{CodecError, Reader, Writer};
 use std::sync::Arc;
-
-/// Decoding errors (a malformed class file).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClassFileError(pub String);
-
-impl std::fmt::Display for ClassFileError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "class file error: {}", self.0)
-    }
-}
-
-impl std::error::Error for ClassFileError {}
 
 const MAGIC: &[u8; 4] = b"MJVM";
 const VERSION: u16 = 1;
 
-struct W {
-    buf: Vec<u8>,
+/// Class files count bytes and elements in fixed `u32`s (strings included),
+/// not the codec's varints.
+fn put_len(w: &mut Writer, n: usize) -> &mut Writer {
+    w.u32(n as u32)
 }
 
-impl W {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn i32(&mut self, v: i32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-    fn usz(&mut self, v: usize) {
-        self.u32(v as u32);
-    }
+fn put_str<'w>(w: &'w mut Writer, s: &str) -> &'w mut Writer {
+    w.u32(s.len() as u32).bytes(s.as_bytes())
 }
 
-/// Cursor over encoded bytes (public so `decode_class` is callable).
-pub struct R<'a> {
-    buf: &'a [u8],
-    pos: usize,
+fn get_str(r: &mut Reader) -> Result<Arc<str>, CodecError> {
+    let n = r.u32()?;
+    r.utf8(n as usize).map(Arc::from)
 }
 
-impl<'a> R<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ClassFileError> {
-        if self.pos + n > self.buf.len() {
-            return Err(ClassFileError("truncated".into()));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, ClassFileError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, ClassFileError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32, ClassFileError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn i32(&mut self) -> Result<i32, ClassFileError> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn i64(&mut self) -> Result<i64, ClassFileError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn f64(&mut self) -> Result<f64, ClassFileError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn str(&mut self) -> Result<Arc<str>, ClassFileError> {
-        let n = self.u32()? as usize;
-        let b = self.take(n)?;
-        std::str::from_utf8(b)
-            .map(Arc::from)
-            .map_err(|_| ClassFileError("bad utf-8".into()))
-    }
-    fn usz(&mut self) -> Result<usize, ClassFileError> {
-        Ok(self.u32()? as usize)
-    }
+/// A `u32`-counted run of elements of at least `min_elem_bytes` each. The
+/// count comes from a file or a peer, so it is vetted against what is left
+/// before anything is allocated for it.
+fn get_seq<T>(
+    r: &mut Reader,
+    min_elem_bytes: usize,
+    elem: impl FnMut(&mut Reader) -> Result<T, CodecError>,
+) -> Result<Vec<T>, CodecError> {
+    let n = r.u32()?;
+    r.seq_of(n.into(), min_elem_bytes, elem)
 }
 
 fn ty_tag(t: Ty) -> u8 {
@@ -119,13 +57,13 @@ fn ty_tag(t: Ty) -> u8 {
     }
 }
 
-fn ty_from(tag: u8) -> Result<Ty, ClassFileError> {
+fn ty_from(tag: u8) -> Result<Ty, CodecError> {
     Ok(match tag {
         0 => Ty::I32,
         1 => Ty::I64,
         2 => Ty::F64,
         3 => Ty::Ref,
-        _ => return Err(ClassFileError(format!("bad type tag {tag}"))),
+        _ => return Err(CodecError("bad type tag")),
     })
 }
 
@@ -138,13 +76,13 @@ fn elem_tag(t: ElemTy) -> u8 {
     }
 }
 
-fn elem_from(tag: u8) -> Result<ElemTy, ClassFileError> {
+fn elem_from(tag: u8) -> Result<ElemTy, CodecError> {
     Ok(match tag {
         0 => ElemTy::I32,
         1 => ElemTy::I64,
         2 => ElemTy::F64,
         3 => ElemTy::Ref,
-        _ => return Err(ClassFileError(format!("bad elem tag {tag}"))),
+        _ => return Err(CodecError("bad elem tag")),
     })
 }
 
@@ -159,7 +97,7 @@ fn cmp_tag(c: Cmp) -> u8 {
     }
 }
 
-fn cmp_from(tag: u8) -> Result<Cmp, ClassFileError> {
+fn cmp_from(tag: u8) -> Result<Cmp, CodecError> {
     Ok(match tag {
         0 => Cmp::Eq,
         1 => Cmp::Ne,
@@ -167,7 +105,7 @@ fn cmp_from(tag: u8) -> Result<Cmp, ClassFileError> {
         3 => Cmp::Le,
         4 => Cmp::Gt,
         5 => Cmp::Ge,
-        _ => return Err(ClassFileError(format!("bad cmp tag {tag}"))),
+        _ => return Err(CodecError("bad cmp tag")),
     })
 }
 
@@ -179,34 +117,27 @@ fn kind_tag(k: AccessKind) -> u8 {
     }
 }
 
-fn kind_from(tag: u8) -> Result<AccessKind, ClassFileError> {
+fn kind_from(tag: u8) -> Result<AccessKind, CodecError> {
     Ok(match tag {
         0 => AccessKind::Field,
         1 => AccessKind::Static,
         2 => AccessKind::Array,
-        _ => return Err(ClassFileError(format!("bad kind tag {tag}"))),
+        _ => return Err(CodecError("bad kind tag")),
     })
 }
 
-fn write_sig(w: &mut W, s: &Sig) {
-    w.str(&s.name);
-    w.u8(s.params.len() as u8);
+fn write_sig<'w>(w: &'w mut Writer, s: &Sig) -> &'w mut Writer {
+    put_str(w, &s.name).u8(s.params.len() as u8);
     for p in &s.params {
         w.u8(ty_tag(*p));
     }
-    match s.ret {
-        Some(t) => w.u8(1 + ty_tag(t)),
-        None => w.u8(0),
-    }
+    w.u8(s.ret.map_or(0, |t| 1 + ty_tag(t)))
 }
 
-fn read_sig(r: &mut R) -> Result<Sig, ClassFileError> {
-    let name = r.str()?;
-    let np = r.u8()? as usize;
-    let mut params = Vec::with_capacity(np);
-    for _ in 0..np {
-        params.push(ty_from(r.u8()?)?);
-    }
+fn read_sig(r: &mut Reader) -> Result<Sig, CodecError> {
+    let name = get_str(r)?;
+    let np = r.u8()?;
+    let params = r.seq_of(np.into(), 1, |r| ty_from(r.u8()?))?;
     let ret = match r.u8()? {
         0 => None,
         t => Some(ty_from(t - 1)?),
@@ -215,22 +146,22 @@ fn read_sig(r: &mut R) -> Result<Sig, ClassFileError> {
 }
 
 #[rustfmt::skip]
-fn write_instr(w: &mut W, ins: &Instr) -> Result<(), ClassFileError> {
+fn write_instr(w: &mut Writer, ins: &Instr) -> Result<(), CodecError> {
     use Instr::*;
     match ins {
-        Const(Value::I32(v)) => { w.u8(0); w.i32(*v); }
-        Const(Value::I64(v)) => { w.u8(1); w.i64(*v); }
-        Const(Value::F64(v)) => { w.u8(2); w.f64(*v); }
+        Const(Value::I32(v)) => w.u8(0).i32(*v),
+        Const(Value::I64(v)) => w.u8(1).i64(*v),
+        Const(Value::F64(v)) => w.u8(2).f64(*v),
         Const(Value::Null) => w.u8(3),
-        Const(Value::Ref(_)) => return Err(ClassFileError("object constant in code".into())),
-        LdcStr(s) => { w.u8(4); w.str(s); }
+        Const(Value::Ref(_)) => return Err(CodecError("object constant in code")),
+        LdcStr(s) => put_str(w.u8(4), s),
         Dup => w.u8(5),
         DupX1 => w.u8(6),
         Pop => w.u8(7),
         Swap => w.u8(8),
-        Load(n) => { w.u8(9); w.u16(*n); }
-        Store(n) => { w.u8(10); w.u16(*n); }
-        IInc(n, d) => { w.u8(11); w.u16(*n); w.i32(*d); }
+        Load(n) => w.u8(9).u16(*n),
+        Store(n) => w.u8(10).u16(*n),
+        IInc(n, d) => w.u8(11).u16(*n).i32(*d),
         IAdd => w.u8(12), ISub => w.u8(13), IMul => w.u8(14), IDiv => w.u8(15),
         IRem => w.u8(16), INeg => w.u8(17), IShl => w.u8(18), IShr => w.u8(19),
         IUShr => w.u8(20), IAnd => w.u8(21), IOr => w.u8(22), IXor => w.u8(23),
@@ -240,55 +171,55 @@ fn write_instr(w: &mut W, ins: &Instr) -> Result<(), ClassFileError> {
         DRem => w.u8(34), DNeg => w.u8(35),
         I2L => w.u8(36), I2D => w.u8(37), L2I => w.u8(38), L2D => w.u8(39),
         D2I => w.u8(40), D2L => w.u8(41), LCmp => w.u8(42), DCmp => w.u8(43),
-        Goto(t) => { w.u8(44); w.usz(*t); }
-        IfICmp(c, t) => { w.u8(45); w.u8(cmp_tag(*c)); w.usz(*t); }
-        IfI(c, t) => { w.u8(46); w.u8(cmp_tag(*c)); w.usz(*t); }
-        IfNull(t) => { w.u8(47); w.usz(*t); }
-        IfNonNull(t) => { w.u8(48); w.usz(*t); }
-        IfACmpEq(t) => { w.u8(49); w.usz(*t); }
-        IfACmpNe(t) => { w.u8(50); w.usz(*t); }
-        New(c) => { w.u8(51); w.str(c); }
-        GetField(c, f) => { w.u8(52); w.str(c); w.str(f); }
-        PutField(c, f) => { w.u8(53); w.str(c); w.str(f); }
-        GetStatic(c, f) => { w.u8(54); w.str(c); w.str(f); }
-        PutStatic(c, f) => { w.u8(55); w.str(c); w.str(f); }
-        NewArray(e) => { w.u8(56); w.u8(elem_tag(*e)); }
-        ALoad(e) => { w.u8(57); w.u8(elem_tag(*e)); }
-        AStore(e) => { w.u8(58); w.u8(elem_tag(*e)); }
+        Goto(t) => put_len(w.u8(44), *t),
+        IfICmp(c, t) => put_len(w.u8(45).u8(cmp_tag(*c)), *t),
+        IfI(c, t) => put_len(w.u8(46).u8(cmp_tag(*c)), *t),
+        IfNull(t) => put_len(w.u8(47), *t),
+        IfNonNull(t) => put_len(w.u8(48), *t),
+        IfACmpEq(t) => put_len(w.u8(49), *t),
+        IfACmpNe(t) => put_len(w.u8(50), *t),
+        New(c) => put_str(w.u8(51), c),
+        GetField(c, f) => put_str(put_str(w.u8(52), c), f),
+        PutField(c, f) => put_str(put_str(w.u8(53), c), f),
+        GetStatic(c, f) => put_str(put_str(w.u8(54), c), f),
+        PutStatic(c, f) => put_str(put_str(w.u8(55), c), f),
+        NewArray(e) => w.u8(56).u8(elem_tag(*e)),
+        ALoad(e) => w.u8(57).u8(elem_tag(*e)),
+        AStore(e) => w.u8(58).u8(elem_tag(*e)),
         ArrayLen => w.u8(59),
-        InvokeStatic(c, s) => { w.u8(60); w.str(c); write_sig(w, s); }
-        InvokeVirtual(s) => { w.u8(61); write_sig(w, s); }
-        InvokeSpecial(c, s) => { w.u8(62); w.str(c); write_sig(w, s); }
+        InvokeStatic(c, s) => write_sig(put_str(w.u8(60), c), s),
+        InvokeVirtual(s) => write_sig(w.u8(61), s),
+        InvokeSpecial(c, s) => write_sig(put_str(w.u8(62), c), s),
         Return => w.u8(63),
         ReturnVal => w.u8(64),
         MonitorEnter => w.u8(65),
         MonitorExit => w.u8(66),
         Nop => w.u8(67),
-        DsmCheckRead { depth, kind } => { w.u8(68); w.u8(*depth); w.u8(kind_tag(*kind)); }
-        DsmCheckWrite { depth, kind } => { w.u8(69); w.u8(*depth); w.u8(kind_tag(*kind)); }
+        DsmCheckRead { depth, kind } => w.u8(68).u8(*depth).u8(kind_tag(*kind)),
+        DsmCheckWrite { depth, kind } => w.u8(69).u8(*depth).u8(kind_tag(*kind)),
         DsmMonitorEnter => w.u8(70),
         DsmMonitorExit => w.u8(71),
         DsmSpawn => w.u8(72),
-        DsmVolatileAcquire { depth } => { w.u8(73); w.u8(*depth); }
+        DsmVolatileAcquire { depth } => w.u8(73).u8(*depth),
         DsmVolatileRelease => w.u8(74),
         // Quickened opcodes are a load-time artifact — never serialized
         // (class files travel in symbolic form, like real .class files).
         GetFieldQ { .. } | PutFieldQ { .. } | GetStaticQ { .. } | PutStaticQ { .. }
         | NewQ(_) | InvokeStaticQ(_) | InvokeSpecialQ(_) | InvokeVirtualQ { .. } => {
-            return Err(ClassFileError("quickened instruction in class file".into()))
+            return Err(CodecError("quickened instruction in class file"))
         }
-    }
+    };
     Ok(())
 }
 
-fn read_instr(r: &mut R) -> Result<Instr, ClassFileError> {
+fn read_instr(r: &mut Reader) -> Result<Instr, CodecError> {
     use Instr::*;
     Ok(match r.u8()? {
         0 => Const(Value::I32(r.i32()?)),
         1 => Const(Value::I64(r.i64()?)),
         2 => Const(Value::F64(r.f64()?)),
         3 => Const(Value::Null),
-        4 => LdcStr(r.str()?),
+        4 => LdcStr(get_str(r)?),
         5 => Dup,
         6 => DupX1,
         7 => Pop,
@@ -328,25 +259,25 @@ fn read_instr(r: &mut R) -> Result<Instr, ClassFileError> {
         41 => D2L,
         42 => LCmp,
         43 => DCmp,
-        44 => Goto(r.usz()?),
-        45 => IfICmp(cmp_from(r.u8()?)?, r.usz()?),
-        46 => IfI(cmp_from(r.u8()?)?, r.usz()?),
-        47 => IfNull(r.usz()?),
-        48 => IfNonNull(r.usz()?),
-        49 => IfACmpEq(r.usz()?),
-        50 => IfACmpNe(r.usz()?),
-        51 => New(r.str()?),
-        52 => GetField(r.str()?, r.str()?),
-        53 => PutField(r.str()?, r.str()?),
-        54 => GetStatic(r.str()?, r.str()?),
-        55 => PutStatic(r.str()?, r.str()?),
+        44 => Goto(r.u32()? as usize),
+        45 => IfICmp(cmp_from(r.u8()?)?, r.u32()? as usize),
+        46 => IfI(cmp_from(r.u8()?)?, r.u32()? as usize),
+        47 => IfNull(r.u32()? as usize),
+        48 => IfNonNull(r.u32()? as usize),
+        49 => IfACmpEq(r.u32()? as usize),
+        50 => IfACmpNe(r.u32()? as usize),
+        51 => New(get_str(r)?),
+        52 => GetField(get_str(r)?, get_str(r)?),
+        53 => PutField(get_str(r)?, get_str(r)?),
+        54 => GetStatic(get_str(r)?, get_str(r)?),
+        55 => PutStatic(get_str(r)?, get_str(r)?),
         56 => NewArray(elem_from(r.u8()?)?),
         57 => ALoad(elem_from(r.u8()?)?),
         58 => AStore(elem_from(r.u8()?)?),
         59 => ArrayLen,
-        60 => InvokeStatic(r.str()?, read_sig(r)?),
+        60 => InvokeStatic(get_str(r)?, read_sig(r)?),
         61 => InvokeVirtual(read_sig(r)?),
-        62 => InvokeSpecial(r.str()?, read_sig(r)?),
+        62 => InvokeSpecial(get_str(r)?, read_sig(r)?),
         63 => Return,
         64 => ReturnVal,
         65 => MonitorEnter,
@@ -359,93 +290,88 @@ fn read_instr(r: &mut R) -> Result<Instr, ClassFileError> {
         72 => DsmSpawn,
         73 => DsmVolatileAcquire { depth: r.u8()? },
         74 => DsmVolatileRelease,
-        op => return Err(ClassFileError(format!("bad opcode {op}"))),
+        _ => return Err(CodecError("bad opcode")),
     })
 }
 
 /// Serialize a single class.
 pub fn encode_class(cf: &ClassFile) -> Vec<u8> {
-    let mut w = W { buf: Vec::with_capacity(256) };
-    w.str(&cf.name);
+    let mut w = Writer::over(Vec::with_capacity(256));
+    put_str(&mut w, &cf.name);
     match &cf.super_name {
-        Some(s) => {
-            w.u8(1);
-            w.str(s);
-        }
+        Some(s) => put_str(w.u8(1), s),
         None => w.u8(0),
-    }
+    };
     w.u8(cf.is_bootstrap as u8);
-    w.usz(cf.fields.len());
+    put_len(&mut w, cf.fields.len());
     for f in &cf.fields {
-        w.str(&f.name);
-        w.u8(ty_tag(f.ty));
-        w.u8((f.is_static as u8) | ((f.is_volatile as u8) << 1));
+        put_str(&mut w, &f.name).u8(ty_tag(f.ty)).u8((f.is_static as u8) | ((f.is_volatile as u8) << 1));
     }
-    w.usz(cf.methods.len());
+    put_len(&mut w, cf.methods.len());
     for m in &cf.methods {
-        write_sig(&mut w, &m.sig);
-        w.u8((m.is_static as u8) | ((m.is_synchronized as u8) << 1) | ((m.is_native as u8) << 2));
-        w.u16(m.max_locals);
-        w.usz(m.code.len());
+        write_sig(&mut w, &m.sig)
+            .u8((m.is_static as u8) | ((m.is_synchronized as u8) << 1) | ((m.is_native as u8) << 2))
+            .u16(m.max_locals);
+        put_len(&mut w, m.code.len());
         for ins in &m.code {
             write_instr(&mut w, ins).expect("symbolic code only");
         }
     }
-    w.buf
+    w.into_inner()
 }
 
-/// Deserialize a single class.
-pub fn decode_class(r: &mut R) -> Result<ClassFile, ClassFileError> {
-    let name = r.str()?;
+/// Deserialize a single class: `bytes` is exactly one [`encode_class`]
+/// image.
+pub fn decode_class(bytes: &[u8]) -> Result<ClassFile, CodecError> {
+    let r = &mut Reader::new(bytes);
+    let name = get_str(r)?;
     let super_name = match r.u8()? {
         0 => None,
-        _ => Some(r.str()?),
+        _ => Some(get_str(r)?),
     };
     let is_bootstrap = r.u8()? != 0;
-    let nf = r.usz()?;
-    let mut fields = Vec::with_capacity(nf);
-    for _ in 0..nf {
-        let name = r.str()?;
+    let fields = get_seq(r, 6, |r| {
+        let name = get_str(r)?;
         let ty = ty_from(r.u8()?)?;
         let flags = r.u8()?;
-        fields.push(FieldDef { name, ty, is_static: flags & 1 != 0, is_volatile: flags & 2 != 0 });
-    }
-    let nm = r.usz()?;
-    let mut methods = Vec::with_capacity(nm);
-    for _ in 0..nm {
+        Ok(FieldDef { name, ty, is_static: flags & 1 != 0, is_volatile: flags & 2 != 0 })
+    })?;
+    let methods = get_seq(r, 13, |r| {
         let sig = read_sig(r)?;
         let flags = r.u8()?;
-        let max_locals = r.u16()?;
-        let nc = r.usz()?;
-        let mut code = Vec::with_capacity(nc);
-        for _ in 0..nc {
-            code.push(read_instr(r)?);
-        }
-        methods.push(MethodDef {
+        Ok(MethodDef {
             sig,
             is_static: flags & 1 != 0,
             is_synchronized: flags & 2 != 0,
             is_native: flags & 4 != 0,
-            max_locals,
-            code,
-        });
-    }
+            max_locals: r.u16()?,
+            code: get_seq(r, 1, read_instr)?,
+        })
+    })?;
+    r.finish()?;
     Ok(ClassFile { name, super_name, fields, methods, is_bootstrap })
+}
+
+/// The program header — magic, version, main class, class count — that
+/// precedes the length-prefixed class images.
+fn program_header(p: &Program, capacity: usize) -> Writer {
+    let mut w = Writer::over(Vec::with_capacity(capacity));
+    put_len(put_str(w.bytes(MAGIC).u16(VERSION), &p.main_class), p.classes.len());
+    w
+}
+
+fn put_class(w: &mut Writer, c: &ClassFile) {
+    let bytes = encode_class(c);
+    put_len(w, bytes.len()).bytes(&bytes);
 }
 
 /// Serialize a whole program (what the runtime ships to each worker).
 pub fn encode_program(p: &Program) -> Vec<u8> {
-    let mut w = W { buf: Vec::with_capacity(4096) };
-    w.buf.extend_from_slice(MAGIC);
-    w.u16(VERSION);
-    w.str(&p.main_class);
-    w.usz(p.classes.len());
+    let mut w = program_header(p, 4096);
     for c in &p.classes {
-        let bytes = encode_class(c);
-        w.usz(bytes.len());
-        w.buf.extend_from_slice(&bytes);
+        put_class(&mut w, c);
     }
-    w.buf
+    w.into_inner()
 }
 
 /// Serialize a whole program in bounded chunks, streaming every filled
@@ -456,52 +382,44 @@ pub fn encode_program(p: &Program) -> Vec<u8> {
 pub fn encode_program_chunked(p: &Program, chunk: usize, sink: &mut dyn FnMut(&[u8])) -> usize {
     assert!(chunk > 0, "chunk size must be positive");
     let mut total = 0usize;
-    let mut w = W { buf: Vec::with_capacity(chunk.min(4096)) };
-    w.buf.extend_from_slice(MAGIC);
-    w.u16(VERSION);
-    w.str(&p.main_class);
-    w.usz(p.classes.len());
+    let mut w = program_header(p, chunk.min(4096));
     for c in &p.classes {
-        let bytes = encode_class(c);
-        w.usz(bytes.len());
-        w.buf.extend_from_slice(&bytes);
-        while w.buf.len() >= chunk {
-            sink(&w.buf[..chunk]);
+        put_class(&mut w, c);
+        let mut buf = w.into_inner();
+        while buf.len() >= chunk {
+            sink(&buf[..chunk]);
             total += chunk;
-            w.buf.drain(..chunk);
+            buf.drain(..chunk);
         }
+        w = Writer::over(buf);
     }
-    if !w.buf.is_empty() {
-        total += w.buf.len();
-        sink(&w.buf);
+    if !w.is_empty() {
+        total += w.len();
+        sink(&w.into_inner());
     }
     total
 }
 
-/// Deserialize a whole program.
-pub fn decode_program(bytes: &[u8]) -> Result<Program, ClassFileError> {
-    let mut r = R { buf: bytes, pos: 0 };
+/// Deserialize a whole program. The bytes come from a file or a peer
+/// (`Welcome.program`): anything but exactly one [`encode_program`] image
+/// is an error, and no count in it is trusted further than the bytes that
+/// are actually there.
+pub fn decode_program(bytes: &[u8]) -> Result<Program, CodecError> {
+    let mut r = Reader::new(bytes);
     if r.take(4)? != MAGIC {
-        return Err(ClassFileError("bad magic".into()));
+        return Err(CodecError("bad magic"));
     }
-    let v = r.u16()?;
-    if v != VERSION {
-        return Err(ClassFileError(format!("unsupported version {v}")));
+    if r.u16()? != VERSION {
+        return Err(CodecError("unsupported class-file version"));
     }
-    let main_class = r.str()?;
-    let nc = r.usz()?;
-    let mut classes = Vec::with_capacity(nc);
-    for _ in 0..nc {
-        let len = r.usz()?;
-        let mut cr = R { buf: r.take(len)?, pos: 0 };
-        classes.push(decode_class(&mut cr)?);
-    }
+    let main_class = get_str(&mut r)?;
+    let classes = get_seq(&mut r, 4, |r| {
+        let len = r.u32()?;
+        decode_class(r.take(len as usize)?)
+    })?;
+    r.finish()?;
     Ok(Program { classes, main_class })
 }
-
-// Silence unused-import warnings for id types referenced in doc text.
-#[allow(unused)]
-fn _ids(_: ClassId, _: MethodId, _: SigId) {}
 
 #[cfg(test)]
 mod tests {
@@ -519,9 +437,15 @@ mod tests {
     }
 
     #[test]
-    fn rewritten_program_round_trips() {
-        // The actual payload the runtime would ship: a rewritten app with
-        // DSM pseudo-instructions, companions and renamed classes.
+    fn stdlib_bytes_are_pinned() {
+        let p = Program { classes: stdlib::stdlib_classes(), main_class: "x".into() };
+        crate::wire_check::assert_pinned("encode_program(stdlib)", &encode_program(&p), (0xfae, 0x484d_dd32_6644_b6c9));
+        crate::wire_check::assert_pinned("encode_program(rewritten)", &encode_program(&rewritten_sample()), (4211, 0x94c9_48c2_06c9_ecbb));
+    }
+
+    /// The actual payload the runtime would ship: a rewritten app with DSM
+    /// pseudo-instructions, companions and renamed classes.
+    fn rewritten_sample() -> Program {
         let mut pb = ProgramBuilder::new("M");
         pb.class("A", "java.lang.Object", |cb| {
             cb.field("x", crate::instr::Ty::I32);
@@ -542,6 +466,12 @@ mod tests {
             depth: 0,
             kind: AccessKind::Field,
         });
+        p
+    }
+
+    #[test]
+    fn rewritten_program_round_trips() {
+        let p = rewritten_sample();
         let back = decode_program(&encode_program(&p)).unwrap();
         assert_eq!(p.classes, back.classes);
     }
@@ -577,13 +507,39 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_input_is_rejected_not_panicking() {
-        let p = Program { classes: stdlib::stdlib_classes(), main_class: "x".into() };
-        let mut bytes = encode_program(&p);
-        assert!(decode_program(&bytes[..10]).is_err());
-        bytes[0] = b'X';
-        assert!(decode_program(&bytes).is_err());
-        assert!(decode_program(&[]).is_err());
+    fn decode_program_is_total() {
+        let good = encode_program(&rewritten_sample());
+        crate::wire_check::assert_total(decode_program, &good);
+        let mut bad_magic = good;
+        bad_magic[0] = b'X';
+        assert_eq!(decode_program(&bad_magic).err(), Some(CodecError("bad magic")));
+    }
+
+    /// Every count in a class file is outside input (a `.mjvm` file, or
+    /// `Welcome.program` from a peer): a maximal one is refused against the
+    /// bytes actually left, before anything is allocated for it — not
+    /// handed to `Vec::with_capacity`, which aborts the process.
+    #[test]
+    fn maximal_counts_are_refused_not_allocated_for() {
+        let refused = Some(CodecError("count exceeds message"));
+        let mut program = program_header(&Program { classes: Vec::new(), main_class: "x".into() }, 16).into_inner();
+        let at = program.len() - 4;
+        program[at..].fill(0xFF);
+        assert_eq!(decode_program(&program).err(), refused, "class count");
+
+        // Class "A", no superclass, not bootstrap — then the counts.
+        let class = |tail: &dyn Fn(&mut Writer)| {
+            let mut w = Writer::new();
+            put_str(&mut w, "A").u8(0).u8(0);
+            tail(&mut w);
+            decode_class(&w.into_inner()).err()
+        };
+        assert_eq!(class(&|w| { w.u32(u32::MAX); }), refused, "field count");
+        assert_eq!(class(&|w| { w.u32(0).u32(u32::MAX); }), refused, "method count");
+        // No fields, one method, whose signature starts with the name "m".
+        let method = |w: &mut Writer| { put_str(w.u32(0).u32(1), "m"); };
+        assert_eq!(class(&|w| { method(w); w.u8(0).u8(0).u8(0).u16(0).u32(u32::MAX); }), refused, "code length");
+        assert_eq!(class(&|w| { method(w); w.u8(u8::MAX); }), refused, "parameter count");
     }
 
     #[test]

@@ -19,7 +19,10 @@
 //!   the paper's Tables 1–3 ([`cost`]);
 //! * a bootstrap library: intrinsic ("native") classes plus bootstrap classes
 //!   written in MJVM bytecode ([`intrinsics`], [`stdlib`]);
-//! * a deterministic single-node VM for correctness testing ([`localvm`]).
+//! * a deterministic single-node VM for correctness testing ([`localvm`]);
+//! * the byte layer every wire format in the workspace sits on — class
+//!   files here, protocol messages, frames and envelopes in the crates
+//!   above ([`wire`]).
 //!
 //! The DSM pseudo-instructions (`DsmCheckRead`, `DsmMonitorEnter`, …) are part
 //! of the instruction set but are only ever *emitted* by the `jsplit-rewriter`
@@ -42,6 +45,9 @@ pub mod pcode;
 pub mod stdlib;
 pub mod value;
 pub mod verifier;
+pub mod wire;
+#[cfg(test)]
+mod wire_check;
 
 pub use builder::{ClassBuilder, MethodBuilder, ProgramBuilder};
 pub use class::{ClassFile, FieldDef, MethodDef, Program, Sig};

@@ -1,315 +1,6 @@
-//! The custom fast wire codec (paper §2).
-//!
-//! "We do not use Java's built-in serialization mechanism, since it is too
-//! slow for our purposes, including many unneeded features, e.g.,
-//! serialization of referenced objects (deep copy) [...] Instead, we augment
-//! each rewritten class with class-specific serialization and deserialization
-//! methods." The MJVM equivalent: flat little-endian primitives over
-//! `bytes::BytesMut`, varint-compressed counts, and 64-bit global ids in
-//! place of references — never a deep copy.
+//! The custom fast wire codec (paper §2). It is defined once, in
+//! [`jsplit_mjvm::wire`] — the dependency-free crate every encoder already
+//! depends on — and re-exported here under the names the protocol crates
+//! import.
 
-use bytes::{Buf, BufMut, Bytes};
-use jsplit_mjvm::heap::Gid;
-use jsplit_mjvm::value::Value;
-
-/// Wire writer. Backed by a plain `Vec<u8>` so callers that reuse encode
-/// buffers (the framed transport, chunked class shipping) can lend one in
-/// with [`Writer::over`] and take it back with [`Writer::into_inner`].
-#[derive(Debug, Default)]
-pub struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    pub fn new() -> Writer {
-        Writer { buf: Vec::with_capacity(64) }
-    }
-
-    /// Write into a caller-provided buffer, appending to its current
-    /// contents (the caller clears it when reusing).
-    pub fn over(buf: Vec<u8>) -> Writer {
-        Writer { buf }
-    }
-
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    pub fn finish(self) -> Bytes {
-        Bytes::from(self.buf)
-    }
-
-    /// Take the backing buffer (for pooled reuse instead of freezing).
-    pub fn into_inner(self) -> Vec<u8> {
-        self.buf
-    }
-
-    pub fn u8(&mut self, v: u8) -> &mut Self {
-        self.buf.put_u8(v);
-        self
-    }
-
-    pub fn u16(&mut self, v: u16) -> &mut Self {
-        self.buf.put_u16_le(v);
-        self
-    }
-
-    pub fn u32(&mut self, v: u32) -> &mut Self {
-        self.buf.put_u32_le(v);
-        self
-    }
-
-    pub fn u64(&mut self, v: u64) -> &mut Self {
-        self.buf.put_u64_le(v);
-        self
-    }
-
-    pub fn i32(&mut self, v: i32) -> &mut Self {
-        self.buf.put_i32_le(v);
-        self
-    }
-
-    pub fn i64(&mut self, v: i64) -> &mut Self {
-        self.buf.put_i64_le(v);
-        self
-    }
-
-    pub fn f64(&mut self, v: f64) -> &mut Self {
-        self.buf.put_f64_le(v);
-        self
-    }
-
-    /// LEB128-style variable-length unsigned integer (counts, small ids).
-    pub fn varu(&mut self, mut v: u64) -> &mut Self {
-        loop {
-            let b = (v & 0x7F) as u8;
-            v >>= 7;
-            if v == 0 {
-                self.buf.put_u8(b);
-                return self;
-            }
-            self.buf.put_u8(b | 0x80);
-        }
-    }
-
-    pub fn gid(&mut self, g: Gid) -> &mut Self {
-        self.u64(g.0)
-    }
-
-    pub fn str(&mut self, s: &str) -> &mut Self {
-        self.varu(s.len() as u64);
-        self.buf.put_slice(s.as_bytes());
-        self
-    }
-
-    /// A tagged value; references must already be resolved to gids by the
-    /// caller (`gid_of`), honouring the no-deep-copy rule.
-    pub fn value(&mut self, v: Value, gid_of: &mut dyn FnMut(jsplit_mjvm::heap::ObjRef) -> Gid) -> &mut Self {
-        match v {
-            Value::I32(x) => self.u8(0).i32(x),
-            Value::I64(x) => self.u8(1).i64(x),
-            Value::F64(x) => self.u8(2).f64(x),
-            Value::Ref(r) => {
-                let g = gid_of(r);
-                self.u8(3).gid(g)
-            }
-            Value::Null => self.u8(4),
-        }
-    }
-}
-
-/// Wire reader. Decoding errors surface as `CodecError` (a malformed message
-/// is a protocol bug, not a user error).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CodecError(pub &'static str);
-
-impl std::fmt::Display for CodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "codec error: {}", self.0)
-    }
-}
-
-impl std::error::Error for CodecError {}
-
-/// Reader over a received message. Generic over any [`Buf`] so framed
-/// receives can decode straight out of a `&[u8]` slice of the frame buffer
-/// without first copying each payload into its own `Bytes`.
-pub struct Reader<B = Bytes> {
-    buf: B,
-}
-
-impl<B: Buf> Reader<B> {
-    pub fn new(buf: B) -> Reader<B> {
-        Reader { buf }
-    }
-
-    pub fn remaining(&self) -> usize {
-        self.buf.remaining()
-    }
-
-    fn need(&self, n: usize) -> Result<(), CodecError> {
-        if self.buf.remaining() < n {
-            Err(CodecError("truncated message"))
-        } else {
-            Ok(())
-        }
-    }
-
-    pub fn u8(&mut self) -> Result<u8, CodecError> {
-        self.need(1)?;
-        Ok(self.buf.get_u8())
-    }
-
-    pub fn u16(&mut self) -> Result<u16, CodecError> {
-        self.need(2)?;
-        Ok(self.buf.get_u16_le())
-    }
-
-    pub fn u32(&mut self) -> Result<u32, CodecError> {
-        self.need(4)?;
-        Ok(self.buf.get_u32_le())
-    }
-
-    pub fn u64(&mut self) -> Result<u64, CodecError> {
-        self.need(8)?;
-        Ok(self.buf.get_u64_le())
-    }
-
-    pub fn i32(&mut self) -> Result<i32, CodecError> {
-        self.need(4)?;
-        Ok(self.buf.get_i32_le())
-    }
-
-    pub fn i64(&mut self) -> Result<i64, CodecError> {
-        self.need(8)?;
-        Ok(self.buf.get_i64_le())
-    }
-
-    pub fn f64(&mut self) -> Result<f64, CodecError> {
-        self.need(8)?;
-        Ok(self.buf.get_f64_le())
-    }
-
-    pub fn varu(&mut self) -> Result<u64, CodecError> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = self.u8()?;
-            v |= ((b & 0x7F) as u64) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-            if shift >= 64 {
-                return Err(CodecError("varint overflow"));
-            }
-        }
-    }
-
-    pub fn gid(&mut self) -> Result<Gid, CodecError> {
-        Ok(Gid(self.u64()?))
-    }
-
-    pub fn str(&mut self) -> Result<String, CodecError> {
-        let len = self.varu()? as usize;
-        self.need(len)?;
-        let bytes = self.buf.copy_to_bytes(len);
-        String::from_utf8(bytes.to_vec()).map_err(|_| CodecError("invalid utf-8"))
-    }
-
-    /// Inverse of [`Writer::value`]: references come back as gids for the
-    /// caller to map into local cached copies.
-    pub fn value(&mut self) -> Result<WireValue, CodecError> {
-        Ok(match self.u8()? {
-            0 => WireValue::I32(self.i32()?),
-            1 => WireValue::I64(self.i64()?),
-            2 => WireValue::F64(self.f64()?),
-            3 => WireValue::Ref(self.gid()?),
-            4 => WireValue::Null,
-            _ => return Err(CodecError("bad value tag")),
-        })
-    }
-}
-
-/// A decoded value: references are global ids, not local heap refs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum WireValue {
-    I32(i32),
-    I64(i64),
-    F64(f64),
-    Ref(Gid),
-    Null,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use jsplit_mjvm::heap::ObjRef;
-    use proptest::prelude::*;
-
-    #[test]
-    fn primitive_round_trip() {
-        let mut w = Writer::new();
-        w.u8(7).u32(0xDEAD_BEEF).i64(-5).f64(2.5).str("héllo").varu(300).gid(Gid::new(3, 42));
-        let mut r = Reader::new(w.finish());
-        assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.i64().unwrap(), -5);
-        assert_eq!(r.f64().unwrap(), 2.5);
-        assert_eq!(r.str().unwrap(), "héllo");
-        assert_eq!(r.varu().unwrap(), 300);
-        assert_eq!(r.gid().unwrap(), Gid::new(3, 42));
-        assert_eq!(r.remaining(), 0);
-    }
-
-    #[test]
-    fn value_round_trip_maps_refs_to_gids() {
-        let mut w = Writer::new();
-        let mut gid_of = |r: ObjRef| Gid::new(1, r.0 as u64);
-        w.value(Value::Ref(ObjRef(9)), &mut gid_of);
-        w.value(Value::Null, &mut gid_of);
-        w.value(Value::I32(-7), &mut gid_of);
-        let mut r = Reader::new(w.finish());
-        assert_eq!(r.value().unwrap(), WireValue::Ref(Gid::new(1, 9)));
-        assert_eq!(r.value().unwrap(), WireValue::Null);
-        assert_eq!(r.value().unwrap(), WireValue::I32(-7));
-    }
-
-    #[test]
-    fn truncated_message_errors() {
-        let mut w = Writer::new();
-        w.u32(1);
-        let mut r = Reader::new(w.finish());
-        assert!(r.u64().is_err());
-    }
-
-    proptest! {
-        #[test]
-        fn varu_round_trip(v in any::<u64>()) {
-            let mut w = Writer::new();
-            w.varu(v);
-            let mut r = Reader::new(w.finish());
-            prop_assert_eq!(r.varu().unwrap(), v);
-            prop_assert_eq!(r.remaining(), 0);
-        }
-
-        #[test]
-        fn mixed_stream_round_trip(items in proptest::collection::vec((any::<i64>(), any::<u32>(), ".{0,12}"), 0..20)) {
-            let mut w = Writer::new();
-            for (a, b, s) in &items {
-                w.i64(*a).u32(*b).str(s);
-            }
-            let mut r = Reader::new(w.finish());
-            for (a, b, s) in &items {
-                prop_assert_eq!(r.i64().unwrap(), *a);
-                prop_assert_eq!(r.u32().unwrap(), *b);
-                prop_assert_eq!(&r.str().unwrap(), s);
-            }
-            prop_assert_eq!(r.remaining(), 0);
-        }
-    }
-}
+pub use jsplit_mjvm::wire::{CodecError, Counter, Patch, Reader, Writer};

@@ -1,5 +1,6 @@
 //! Per-node network statistics, broken down by protocol message kind.
 
+use crate::codec::Counter;
 use crate::sim::NodeId;
 
 /// Protocol message categories (the DSM protocol enum maps onto these for
@@ -133,18 +134,14 @@ impl NetStats {
         self.recv_bytes_by_kind[kind.idx()]
     }
 
+    /// The field table, in wire order.
+    pub const FIELDS: &'static [Counter<NetStats>] = jsplit_mjvm::counters!(NetStats:
+        sum msgs_sent, sum msgs_recv, sum bytes_sent, sum bytes_recv,
+        sum sent_by_kind[8], sum bytes_by_kind[8], sum recv_by_kind[8], sum recv_bytes_by_kind[8]);
+
     /// Merge another node's counters (for cluster-wide summaries).
     pub fn merge(&mut self, other: &NetStats) {
-        self.msgs_sent += other.msgs_sent;
-        self.msgs_recv += other.msgs_recv;
-        self.bytes_sent += other.bytes_sent;
-        self.bytes_recv += other.bytes_recv;
-        for i in 0..8 {
-            self.sent_by_kind[i] += other.sent_by_kind[i];
-            self.bytes_by_kind[i] += other.bytes_by_kind[i];
-            self.recv_by_kind[i] += other.recv_by_kind[i];
-            self.recv_bytes_by_kind[i] += other.recv_bytes_by_kind[i];
-        }
+        Counter::merge(NetStats::FIELDS, self, other);
     }
 }
 

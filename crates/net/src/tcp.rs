@@ -28,6 +28,7 @@
 //! relayed [`Envelope::Slots`] is the acquire — every frame that preceded a
 //! peer's `Slot` on its stream precedes `Slots` on ours.
 
+use crate::codec::{CodecError, Patch, Reader, Writer};
 use crate::sim::NodeId;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -132,239 +133,135 @@ const T_REPORT: u8 = 13;
 const T_METRICS: u8 = 14;
 const T_FAULT: u8 = 15;
 
-fn put_u16(b: &mut Vec<u8>, v: u16) {
-    b.extend_from_slice(&v.to_le_bytes());
+/// A `u32` byte count, then the bytes (config and program blobs, strings).
+fn put_blob(w: &mut Writer, bytes: &[u8]) {
+    w.u32(bytes.len() as u32).bytes(bytes);
 }
 
-fn put_u32(b: &mut Vec<u8>, v: u32) {
-    b.extend_from_slice(&v.to_le_bytes());
+fn get_blob<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], CodecError> {
+    let n = r.u32()?;
+    r.take(n as usize)
 }
 
-fn put_u64(b: &mut Vec<u8>, v: u64) {
-    b.extend_from_slice(&v.to_le_bytes());
+fn get_string(r: &mut Reader) -> Result<String, CodecError> {
+    let n = r.u32()?;
+    r.utf8(n as usize).map(str::to_owned)
 }
 
-struct Cursor<'a> {
-    b: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        if self.at + n > self.b.len() {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "truncated envelope body"));
-        }
-        let s = &self.b[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> io::Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// A `u16`-counted run of `u64`s (the count is at most 64 Ki, so a
-    /// hostile one cannot over-allocate before `take` refuses it).
-    fn u64s(&mut self) -> io::Result<Vec<u64>> {
-        let n = self.u16()? as usize;
-        self.take(8 * n)?.chunks_exact(8).map(|b| Ok(u64::from_le_bytes(b.try_into().unwrap()))).collect()
-    }
-
-    fn rest(&mut self) -> &'a [u8] {
-        let s = &self.b[self.at..];
-        self.at = self.b.len();
-        s
-    }
+/// A `u16`-counted run of `u64`s.
+fn get_u64s(r: &mut Reader) -> Result<Vec<u64>, CodecError> {
+    let n = r.u16()?;
+    r.seq_of(n.into(), 8, Reader::u64)
 }
 
 /// Serialize an envelope (length prefix included).
 pub fn encode_envelope(env: &Envelope) -> Vec<u8> {
-    let mut b = vec![0u8; 4];
+    let mut w = Writer::over(vec![0u8; 4]);
     match env {
         Envelope::Hello { magic, version, node_id, config_hash } => {
-            b.push(T_HELLO);
-            put_u32(&mut b, *magic);
-            put_u16(&mut b, *version);
-            put_u16(&mut b, *node_id);
-            put_u64(&mut b, *config_hash);
+            w.u8(T_HELLO).u32(*magic).u16(*version).u16(*node_id).u64(*config_hash);
         }
         Envelope::Welcome { node_id, nodes, config_hash, metrics_interval_us, flags, config, program } => {
-            b.push(T_WELCOME);
-            put_u16(&mut b, *node_id);
-            put_u16(&mut b, *nodes);
-            put_u64(&mut b, *config_hash);
-            put_u64(&mut b, *metrics_interval_us);
-            b.push(*flags);
-            put_u32(&mut b, config.len() as u32);
-            b.extend_from_slice(config);
-            put_u32(&mut b, program.len() as u32);
-            b.extend_from_slice(program);
+            w.u8(T_WELCOME).u16(*node_id).u16(*nodes).u64(*config_hash).u64(*metrics_interval_us).u8(*flags);
+            put_blob(&mut w, config);
+            put_blob(&mut w, program);
         }
-        Envelope::Reject { reason } => {
-            b.push(T_REJECT);
-            put_u32(&mut b, reason.len() as u32);
-            b.extend_from_slice(reason.as_bytes());
-        }
+        Envelope::Reject { reason } => put_blob(w.u8(T_REJECT), reason.as_bytes()),
         Envelope::Data { src, dst, frame } => {
-            b.push(T_DATA);
-            put_u16(&mut b, *src);
-            put_u16(&mut b, *dst);
-            b.extend_from_slice(frame);
+            w.u8(T_DATA).u16(*src).u16(*dst).bytes(frame);
         }
         Envelope::Slot { round, slot, min_out } => {
-            b.push(T_SLOT);
-            put_u64(&mut b, *round);
-            for v in slot {
-                put_u64(&mut b, *v);
-            }
-            put_u16(&mut b, min_out.len() as u16);
-            for v in min_out {
-                put_u64(&mut b, *v);
-            }
+            w.u8(T_SLOT).u64(*round).u64s(slot).u16(min_out.len() as u16).u64s(min_out);
         }
         Envelope::Slots { round, slots } => {
-            b.push(T_SLOTS);
-            put_u64(&mut b, *round);
-            put_u16(&mut b, slots.len() as u16);
+            w.u8(T_SLOTS).u64(*round).u16(slots.len() as u16);
             for s in slots {
-                for v in s {
-                    put_u64(&mut b, *v);
-                }
+                w.u64s(s);
             }
         }
         Envelope::State { qhead, drained, live, ops } => {
-            b.push(T_STATE);
-            put_u64(&mut b, *qhead);
-            put_u64(&mut b, *drained);
-            put_u64(&mut b, *live);
-            put_u64(&mut b, *ops);
+            w.u8(T_STATE).u64(*qhead).u64(*drained).u64(*live).u64(*ops);
         }
         Envelope::Done { outcome } => {
-            b.push(T_DONE);
-            b.push(*outcome);
+            w.u8(T_DONE).u8(*outcome);
         }
-        Envelope::Flushed => b.push(T_FLUSHED),
-        Envelope::Shutdown => b.push(T_SHUTDOWN),
+        Envelope::Flushed => {
+            w.u8(T_FLUSHED);
+        }
+        Envelope::Shutdown => {
+            w.u8(T_SHUTDOWN);
+        }
         Envelope::Report { body } => {
-            b.push(T_REPORT);
-            b.extend_from_slice(body);
+            w.u8(T_REPORT).bytes(body);
         }
         Envelope::Metrics { node, cells } => {
-            b.push(T_METRICS);
-            put_u16(&mut b, *node);
-            put_u16(&mut b, cells.len() as u16);
-            for v in cells {
-                put_u64(&mut b, *v);
-            }
+            w.u8(T_METRICS).u16(*node).u16(cells.len() as u16).u64s(cells);
         }
         Envelope::Fault { node, message, flight } => {
-            b.push(T_FAULT);
-            put_u16(&mut b, *node);
-            put_u32(&mut b, message.len() as u32);
-            b.extend_from_slice(message.as_bytes());
-            put_u32(&mut b, flight.len() as u32);
-            b.extend_from_slice(flight.as_bytes());
+            w.u8(T_FAULT).u16(*node);
+            put_blob(&mut w, message.as_bytes());
+            put_blob(&mut w, flight.as_bytes());
         }
     }
+    let mut b = w.into_inner();
     let len = (b.len() - 4) as u32;
-    b[0..4].copy_from_slice(&len.to_le_bytes());
+    Patch(&mut b[..4]).u32(len);
     b
 }
 
-fn decode_body(ty: u8, body: &[u8]) -> io::Result<Envelope> {
-    let mut c = Cursor { b: body, at: 0 };
-    let env = match ty {
+/// Decode one envelope body (the bytes after the length prefix). The body
+/// is peer input: every count is vetted against what is left before
+/// anything is allocated for it, and nothing may trail the last field.
+fn decode_body(body: &[u8]) -> io::Result<Envelope> {
+    let mut r = Reader::new(body);
+    // Callers never pass an empty body; if one did, 0 is no envelope type.
+    let ty = r.u8().unwrap_or(0);
+    decode_fields(ty, &mut r)
+        .and_then(|env| r.finish().map(|()| env))
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad envelope of type {ty}: {e}")))
+}
+
+fn decode_fields(ty: u8, r: &mut Reader) -> Result<Envelope, CodecError> {
+    Ok(match ty {
         T_HELLO => Envelope::Hello {
-            magic: c.u32()?,
-            version: c.u16()?,
-            node_id: c.u16()?,
-            config_hash: c.u64()?,
+            magic: r.u32()?,
+            version: r.u16()?,
+            node_id: r.u16()?,
+            config_hash: r.u64()?,
         },
-        T_WELCOME => {
-            let node_id = c.u16()?;
-            let nodes = c.u16()?;
-            let config_hash = c.u64()?;
-            let metrics_interval_us = c.u64()?;
-            let flags = c.u8()?;
-            let clen = c.u32()? as usize;
-            let config = c.take(clen)?.to_vec();
-            let plen = c.u32()? as usize;
-            let program = c.take(plen)?.to_vec();
-            Envelope::Welcome { node_id, nodes, config_hash, metrics_interval_us, flags, config, program }
-        }
-        T_REJECT => {
-            let rlen = c.u32()? as usize;
-            let reason = String::from_utf8_lossy(c.take(rlen)?).into_owned();
-            Envelope::Reject { reason }
-        }
-        T_DATA => {
-            let src = c.u16()?;
-            let dst = c.u16()?;
-            Envelope::Data { src, dst, frame: c.rest().to_vec() }
-        }
-        T_SLOT => {
-            let round = c.u64()?;
-            let mut slot = [0u64; 5];
-            for v in &mut slot {
-                *v = c.u64()?;
-            }
-            Envelope::Slot { round, slot, min_out: c.u64s()? }
-        }
-        T_SLOTS => {
-            let round = c.u64()?;
-            let n = c.u16()? as usize;
-            let mut slots = Vec::with_capacity(n);
-            for _ in 0..n {
-                let mut slot = [0u64; 5];
-                for v in &mut slot {
-                    *v = c.u64()?;
-                }
-                slots.push(slot);
-            }
-            Envelope::Slots { round, slots }
-        }
+        T_WELCOME => Envelope::Welcome {
+            node_id: r.u16()?,
+            nodes: r.u16()?,
+            config_hash: r.u64()?,
+            metrics_interval_us: r.u64()?,
+            flags: r.u8()?,
+            config: get_blob(r)?.to_vec(),
+            program: get_blob(r)?.to_vec(),
+        },
+        T_REJECT => Envelope::Reject { reason: get_string(r)? },
+        T_DATA => Envelope::Data { src: r.u16()?, dst: r.u16()?, frame: r.rest().to_vec() },
+        T_SLOT => Envelope::Slot { round: r.u64()?, slot: r.u64s()?, min_out: get_u64s(r)? },
+        T_SLOTS => Envelope::Slots {
+            round: r.u64()?,
+            slots: {
+                let n = r.u16()?;
+                r.seq_of(n.into(), 40, Reader::u64s)?
+            },
+        },
         T_STATE => Envelope::State {
-            qhead: c.u64()?,
-            drained: c.u64()?,
-            live: c.u64()?,
-            ops: c.u64()?,
+            qhead: r.u64()?,
+            drained: r.u64()?,
+            live: r.u64()?,
+            ops: r.u64()?,
         },
-        T_DONE => Envelope::Done { outcome: c.u8()? },
+        T_DONE => Envelope::Done { outcome: r.u8()? },
         T_FLUSHED => Envelope::Flushed,
         T_SHUTDOWN => Envelope::Shutdown,
-        T_REPORT => Envelope::Report { body: c.rest().to_vec() },
-        T_METRICS => Envelope::Metrics { node: c.u16()?, cells: c.u64s()? },
-        T_FAULT => {
-            let node = c.u16()?;
-            let mlen = c.u32()? as usize;
-            let message = String::from_utf8_lossy(c.take(mlen)?).into_owned();
-            let flen = c.u32()? as usize;
-            let flight = String::from_utf8_lossy(c.take(flen)?).into_owned();
-            Envelope::Fault { node, message, flight }
-        }
-        other => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unknown envelope type {other}"),
-            ))
-        }
-    };
-    if c.at != body.len() && !matches!(ty, T_DATA | T_REPORT) {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "trailing bytes in envelope body"));
-    }
-    Ok(env)
+        T_REPORT => Envelope::Report { body: r.rest().to_vec() },
+        T_METRICS => Envelope::Metrics { node: r.u16()?, cells: get_u64s(r)? },
+        T_FAULT => Envelope::Fault { node: r.u16()?, message: get_string(r)?, flight: get_string(r)? },
+        _ => return Err(CodecError("unknown envelope type")),
+    })
 }
 
 /// Write one envelope to a stream.
@@ -394,7 +291,7 @@ pub fn read_envelope(r: &mut dyn Read) -> io::Result<Envelope> {
     }
     let mut body = vec![0u8; len];
     r.read_exact(&mut body)?;
-    decode_body(body[0], &body[1..])
+    decode_body(&body)
 }
 
 /// Incremental envelope decoder: feed arbitrary byte slices (as a socket
@@ -440,7 +337,7 @@ impl EnvelopeDecoder {
         if avail.len() < 4 + len {
             return Ok(None);
         }
-        let env = decode_body(avail[4], &avail[5..4 + len])?;
+        let env = decode_body(&avail[4..4 + len])?;
         self.at += 4 + len;
         Ok(Some(env))
     }
@@ -576,6 +473,12 @@ mod tests {
     }
 
     #[test]
+    fn envelope_bytes_are_pinned() {
+        let stream: Vec<u8> = samples().iter().flat_map(encode_envelope).collect();
+        crate::wire_check::assert_pinned("every sample envelope", &stream, (0x3c4, 0xbb27_3436_88b8_2479));
+    }
+
+    #[test]
     fn roundtrip_every_envelope() {
         for env in samples() {
             let bytes = encode_envelope(&env);
@@ -583,6 +486,22 @@ mod tests {
             let got = read_envelope(&mut r).expect("decode");
             assert_eq!(got, env);
             assert!(r.is_empty(), "reader consumed exactly one envelope");
+        }
+    }
+
+    /// Every sample envelope decodes only from exactly its own bytes, and
+    /// nothing a peer can put on the stream makes the decoder panic.
+    #[test]
+    fn envelope_decoding_is_total() {
+        for env in samples() {
+            crate::wire_check::assert_total(
+                |bytes| {
+                    let mut stream = bytes;
+                    let env = read_envelope(&mut stream)?;
+                    if stream.is_empty() { Ok(env) } else { Err(io::Error::other("bytes after the envelope")) }
+                },
+                &encode_envelope(&env),
+            );
         }
     }
 
@@ -597,7 +516,8 @@ mod tests {
             bytes.extend_from_slice(&42u64.to_le_bytes());
             let err = read_envelope(&mut &bytes[..]).expect_err("retired tag accepted");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-            assert!(err.to_string().contains(&format!("unknown envelope type {tag}")), "{err}");
+            let msg = err.to_string();
+            assert!(msg.contains("unknown envelope type") && msg.contains(&format!("type {tag}:")), "{msg}");
         }
     }
 

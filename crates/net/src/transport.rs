@@ -27,7 +27,7 @@
 //! decoded frame's buffer to its sender over a recycle channel, so the
 //! steady state allocates nothing on the wire path.
 
-use crate::codec::Writer;
+use crate::codec::{CodecError, Counter, Patch, Reader, Writer};
 use crate::sim::{LinkParams, Network, NodeId};
 use crate::stats::{MsgKind, NetStats};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -50,24 +50,84 @@ const REC_HDR: usize = 8 + 8 + 8 + 1 + 4;
 /// from zero).
 pub const NULL_WIRE_ID: u8 = 0xFF;
 
+/// The header preceding each record's payload — the one definition of the
+/// record layout in the module docs.
+#[derive(Clone, Copy)]
+struct RecHdr {
+    /// Virtual delivery time; for a null record, the promise.
+    deliver_ps: u64,
+    step_ps: u64,
+    seq: u64,
+    /// `None` marks a null record ([`NULL_WIRE_ID`] on the wire).
+    kind: Option<MsgKind>,
+    len: u32,
+}
+
+impl RecHdr {
+    /// A null record carrying `promise_ps`.
+    fn null(promise_ps: u64) -> RecHdr {
+        RecHdr { deliver_ps: promise_ps, step_ps: 0, seq: 0, kind: None, len: 0 }
+    }
+
+    /// Reserve a header's worth of bytes at the end of `buf`, to be filled
+    /// by [`RecHdr::put`] once the fields are known.
+    fn reserve(buf: &mut Vec<u8>) -> usize {
+        let at = buf.len();
+        buf.resize(at + REC_HDR, 0);
+        at
+    }
+
+    fn put(&self, buf: &mut [u8], at: usize) {
+        Patch(&mut buf[at..at + REC_HDR])
+            .u64(self.deliver_ps)
+            .u64(self.step_ps)
+            .u64(self.seq)
+            .u8(self.kind.map_or(NULL_WIRE_ID, MsgKind::wire_id))
+            .u32(self.len);
+    }
+
+    fn get(r: &mut Reader) -> Result<RecHdr, CodecError> {
+        Ok(RecHdr {
+            deliver_ps: r.u64()?,
+            step_ps: r.u64()?,
+            seq: r.u64()?,
+            kind: match r.u8()? {
+                NULL_WIRE_ID => None,
+                id => Some(MsgKind::from_wire(id).ok_or(CodecError("bad frame record kind"))?),
+            },
+            len: r.u32()?,
+        })
+    }
+}
+
+/// The checked walk over one frame's records: `(header, payload)` pairs
+/// until the buffer is used up exactly. A frame is peer bytes — a header or
+/// payload running past the end, or an unknown kind byte, ends the walk
+/// with an error instead of an index panic.
+fn records(buf: &[u8]) -> impl Iterator<Item = Result<(RecHdr, &[u8]), CodecError>> {
+    let mut r = Reader::new(buf);
+    std::iter::from_fn(move || {
+        if r.remaining() == 0 {
+            return None;
+        }
+        let rec = RecHdr::get(&mut r).and_then(|h| Ok((h, r.take(h.len as usize)?)));
+        if rec.is_err() {
+            r.rest(); // a broken walk yields its error once, then ends
+        }
+        Some(rec)
+    })
+}
+
 /// Count the non-null records inside one encoded frame without decoding
-/// payloads. The sockets coordinator uses this to keep an authoritative
+/// payloads, refusing a frame that is not a whole number of well-formed
+/// records. The sockets coordinator uses this to keep an authoritative
 /// per-destination delivery count for its termination decision: a worker is
 /// quiescent only once it has drained exactly as many records as the
 /// coordinator relayed toward it, so in-flight frames can never be mistaken
-/// for global quiescence.
-pub fn frame_data_records(buf: &[u8]) -> u64 {
-    let mut n = 0u64;
-    let mut at = 0usize;
-    while at + REC_HDR <= buf.len() {
-        let kind = buf[at + 24];
-        let len = u32::from_le_bytes(buf[at + 25..at + 29].try_into().unwrap()) as usize;
-        if kind != NULL_WIRE_ID {
-            n += 1;
-        }
-        at += REC_HDR + len;
-    }
-    n
+/// for global quiescence — and it is where a malformed frame is stopped,
+/// at the sender's stream, before it is relayed to a receiver.
+pub fn frame_data_records(buf: &[u8]) -> Result<u64, CodecError> {
+    records(buf).try_fold(0, |n, rec| Ok(n + rec?.0.kind.is_some() as u64))
 }
 
 /// What a driver needs from a message fabric: given a send of `bytes` wire
@@ -149,6 +209,20 @@ impl FrameLink for ChannelFanout {
     }
 }
 
+/// A frame that is not a whole number of well-formed records, and the node
+/// whose bytes it was.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FrameError {
+    pub src: NodeId,
+    pub err: CodecError,
+}
+
+impl std::fmt::Display for FrameError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "malformed frame from node {}: {}", self.src, self.err)
+    }
+}
+
 /// Per-record callback for [`ChannelEndpoint::drain_frames`]:
 /// `(src, kind, deliver_ps, step_ps, seq, payload)`. The payload slice
 /// borrows from the frame buffer being drained.
@@ -170,6 +244,12 @@ pub struct FrameStats {
     pub nulls_sent: u64,
     /// Null records that rode along in a frame already carrying data.
     pub nulls_piggybacked: u64,
+}
+
+impl FrameStats {
+    /// The field table, in wire order.
+    pub const FIELDS: &'static [Counter<FrameStats>] = jsplit_mjvm::counters!(FrameStats:
+        sum frames_sent, sum frame_bytes, sum msgs_framed, sum nulls_sent, sum nulls_piggybacked);
 }
 
 /// One node's end of a fully connected channel mesh.
@@ -364,18 +444,13 @@ impl ChannelEndpoint {
         if buf.capacity() == 0 {
             buf = self.take_buf();
         }
-        let start = buf.len();
-        buf.resize(start + REC_HDR, 0);
+        let start = RecHdr::reserve(&mut buf);
         let mut w = Writer::over(buf);
         encode(&mut w);
         let mut buf = w.into_inner();
         let payload_len = buf.len() - start - REC_HDR;
         let deliver_ps = self.plan_send(now_ps, dst, payload_len, kind);
-        buf[start..start + 8].copy_from_slice(&deliver_ps.to_le_bytes());
-        buf[start + 8..start + 16].copy_from_slice(&step_ps.to_le_bytes());
-        buf[start + 16..start + 24].copy_from_slice(&seq.to_le_bytes());
-        buf[start + 24] = kind.wire_id();
-        buf[start + 25..start + 29].copy_from_slice(&(payload_len as u32).to_le_bytes());
+        RecHdr { deliver_ps, step_ps, seq, kind: Some(kind), len: payload_len as u32 }.put(&mut buf, start);
         self.frame_stats.msgs_framed += 1;
         let m = &mut self.min_out[dst as usize];
         *m = (*m).min(deliver_ps);
@@ -431,10 +506,8 @@ impl ChannelEndpoint {
         } else {
             self.frame_stats.nulls_piggybacked += 1;
         }
-        let start = buf.len();
-        buf.resize(start + REC_HDR, 0);
-        buf[start..start + 8].copy_from_slice(&promise_ps.to_le_bytes());
-        buf[start + 24] = NULL_WIRE_ID;
+        let start = RecHdr::reserve(&mut buf);
+        RecHdr::null(promise_ps).put(&mut buf, start);
         self.pending[dst as usize] = buf;
         self.flush_to(dst);
     }
@@ -457,8 +530,14 @@ impl ChannelEndpoint {
     /// arrival order and recording receive statistics. Payloads are decoded
     /// in place from the frame buffer (no copy); buffers go back to their
     /// senders' pools. Null records are routed to `nulls` (src, promise) and
-    /// touch no statistics.
-    pub fn drain_frames_with_nulls(&mut self, sink: &mut RecordSink<'_>, nulls: &mut dyn FnMut(NodeId, u64)) {
+    /// touch no statistics. A frame is peer bytes: one that is not a whole
+    /// number of well-formed records stops the drain with an error naming
+    /// its sender (the records before the fault have been delivered).
+    pub fn drain_frames_with_nulls(
+        &mut self,
+        sink: &mut RecordSink<'_>,
+        nulls: &mut dyn FnMut(NodeId, u64),
+    ) -> Result<(), FrameError> {
         loop {
             let frame = if self.stash.is_empty() {
                 match self.rx.try_recv() {
@@ -469,35 +548,30 @@ impl ChannelEndpoint {
                 // FIFO: a stashed frame arrived before anything still in rx.
                 self.stash.remove(0)
             };
-            let mut at = 0usize;
-            while at < frame.buf.len() {
-                let h = &frame.buf[at..at + REC_HDR];
-                let deliver_ps = u64::from_le_bytes(h[0..8].try_into().unwrap());
-                let step_ps = u64::from_le_bytes(h[8..16].try_into().unwrap());
-                let seq = u64::from_le_bytes(h[16..24].try_into().unwrap());
-                let len = u32::from_le_bytes(h[25..29].try_into().unwrap()) as usize;
-                at += REC_HDR;
-                let payload = &frame.buf[at..at + len];
-                at += len;
-                if h[24] == NULL_WIRE_ID {
-                    nulls(frame.src, deliver_ps);
-                    continue;
+            for rec in records(&frame.buf) {
+                let (h, payload) = rec.map_err(|err| FrameError { src: frame.src, err })?;
+                match h.kind {
+                    None => nulls(frame.src, h.deliver_ps),
+                    Some(kind) => {
+                        self.stats.record_recv(payload.len(), kind);
+                        sink(frame.src, kind, h.deliver_ps, h.step_ps, h.seq, payload);
+                    }
                 }
-                let kind = MsgKind::from_wire(h[24]).expect("bad frame record kind");
-                self.stats.record_recv(len, kind);
-                sink(frame.src, kind, deliver_ps, step_ps, seq, payload);
             }
             // Hand the buffer back to whoever allocated it.
             self.wire.recycle(frame.src, frame.buf);
         }
+        Ok(())
     }
 
     /// [`Self::drain_frames_with_nulls`] for drivers that never emit null
-    /// records (epoch sync): encountering one is a protocol violation.
+    /// records (epoch sync): a null record, like a malformed frame, is a
+    /// protocol violation and panics naming the sender.
     pub fn drain_frames(&mut self, sink: &mut RecordSink<'_>) {
         self.drain_frames_with_nulls(sink, &mut |src, _| {
             panic!("null record from node {src} outside async sync mode")
-        });
+        })
+        .unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Receive-side accounting without a channel hop (setup-phase traffic
@@ -622,6 +696,54 @@ mod tests {
         assert_eq!(mesh[1].stats.bytes_recv, 15);
     }
 
+    /// One frame carrying a data record and a null record behind it.
+    fn sample_frame() -> Vec<u8> {
+        let mut mesh = ChannelEndpoint::mesh(&links(), true);
+        put(&mut mesh[0], 42, 1, MsgKind::Diff, b"hello wire");
+        mesh[0].push_null(1, 888);
+        mesh[1].rx.try_recv().expect("the null ships the frame").buf
+    }
+
+    #[test]
+    fn frame_bytes_are_pinned() {
+        crate::wire_check::assert_pinned("data record + null", &sample_frame(), (0x44, 0xd3e3_bd52_b93d_f452));
+    }
+
+    /// A frame is peer bytes: the record walk takes exactly whole
+    /// well-formed records or fails — truncated header, payload running
+    /// past the end, unknown kind byte — and never indexes out of bounds.
+    #[test]
+    fn record_walk_is_total() {
+        let whole_frame = |bytes: &[u8]| match records(bytes).collect::<Result<Vec<_>, _>>()?.len() {
+            2 => Ok(()),
+            _ => Err(CodecError("not the two records of the sample")),
+        };
+        crate::wire_check::assert_total(whole_frame, &sample_frame());
+        let mut bad_kind = sample_frame();
+        bad_kind[24] = MsgKind::ALL.len() as u8;
+        assert_eq!(frame_data_records(&bad_kind), Err(CodecError("bad frame record kind")));
+    }
+
+    /// What the walk refuses, the drain reports naming the sender — after
+    /// delivering the well-formed records before the fault — and the
+    /// coordinator's count refuses too, so such a frame is stopped at its
+    /// sender's stream rather than relayed.
+    #[test]
+    fn malformed_frames_are_an_error_naming_the_sender() {
+        let mut truncated = sample_frame();
+        truncated.pop();
+        assert_eq!(frame_data_records(&truncated), Err(CodecError("truncated message")));
+        let mut mesh = ChannelEndpoint::mesh(&links(), true);
+        mesh[0].wire.ship(1, Frame { src: 0, buf: truncated });
+        let mut got = Vec::new();
+        let err = mesh[1]
+            .drain_frames_with_nulls(&mut |_, kind, _, _, _, p| got.push((kind, p.to_vec())), &mut |_, _| {})
+            .expect_err("a truncated null record");
+        assert_eq!(err, FrameError { src: 0, err: CodecError("truncated message") });
+        assert_eq!(err.to_string(), "malformed frame from node 0: codec error: truncated message");
+        assert_eq!(got, vec![(MsgKind::Diff, b"hello wire".to_vec())]);
+    }
+
     #[test]
     fn unbatched_mode_ships_one_record_per_frame() {
         let mut mesh = ChannelEndpoint::mesh(&links(), false);
@@ -741,7 +863,8 @@ mod tests {
         mesh[1].drain_frames_with_nulls(
             &mut |src, kind, _, _, _, p| data.push((src, kind, p.to_vec())),
             &mut |src, promise| promises.push((src, promise)),
-        );
+        )
+        .expect("well-formed frames");
         assert_eq!(promises, vec![(0, 777), (0, 888)]);
         assert_eq!(data, vec![(0, MsgKind::Control, b"data".to_vec())]);
         assert_eq!(mesh[0].frame_stats.nulls_sent, 1);
@@ -764,10 +887,10 @@ mod tests {
         mesh[0].push_null(1, 888);
         mesh[0].flush();
         let standalone = mesh[1].rx.try_recv().expect("standalone null frame");
-        assert_eq!(frame_data_records(&standalone.buf), 0);
+        assert_eq!(frame_data_records(&standalone.buf), Ok(0));
         let frame = mesh[1].rx.try_recv().expect("data frame");
-        assert_eq!(frame_data_records(&frame.buf), 2);
-        assert_eq!(frame_data_records(&[]), 0);
+        assert_eq!(frame_data_records(&frame.buf), Ok(2));
+        assert_eq!(frame_data_records(&[]), Ok(0));
     }
 
     #[test]
@@ -775,6 +898,14 @@ mod tests {
     fn epoch_drain_rejects_null_records() {
         let mut mesh = ChannelEndpoint::mesh(&links(), true);
         mesh[0].push_null(1, 5);
+        mesh[1].drain_frames(&mut |_, _, _, _, _, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "malformed frame from node 0: codec error: truncated message")]
+    fn epoch_drain_rejects_malformed_frames() {
+        let mut mesh = ChannelEndpoint::mesh(&links(), true);
+        mesh[0].wire.ship(1, Frame { src: 0, buf: vec![0; REC_HDR - 1] });
         mesh[1].drain_frames(&mut |_, _, _, _, _, _| {});
     }
 

@@ -91,7 +91,7 @@ use crate::node::{Effect, LocalEv, NodeRuntime};
 use crate::report::NodeResult;
 use jsplit_dsm::Msg;
 use jsplit_mjvm::heap::ThreadUid;
-use jsplit_net::{ChannelEndpoint, MsgKind, NodeId, Reader};
+use jsplit_net::{ChannelEndpoint, MsgKind, NodeId};
 use jsplit_trace::{
     Event, FlightRecorder, FlightTag, Metric, MetricsRegistry, NodeWallProfile, SpanKind, SpanRecorder,
     TraceEvent, TraceSink,
@@ -432,6 +432,13 @@ impl OpenTrace {
 /// `(deliver, step, src, frame seq, message)`.
 type Drained = (u64, u64, NodeId, u64, Msg);
 
+/// Decode one drained record's payload. A frame is peer bytes: one that is
+/// not a `Msg` takes this node down naming the sender (on the sockets
+/// backend the panic travels to the coordinator as a `Fault`).
+fn decode_record(src: NodeId, payload: &[u8]) -> Msg {
+    Msg::decode_slice(payload).unwrap_or_else(|e| panic!("malformed message from node {src}: {e}"))
+}
+
 /// One node's conservative event loop, generic over how progress crosses
 /// node boundaries (see the module docs). The threads backend runs one per
 /// OS thread; the sockets backend one per worker process.
@@ -641,8 +648,7 @@ impl SyncEngine {
     fn drain_inbox(&mut self) {
         let mut batch = std::mem::take(&mut self.drain_scratch);
         self.endpoint.drain_frames(&mut |src, _kind, deliver_ps, step_ps, seq, payload| {
-            let msg = Msg::decode_from(&mut Reader::new(payload)).expect("wire codec round-trip");
-            batch.push((deliver_ps, step_ps, src, seq, msg));
+            batch.push((deliver_ps, step_ps, src, seq, decode_record(src, payload)));
         });
         self.enqueue_drained(batch);
     }
@@ -857,10 +863,9 @@ impl SyncEngine {
     fn drain_inbox_async(&mut self, chan: &mut [u64]) -> u64 {
         let mut batch = std::mem::take(&mut self.drain_scratch);
         let mut records = 0u64;
-        self.endpoint.drain_frames_with_nulls(
+        let drained = self.endpoint.drain_frames_with_nulls(
             &mut |src, _kind, deliver_ps, step_ps, seq, payload| {
-                let msg = Msg::decode_from(&mut Reader::new(payload)).expect("wire codec round-trip");
-                batch.push((deliver_ps, step_ps, src, seq, msg));
+                batch.push((deliver_ps, step_ps, src, seq, decode_record(src, payload)));
                 records += 1;
             },
             &mut |src, promise| {
@@ -868,6 +873,7 @@ impl SyncEngine {
                 *c = (*c).max(promise);
             },
         );
+        drained.unwrap_or_else(|e| panic!("{e}"));
         for &(deliver, _, src, _, _) in batch.iter() {
             let c = &mut chan[src as usize];
             *c = (*c).max(deliver);
@@ -1354,7 +1360,7 @@ impl Host for SyncEngine {
                 "loopback delivered before its profile bound"
             );
             self.endpoint.record_recv(wire.payload.len(), wire.kind);
-            let msg = Msg::decode_from(&mut Reader::new(&wire.payload[..])).expect("loopback codec round-trip");
+            let msg = Msg::decode_slice(&wire.payload).expect("loopback codec round-trip");
             self.endpoint.recycle(wire.payload);
             self.events.push(deliver, (step, src), NodeEv::Deliver { src, msg });
         }

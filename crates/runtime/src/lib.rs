@@ -50,6 +50,9 @@ pub mod report;
 pub mod sockets;
 pub mod telemetry;
 pub mod threads;
+#[cfg(test)]
+#[path = "../../mjvm/src/wire_check.rs"]
+mod wire_check;
 
 pub use balance::Balancer;
 pub use config::{Backend, ClusterConfig, MetricsConfig, Mode, NodeSpec, SyncMode};

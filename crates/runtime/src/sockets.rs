@@ -78,7 +78,7 @@ use jsplit_net::tcp::{
 };
 use jsplit_net::transport::{frame_data_records, FrameStats};
 use jsplit_net::{ChannelEndpoint, Frame, NetStats, NodeId, SoloSetup};
-use jsplit_trace::{FlightRecorder, MetricsRegistry, ObjProfile, ALL_METRICS, METRICS};
+use jsplit_trace::{FlightRecorder, MetricsRegistry, ObjProfile, ALL_METRICS, METRICS, OBJ_KINDS};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
@@ -149,22 +149,15 @@ fn decode_wire_config(bytes: &[u8]) -> Result<ClusterConfig, CodecError> {
         1 => Mode::JavaSplit,
         _ => return Err(CodecError("bad mode byte")),
     };
-    // The count comes from the peer: each node costs one byte, so anything
-    // above what is left is malformed — refuse before allocating for it.
-    let n = match usize::try_from(r.varu()?) {
-        Ok(n) if n <= r.remaining() => n,
-        _ => return Err(CodecError("node count exceeds message")),
-    };
-    let mut nodes = Vec::with_capacity(n);
-    for _ in 0..n {
-        nodes.push(NodeSpec {
+    let nodes = r.seq(1, |r| {
+        Ok(NodeSpec {
             profile: match r.u8()? {
                 0 => JvmProfile::SunSim,
                 1 => JvmProfile::IbmSim,
                 _ => return Err(CodecError("bad profile byte")),
             },
-        });
-    }
+        })
+    })?;
     let cpus_per_node = r.varu()? as usize;
     // Everything the wire does not carry keeps its default: tracing,
     // metrics and objprof are armed via `Welcome`, outside the hashed
@@ -196,9 +189,7 @@ fn decode_wire_config(bytes: &[u8]) -> Result<ClusterConfig, CodecError> {
         _ => return Err(CodecError("bad sync byte")),
     };
     cfg.classic_interp = r.u8()? != 0;
-    if r.remaining() != 0 {
-        return Err(CodecError("trailing bytes after wire config"));
-    }
+    r.finish()?;
     Ok(cfg)
 }
 
@@ -241,7 +232,7 @@ fn encode_vm_error(w: &mut Writer, e: &VmError) {
     }
 }
 
-fn decode_vm_error(r: &mut Reader<&[u8]>) -> Result<VmError, CodecError> {
+fn decode_vm_error(r: &mut Reader) -> Result<VmError, CodecError> {
     Ok(match r.u8()? {
         0 => VmError::NullDeref { method: r.str()?, pc: r.varu()? as usize },
         1 => VmError::DivByZero { method: r.str()?, pc: r.varu()? as usize },
@@ -259,70 +250,42 @@ fn decode_vm_error(r: &mut Reader<&[u8]>) -> Result<VmError, CodecError> {
     })
 }
 
-fn encode_net_stats(w: &mut Writer, s: &NetStats) {
-    w.u64(s.msgs_sent).u64(s.msgs_recv).u64(s.bytes_sent).u64(s.bytes_recv);
-    for arr in [&s.sent_by_kind, &s.bytes_by_kind, &s.recv_by_kind, &s.recv_bytes_by_kind] {
-        for v in arr {
-            w.u64(*v);
-        }
+/// The per-object sharing profile, map entries in key order so equal
+/// profiles encode to equal bytes.
+fn encode_objprof(w: &mut Writer, p: &ObjProfile) {
+    let mut objects: Vec<_> = p.objects.iter().collect();
+    objects.sort_unstable();
+    w.u64(objects.len() as u64);
+    for (gid, cells) in objects {
+        w.u64(*gid).u64s(cells);
     }
-}
-
-fn decode_net_stats(r: &mut Reader<&[u8]>) -> Result<NetStats, CodecError> {
-    let mut s = NetStats {
-        msgs_sent: r.u64()?,
-        msgs_recv: r.u64()?,
-        bytes_sent: r.u64()?,
-        bytes_recv: r.u64()?,
-        ..NetStats::default()
-    };
-    for arr in [&mut s.sent_by_kind, &mut s.bytes_by_kind, &mut s.recv_by_kind, &mut s.recv_bytes_by_kind] {
-        for v in arr.iter_mut() {
-            *v = r.u64()?;
-        }
+    let mut edges: Vec<_> = p.grants_to.iter().collect();
+    edges.sort_unstable();
+    w.u64(edges.len() as u64);
+    for (&(gid, to), &count) in edges {
+        w.u64(gid).u64(to as u64).u64(count);
     }
-    Ok(s)
+    let mut regions: Vec<_> = p.region_base.iter().collect();
+    regions.sort_unstable();
+    w.u64(regions.len() as u64);
+    for (&region, &base) in regions {
+        w.u64(region).u64(base);
+    }
+    w.u64s(&p.unattributed);
 }
 
-fn encode_dsm_stats(w: &mut Writer, s: &DsmStats) {
-    w.u64(s.promotions)
-        .u64(s.local_acquires)
-        .u64(s.shared_acquires_local)
-        .u64(s.shared_acquires_remote)
-        .u64(s.grants_sent)
-        .u64(s.fetches)
-        .u64(s.diffs_sent)
-        .u64(s.diff_fields)
-        .u64(s.diffs_applied)
-        .u64(s.releases_awaiting_acks)
-        .u64(s.invalidations)
-        .u64(s.waits)
-        .u64(s.notifies)
-        .varu(s.notices_stored_max as u64)
-        .varu(s.notice_mem_max as u64)
-        .u64(s.homed_objects)
-        .u64(s.fetches_delayed_at_home);
-}
-
-fn decode_dsm_stats(r: &mut Reader<&[u8]>) -> Result<DsmStats, CodecError> {
-    Ok(DsmStats {
-        promotions: r.u64()?,
-        local_acquires: r.u64()?,
-        shared_acquires_local: r.u64()?,
-        shared_acquires_remote: r.u64()?,
-        grants_sent: r.u64()?,
-        fetches: r.u64()?,
-        diffs_sent: r.u64()?,
-        diff_fields: r.u64()?,
-        diffs_applied: r.u64()?,
-        releases_awaiting_acks: r.u64()?,
-        invalidations: r.u64()?,
-        waits: r.u64()?,
-        notifies: r.u64()?,
-        notices_stored_max: r.varu()? as usize,
-        notice_mem_max: r.varu()? as usize,
-        homed_objects: r.u64()?,
-        fetches_delayed_at_home: r.u64()?,
+fn decode_objprof(r: &mut Reader) -> Result<ObjProfile, CodecError> {
+    let n = r.u64()?;
+    let objects = r.seq_of(n, 8 + 8 * OBJ_KINDS, |r| Ok((r.u64()?, r.u64s()?)))?;
+    let n = r.u64()?;
+    let edges = r.seq_of(n, 24, |r| Ok(((r.u64()?, r.u64()? as NodeId), r.u64()?)))?;
+    let n = r.u64()?;
+    let regions = r.seq_of(n, 16, |r| Ok((r.u64()?, r.u64()?)))?;
+    Ok(ObjProfile {
+        objects: objects.into_iter().collect(),
+        grants_to: edges.into_iter().collect(),
+        region_base: regions.into_iter().collect(),
+        unattributed: r.u64s()?,
     })
 }
 
@@ -347,99 +310,51 @@ fn encode_node_result(rep: &NodeResult) -> Vec<u8> {
         .u64(rep.windows)
         .u64(rep.horizon_advances)
         .u64(rep.setup_ps);
-    encode_net_stats(&mut w, &rep.net);
+    w.counters(NetStats::FIELDS, &rep.net);
     match &rep.dsm {
-        None => {
-            w.u8(0);
-        }
-        Some(d) => {
-            w.u8(1);
-            encode_dsm_stats(&mut w, d);
-        }
-    }
-    w.u64(rep.frames.frames_sent)
-        .u64(rep.frames.frame_bytes)
-        .u64(rep.frames.msgs_framed)
-        .u64(rep.frames.nulls_sent)
-        .u64(rep.frames.nulls_piggybacked);
-    w.str(&rep.flight);
-    // The profile goes last: its codec is self-delimiting raw bytes, which
-    // the decoder reads straight off the remaining slice.
+        None => w.u8(0),
+        Some(d) => w.u8(1).counters(DsmStats::FIELDS, d),
+    };
+    w.counters(FrameStats::FIELDS, &rep.frames).str(&rep.flight);
     match &rep.objprof {
         None => {
             w.u8(0);
-            w.into_inner()
         }
-        Some(p) => {
-            w.u8(1);
-            let mut out = w.into_inner();
-            p.encode(&mut out);
-            out
-        }
+        Some(p) => encode_objprof(w.u8(1), p),
     }
+    w.into_inner()
 }
 
 fn decode_node_result(bytes: &[u8]) -> Result<NodeResult, CodecError> {
-    let mut r = Reader::new(bytes);
-    let n_console = r.varu()? as usize;
-    let mut console = Vec::with_capacity(n_console.min(1 << 16));
-    for _ in 0..n_console {
-        console.push(r.str()?);
-    }
-    let n_errors = r.varu()? as usize;
-    let mut errors = Vec::with_capacity(n_errors.min(1 << 16));
-    for _ in 0..n_errors {
-        let uid = r.varu()? as ThreadUid;
-        errors.push((uid, decode_vm_error(&mut r)?));
-    }
-    let deadlocked = r.u8()? != 0;
-    let aborted = r.u8()? != 0;
-    let ops = r.u64()?;
-    let spawned_here = r.u32()?;
-    let finish_time = r.u64()?;
-    let slab_high_water = r.u64()?;
-    let windows = r.u64()?;
-    let horizon_advances = r.u64()?;
-    let setup_ps = r.u64()?;
-    let net = decode_net_stats(&mut r)?;
-    let dsm = match r.u8()? {
-        0 => None,
-        _ => Some(decode_dsm_stats(&mut r)?),
-    };
-    let frames = FrameStats {
-        frames_sent: r.u64()?,
-        frame_bytes: r.u64()?,
-        msgs_framed: r.u64()?,
-        nulls_sent: r.u64()?,
-        nulls_piggybacked: r.u64()?,
-    };
-    let flight = r.str()?;
-    let objprof = match r.u8()? {
-        0 => None,
-        _ => {
-            let mut pos = bytes.len() - r.remaining();
-            Some(ObjProfile::decode(bytes, &mut pos).ok_or(CodecError("bad objprof payload"))?)
-        }
-    };
-    Ok(NodeResult {
-        console,
-        errors,
-        deadlocked,
-        aborted,
-        ops,
-        spawned_here,
-        finish_time,
-        slab_high_water,
-        windows,
-        horizon_advances,
-        setup_ps,
-        net,
-        dsm,
-        frames,
-        flight,
-        objprof,
+    let r = &mut Reader::new(bytes);
+    // Fields are decoded in the order written here, which is wire order.
+    let rep = NodeResult {
+        console: r.seq(1, Reader::str)?,
+        errors: r.seq(2, |r| Ok((r.varu()? as ThreadUid, decode_vm_error(r)?)))?,
+        deadlocked: r.u8()? != 0,
+        aborted: r.u8()? != 0,
+        ops: r.u64()?,
+        spawned_here: r.u32()?,
+        finish_time: r.u64()?,
+        slab_high_water: r.u64()?,
+        windows: r.u64()?,
+        horizon_advances: r.u64()?,
+        setup_ps: r.u64()?,
+        net: r.counters(NetStats::FIELDS)?,
+        dsm: match r.u8()? {
+            0 => None,
+            _ => Some(r.counters(DsmStats::FIELDS)?),
+        },
+        frames: r.counters(FrameStats::FIELDS)?,
+        flight: r.str()?,
+        objprof: match r.u8()? {
+            0 => None,
+            _ => Some(decode_objprof(r)?),
+        },
         opstats: None,
-    })
+    };
+    r.finish()?;
+    Ok(rep)
 }
 
 // ---------------------------------------------------------------------------
@@ -722,7 +637,7 @@ fn run_worker_body(
         )));
     }
     let program = decode_program(program_bytes)
-        .map_err(|e| ClusterError::Config(format!("worker {me}: bad wire program: {e:?}")))?;
+        .map_err(|e| ClusterError::Config(format!("worker {me}: bad wire program: {e}")))?;
     // The same deterministic preparation every process runs from the same
     // bytes: rewrite, image, class-distribution size — no derived state
     // crosses the wire.
@@ -1109,7 +1024,14 @@ impl SocketsDriver {
                             "sockets coordinator: worker {from} addressed nonexistent node {dst}"
                         )));
                     }
-                    fwd_to[d] += frame_data_records(&frame);
+                    // The frame is the worker's bytes, and the receiving
+                    // engine walks its records: refuse here what is not a
+                    // whole number of well-formed ones.
+                    fwd_to[d] += frame_data_records(&frame).map_err(|e| {
+                        ClusterError::Config(format!(
+                            "sockets coordinator: worker {from} sent a malformed frame for node {dst}: {e}"
+                        ))
+                    })?;
                     tcp::write_data(&mut streams[d], src, dst, &frame).map_err(|e| werr(dst, e))?;
                 }
                 Envelope::Slot { round, slot, min_out } => {
@@ -1283,9 +1205,10 @@ fn decide_async(states: &[Option<(u64, u64, u64, u64)>], fwd_to: &[u64], max_ops
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire_check;
 
-    #[test]
-    fn wire_config_round_trips() {
+    /// A config with every wire-carried field off its default.
+    fn sample_config() -> ClusterConfig {
         let mut cfg = ClusterConfig::javasplit(JvmProfile::SunSim, 4);
         cfg.nodes[2] = NodeSpec { profile: JvmProfile::IbmSim };
         cfg.protocol = ProtocolMode::ClassicHlrc;
@@ -1295,44 +1218,11 @@ mod tests {
         cfg.disable_local_locks = true;
         cfg.array_chunk = Some(64);
         cfg.sync = SyncMode::Async;
-        let got = decode_wire_config(&encode_wire_config(&cfg)).unwrap();
-        assert_eq!(got.mode, cfg.mode);
-        assert_eq!(got.nodes, cfg.nodes);
-        assert_eq!(got.cpus_per_node, cfg.cpus_per_node);
-        assert_eq!(got.protocol, cfg.protocol);
-        assert_eq!(got.balancer, cfg.balancer);
-        assert_eq!(got.fuel, cfg.fuel);
-        assert_eq!(got.max_ops, cfg.max_ops);
-        assert_eq!(got.disable_local_locks, cfg.disable_local_locks);
-        assert_eq!(got.array_chunk, cfg.array_chunk);
-        assert_eq!(got.sync, cfg.sync);
-        assert_eq!(got.backend, Backend::Sockets);
-        assert!(got.trace.is_none() && !got.profile && got.metrics.is_none());
-        // Deployment-side observers stay out of the hashed wire config.
-        assert!(!got.objprof);
+        cfg
     }
 
-    #[test]
-    fn wire_config_rejects_malformed_bytes() {
-        let good = encode_wire_config(&ClusterConfig::javasplit(JvmProfile::SunSim, 4).with_array_chunk(64));
-        assert!(decode_wire_config(&good).is_ok());
-        // Truncated anywhere: an error, never a panic.
-        for len in 0..good.len() {
-            assert!(decode_wire_config(&good[..len]).is_err(), "prefix of {len} bytes accepted");
-        }
-        let mut trailing = good.clone();
-        trailing.push(0);
-        assert!(decode_wire_config(&trailing).is_err());
-        // A node count of u64::MAX (10-byte varint) must not be allocated for.
-        let mut huge = vec![1u8];
-        huge.extend_from_slice(&[0xFF; 9]);
-        huge.push(0x01);
-        huge.extend_from_slice(&good[2..]);
-        assert!(decode_wire_config(&huge).is_err());
-    }
-
-    #[test]
-    fn node_result_round_trips_and_rejects_truncation() {
+    /// A node result with every field populated.
+    fn sample_result() -> NodeResult {
         let mut net = NetStats { msgs_sent: 7, bytes_recv: 1234, ..NetStats::default() };
         net.sent_by_kind[3] = 42;
         net.recv_bytes_by_kind[7] = 99;
@@ -1343,7 +1233,7 @@ mod tests {
             notice_mem_max: 512,
             ..DsmStats::default()
         };
-        let rep = NodeResult {
+        NodeResult {
             console: vec!["hello".into(), "world".into()],
             errors: vec![
                 (3, VmError::NullDeref { method: "Foo.bar".into(), pc: 17 }),
@@ -1373,19 +1263,75 @@ mod tests {
             objprof: Some({
                 let mut p = ObjProfile::new();
                 p.bump(0x0100_0000_0042, jsplit_trace::ObjEvent::Fetch);
+                p.bump(0x0700_0000_0003, jsplit_trace::ObjEvent::WriteHit);
                 p.grant_edge(0x0100_0000_0042, 3);
                 p.note_region(0x0100_0000_0043, 0x0100_0000_0042);
                 p.bump_unattributed(jsplit_trace::ObjEvent::Notify);
                 p
             }),
             opstats: None,
+        }
+    }
+
+    /// What a worker and a coordinator of the same `tcp::VERSION` exchange
+    /// beyond the envelopes themselves.
+    #[test]
+    fn wire_config_and_report_bytes_are_pinned() {
+        wire_check::assert_pinned("encode_wire_config", &encode_wire_config(&sample_config()), (0x1d, 0x2ca9_724d_3c53_467d));
+        wire_check::assert_pinned("encode_node_result", &encode_node_result(&sample_result()), (1019, 0x5fdb_9fa6_5501_5bf6));
+    }
+
+    #[test]
+    fn wire_config_round_trips() {
+        let cfg = sample_config();
+        let got = decode_wire_config(&encode_wire_config(&cfg)).unwrap();
+        assert_eq!(got.mode, cfg.mode);
+        assert_eq!(got.nodes, cfg.nodes);
+        assert_eq!(got.cpus_per_node, cfg.cpus_per_node);
+        assert_eq!(got.protocol, cfg.protocol);
+        assert_eq!(got.balancer, cfg.balancer);
+        assert_eq!(got.fuel, cfg.fuel);
+        assert_eq!(got.max_ops, cfg.max_ops);
+        assert_eq!(got.disable_local_locks, cfg.disable_local_locks);
+        assert_eq!(got.array_chunk, cfg.array_chunk);
+        assert_eq!(got.sync, cfg.sync);
+        assert_eq!(got.backend, Backend::Sockets);
+        assert!(got.trace.is_none() && !got.profile && got.metrics.is_none());
+        // Deployment-side observers stay out of the hashed wire config.
+        assert!(!got.objprof);
+    }
+
+    /// Everything in a `Welcome` or a `Report` beyond the envelope is a
+    /// peer's bytes too.
+    #[test]
+    fn wire_config_and_report_decoding_is_total() {
+        let config = encode_wire_config(&sample_config());
+        wire_check::assert_total(decode_wire_config, &config);
+        // A node count of u64::MAX (10-byte varint) must not be allocated for.
+        let mut huge = vec![1u8];
+        huge.extend_from_slice(&[0xFF; 9]);
+        huge.push(0x01);
+        huge.extend_from_slice(&config[2..]);
+        assert_eq!(decode_wire_config(&huge).err(), Some(CodecError("count exceeds message")));
+        // Nor a console line count, the first thing in a report.
+        assert_eq!(decode_node_result(&huge[1..]).err(), Some(CodecError("count exceeds message")));
+
+        wire_check::assert_total(decode_node_result, &encode_node_result(&sample_result()));
+        let mut w = Writer::new();
+        encode_objprof(&mut w, sample_result().objprof.as_ref().expect("sample carries a profile"));
+        let whole_profile = |bytes: &[u8]| {
+            let mut r = Reader::new(bytes);
+            let p = decode_objprof(&mut r)?;
+            r.finish().map(|()| p)
         };
+        wire_check::assert_total(whole_profile, &w.into_inner());
+    }
+
+    #[test]
+    fn node_result_round_trips() {
+        let rep = sample_result();
         let good = encode_node_result(&rep);
         assert_eq!(decode_node_result(&good).unwrap(), rep);
-        // Truncated anywhere: an error, never a panic.
-        for len in 0..good.len() {
-            assert!(decode_node_result(&good[..len]).is_err(), "prefix of {len} bytes accepted");
-        }
         // Opstats counters stay off the wire.
         let mut counted = jsplit_mjvm::opstats::OpStats::default();
         counted.retire("iadd");

@@ -223,6 +223,29 @@ fn coordinator_rejects_frames_with_a_forged_source() {
     assert!(msg.contains("worker 0") && msg.contains("node 7"), "error should name the worker and the claim: {msg}");
 }
 
+/// So are a frame's bytes: the receiving engine walks them record by
+/// record, so the coordinator refuses — naming the sender — a frame that is
+/// not a whole number of well-formed records (here a header cut short, then
+/// a payload length that overruns the frame) instead of relaying it for
+/// the receiver to trip over.
+#[test]
+fn coordinator_rejects_malformed_frames() {
+    let overrun = {
+        let mut header = vec![0u8; 29];
+        header[25..29].copy_from_slice(&1000u32.to_le_bytes());
+        header
+    };
+    for frame in [&[0xAB; 10][..], &overrun] {
+        let (mut workers, done) = coordinator_with_hand_driven_workers();
+        tcp::write_data(&mut workers[0], 0, 1, frame).expect("send malformed frame");
+        let msg = coordinator_error(done);
+        assert!(
+            msg.contains("worker 0") && msg.contains("malformed frame for node 1"),
+            "error should name the worker and the fault: {msg}"
+        );
+    }
+}
+
 /// A `Slot` is outside input too: its `min_out` is folded by index and its
 /// round selects nothing (one accumulator serves the lockstep run), so a
 /// record that is mis-sized or not for the round in flight is refused,

@@ -206,76 +206,6 @@ impl ObjProfile {
     pub fn is_empty(&self) -> bool {
         self.objects.is_empty() && self.unattributed.iter().all(|&c| c == 0)
     }
-
-    /// Deterministic byte encoding (sockets-backend worker reports).
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        fn put_u64(out: &mut Vec<u8>, v: u64) {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        let mut gids: Vec<u64> = self.objects.keys().copied().collect();
-        gids.sort_unstable();
-        put_u64(out, gids.len() as u64);
-        for g in gids {
-            put_u64(out, g);
-            for c in &self.objects[&g] {
-                put_u64(out, *c);
-            }
-        }
-        let mut edges: Vec<(u64, NodeId)> = self.grants_to.keys().copied().collect();
-        edges.sort_unstable();
-        put_u64(out, edges.len() as u64);
-        for (g, to) in edges {
-            put_u64(out, g);
-            put_u64(out, to as u64);
-            put_u64(out, self.grants_to[&(g, to)]);
-        }
-        let mut regions: Vec<(u64, u64)> = self.region_base.iter().map(|(&r, &b)| (r, b)).collect();
-        regions.sort_unstable();
-        put_u64(out, regions.len() as u64);
-        for (r, b) in regions {
-            put_u64(out, r);
-            put_u64(out, b);
-        }
-        for c in &self.unattributed {
-            put_u64(out, *c);
-        }
-    }
-
-    /// Decode an [`ObjProfile::encode`] image starting at `*pos`.
-    pub fn decode(buf: &[u8], pos: &mut usize) -> Option<ObjProfile> {
-        fn get_u64(buf: &[u8], pos: &mut usize) -> Option<u64> {
-            let b = buf.get(*pos..*pos + 8)?;
-            *pos += 8;
-            Some(u64::from_le_bytes(b.try_into().ok()?))
-        }
-        let mut p = ObjProfile::new();
-        let n = get_u64(buf, pos)?;
-        for _ in 0..n {
-            let g = get_u64(buf, pos)?;
-            let mut cells = [0u64; OBJ_KINDS];
-            for c in &mut cells {
-                *c = get_u64(buf, pos)?;
-            }
-            p.objects.insert(g, cells);
-        }
-        let n = get_u64(buf, pos)?;
-        for _ in 0..n {
-            let g = get_u64(buf, pos)?;
-            let to = get_u64(buf, pos)? as NodeId;
-            let c = get_u64(buf, pos)?;
-            p.grants_to.insert((g, to), c);
-        }
-        let n = get_u64(buf, pos)?;
-        for _ in 0..n {
-            let r = get_u64(buf, pos)?;
-            let b = get_u64(buf, pos)?;
-            p.region_base.insert(r, b);
-        }
-        for c in &mut p.unattributed {
-            *c = get_u64(buf, pos)?;
-        }
-        Some(p)
-    }
 }
 
 /// An object's sharing pattern, derived from reader/writer set sizes and
@@ -697,24 +627,5 @@ mod tests {
         assert_eq!(rep.objects[0].total[ObjEvent::Grant.index()], 1);
         // Determinism: same inputs, same report.
         assert_eq!(rep, build_report(&[p0, p1]));
-    }
-
-    #[test]
-    fn profile_codec_round_trips() {
-        let mut p = ObjProfile::new();
-        p.bump(42, ObjEvent::Fetch);
-        p.bump((7u64 << 40) | 3, ObjEvent::WriteHit);
-        p.grant_edge(42, 3);
-        p.note_region(43, 42);
-        p.bump_unattributed(ObjEvent::Notify);
-        let mut buf = Vec::new();
-        p.encode(&mut buf);
-        let mut pos = 0;
-        let q = ObjProfile::decode(&buf, &mut pos).expect("decode");
-        assert_eq!(pos, buf.len());
-        assert_eq!(p, q);
-        // Truncated image fails cleanly.
-        let mut pos = 0;
-        assert!(ObjProfile::decode(&buf[..buf.len() - 1], &mut pos).is_none());
     }
 }
