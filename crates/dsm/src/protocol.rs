@@ -130,7 +130,8 @@ pub enum WVal {
 }
 
 /// Serialized object contents: reference fields already mapped to gids —
-/// exactly what the generated `DSM_serialize` methods emit (Figure 2).
+/// what Figure 2's `DSM_serialize` methods emit, built generically from
+/// the object's loaded field layout (`DsmNode::serialize_state`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireState {
     Fields(Vec<WVal>),

@@ -194,6 +194,11 @@ pub struct Heap {
     pub stats: HeapStats,
 }
 
+/// The longest array a guest may allocate (16 Mi elements, ≤ 256 MiB of
+/// references): the model's heap limit. Far above any workload's arrays;
+/// a longer `newarray` traps instead of asking the host for gigabytes.
+pub const MAX_ARRAY_LEN: i32 = 1 << 24;
+
 impl Heap {
     pub fn new() -> Self {
         Heap::default()

@@ -35,12 +35,30 @@ pub enum VmError {
     DivByZero { method: String, pc: usize },
     IndexOutOfBounds { len: usize, idx: i64 },
     NegativeArraySize(i64),
+    /// A `newarray` longer than [`crate::heap::MAX_ARRAY_LEN`] — the
+    /// model's `OutOfMemoryError`, refused before any host memory is
+    /// committed.
+    ArrayTooLarge(i64),
     StackUnderflow { method: String, pc: usize },
     IllegalMonitorState { op: &'static str },
     NoSuchMethod(String),
     Unquickened(String),
     TypeMismatch(String),
     VolatileStackEmpty,
+}
+
+impl VmError {
+    /// The trap for a `newarray` length outside `0..=MAX_ARRAY_LEN` (kept
+    /// off the interpreters' hot paths, which test the range with one
+    /// unsigned compare).
+    #[cold]
+    pub fn bad_array_len(len: i32) -> VmError {
+        if len < 0 {
+            VmError::NegativeArraySize(len as i64)
+        } else {
+            VmError::ArrayTooLarge(len as i64)
+        }
+    }
 }
 
 impl std::fmt::Display for VmError {
@@ -52,6 +70,7 @@ impl std::fmt::Display for VmError {
                 write!(f, "array index {idx} out of bounds (len {len})")
             }
             VmError::NegativeArraySize(n) => write!(f, "negative array size {n}"),
+            VmError::ArrayTooLarge(n) => write!(f, "array size {n} exceeds the heap limit"),
             VmError::StackUnderflow { method, pc } => write!(f, "stack underflow in {method}@{pc}"),
             VmError::IllegalMonitorState { op } => write!(f, "illegal monitor state in {op}"),
             VmError::NoSuchMethod(m) => write!(f, "no such method: {m}"),
@@ -571,8 +590,8 @@ fn step_inner<E: VmEnv>(
             }
             Instr::NewArray(elem) => {
                 let len = pop!(frame, method).as_i32();
-                if len < 0 {
-                    return Err(VmError::NegativeArraySize(len as i64));
+                if len as u32 > crate::heap::MAX_ARRAY_LEN as u32 {
+                    return Err(VmError::bad_array_len(len));
                 }
                 let cls = ctx.image.array_class(*elem);
                 cost += model.alloc + model.alloc_per_byte * (len as u64 * 8);

@@ -39,6 +39,8 @@ pub enum LoadError {
     NoMainMethod(String),
     StaticSynchronizedUnsupported { class: String, sig: String },
     CyclicInheritance(String),
+    /// The program failed pre-load verification (first error).
+    Unverified(String),
 }
 
 impl std::fmt::Display for LoadError {
@@ -63,6 +65,7 @@ impl std::fmt::Display for LoadError {
                 write!(f, "static synchronized methods are unsupported: {class}.{sig}")
             }
             LoadError::CyclicInheritance(c) => write!(f, "cyclic inheritance through {c}"),
+            LoadError::Unverified(e) => write!(f, "program failed verification: {e}"),
         }
     }
 }

@@ -13,7 +13,7 @@ use crate::interp::{self, Frame, MonOutcome, StepCtx, StepState, Thread, VmEnv, 
 use crate::loader::{Image, LoadError, MethodId};
 use crate::pcode::{self, PImage};
 use crate::value::Value;
-use crate::verifier::{self, VerifyOptions};
+use crate::verifier;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -231,11 +231,10 @@ pub struct LocalVm {
 }
 
 impl LocalVm {
-    /// Load and prepare a program. Verifies it under the ORIGINAL policy.
+    /// Load and prepare a program. Verifies it under the ORIGINAL policy
+    /// ([`LoadError::Unverified`] on failure).
     pub fn new(program: &crate::class::Program, model: &'static CostModel) -> Result<LocalVm, LoadError> {
-        if let Err(errs) = verifier::verify_program(program, VerifyOptions::ORIGINAL) {
-            panic!("program failed verification: {}", errs[0]);
-        }
+        verifier::verify_original(program).map_err(LoadError::Unverified)?;
         let image = Arc::new(Image::load(program)?);
         let pimage = Arc::new(pcode::predecode(&image, model));
         let mut heap = Heap::new();
@@ -465,6 +464,42 @@ mod tests {
             m.ret();
         });
         assert_eq!(r.output, vec!["10.0", "3"]);
+    }
+
+    #[test]
+    fn newarray_past_the_heap_limit_traps_in_both_interpreters() {
+        let too_long = crate::heap::MAX_ARRAY_LEN + 1;
+        for (len, want) in [(too_long, VmError::ArrayTooLarge(too_long as i64)), (-1, VmError::NegativeArraySize(-1))] {
+            let mut pb = ProgramBuilder::new("M");
+            pb.class("M", "java.lang.Object", |cb| {
+                cb.static_method("main", &[], None, |m| {
+                    m.const_i32(len).newarray(ElemTy::I64).pop_().ret();
+                });
+            });
+            let program = pb.build_with_stdlib();
+            for classic in [false, true] {
+                let mut vm = LocalVm::new(&program, crate::cost::JvmProfile::SunSim.cost_model()).expect("load");
+                vm.classic_interp = classic;
+                let r = vm.run();
+                assert_eq!(r.errors.len(), 1, "classic={classic} len={len}");
+                assert_eq!(r.errors[0].1, want, "classic={classic}");
+            }
+        }
+    }
+
+    #[test]
+    fn unverifiable_input_is_a_load_error() {
+        let mut pb = ProgramBuilder::new("M");
+        pb.class("M", "java.lang.Object", |cb| {
+            cb.static_method("main", &[], None, |m| {
+                m.pop_().ret();
+            });
+        });
+        let program = pb.build_with_stdlib();
+        match LocalVm::new(&program, crate::cost::JvmProfile::SunSim.cost_model()) {
+            Err(LoadError::Unverified(e)) => assert!(e.contains("underflow"), "{e}"),
+            other => panic!("expected Unverified, got {:?}", other.err()),
+        }
     }
 
     #[test]

@@ -1406,8 +1406,8 @@ pub fn step<E: VmEnv>(
                     MOp::NewArr => {
                         charge!();
                         let len = fpop!().as_i32();
-                        if len < 0 {
-                            return Err(VmError::NegativeArraySize(len as i64));
+                        if len as u32 > crate::heap::MAX_ARRAY_LEN as u32 {
+                            return Err(VmError::bad_array_len(len));
                         }
                         let elem = elem_from(op.t);
                         let cls = image.array_class(elem);

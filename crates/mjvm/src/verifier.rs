@@ -38,6 +38,13 @@ impl VerifyOptions {
     pub const REWRITTEN: VerifyOptions = VerifyOptions { allow_dsm: true };
 }
 
+/// The check every entry point runs on an unrewritten program before
+/// touching it (the rewriter, the baseline driver, [`crate::localvm::LocalVm`]):
+/// [`verify_program`] under [`VerifyOptions::ORIGINAL`], first error rendered.
+pub fn verify_original(p: &Program) -> Result<(), String> {
+    verify_program(p, VerifyOptions::ORIGINAL).map_err(|errs| errs[0].to_string())
+}
+
 /// Verify every method of every class in a program.
 pub fn verify_program(p: &Program, opts: VerifyOptions) -> Result<(), Vec<VerifyError>> {
     let mut errors = Vec::new();
@@ -102,6 +109,11 @@ pub fn verify_method(c: &ClassFile, m: &MethodDef, opts: VerifyOptions) -> Resul
         message: msg,
     };
 
+    // The loader refuses these as well; the rewriter, which runs first,
+    // leans on this check instead.
+    if m.is_static && m.is_synchronized {
+        return Err(vec![err(0, "static synchronized methods are unsupported".into())]);
+    }
     if m.is_native {
         return Ok(());
     }
@@ -297,6 +309,16 @@ mod tests {
         p.classes[0].methods[0].code.insert(0, Instr::Goto(99));
         let errs = verify_program(&p, VerifyOptions::ORIGINAL).unwrap_err();
         assert!(errs[0].message.contains("out of bounds"));
+    }
+
+    #[test]
+    fn rejects_static_synchronized() {
+        let mut p = prog(|m| {
+            m.ret();
+        });
+        p.classes[0].methods[0].is_synchronized = true;
+        let errs = verify_program(&p, VerifyOptions::ORIGINAL).unwrap_err();
+        assert!(errs[0].message.contains("static synchronized"));
     }
 
     #[test]

@@ -42,6 +42,12 @@ pub const MAGIC: u32 = 0x4A53_504C;
 /// v3: one rendezvous per epoch round — the round-barrier envelope pair
 /// (tags 5, 6) retired, `Slot` carries `min_out`; the wire config lost its
 /// lookahead and batch bytes (PR 13), the node report its barrier count.
+/// Not bumped for the report body's `VmError` tag 10 (`ArrayTooLarge`): no
+/// envelope changed shape, and the tag only appears in a run whose guest
+/// hit the heap limit. Workers are spawned from the coordinator's own
+/// executable by default; a mixed-build run (`worker_bin`, or workers
+/// started by hand) that does hit it fails with the typed codec error
+/// `bad VmError tag` on the report, never with a misread one.
 pub const VERSION: u16 = 3;
 /// `Hello.node_id` value asking the coordinator to assign one.
 pub const ANY_NODE: u16 = u16::MAX;

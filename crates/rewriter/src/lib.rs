@@ -17,11 +17,13 @@
 //!    bracketed by acquire/release ([`checks`]);
 //! 4. static fields hoisted into per-class `C_static` companion objects
 //!    managed by the ordinary coherency machinery ([`statics`]);
-//! 5. per-class serialization/deserialization/diff descriptors generated
-//!    from the field layout — the `DSM_serialize`/`DSM_deserialize`/
-//!    `DSM_diff` utility methods of Figure 2 ([`serial`]);
-//! 6. every class renamed into the `javasplit` package with all references
+//! 5. every class renamed into the `javasplit` package with all references
 //!    updated ([`rename`]).
+//!
+//! The input is verified first and the output last. Figure 2's per-class
+//! `DSM_serialize`/`DSM_deserialize`/`DSM_diff` methods need no generated
+//! code here: the DSM codec walks each object's loaded field layout
+//! generically, writing reference fields as global ids.
 //!
 //! Deviations from the paper, both consequences of the MJVM substrate and
 //! recorded in DESIGN.md: arrays natively carry a DSM header here, so the
@@ -32,14 +34,12 @@
 pub mod checks;
 pub mod pipeline;
 pub mod rename;
-pub mod serial;
 pub mod splice;
 pub mod statics;
 pub mod sync;
 pub mod threads;
 
 pub use pipeline::{rewrite_program, RewriteError, RewriteStats, Rewritten};
-pub use serial::{ClassSerializer, SerializerRegistry};
 
 /// Package prefix for rewritten classes (paper §4: `javasplit.mypackage.MyClass`).
 pub const JS_PREFIX: &str = "javasplit.";

@@ -2,6 +2,9 @@
 //!
 //! Pass order matters and mirrors the constraints the paper's rewriter faces:
 //!
+//! 0. verify the input under the original-code policy — every pass below
+//!    assumes verified code (in-range branch targets, no static
+//!    `synchronized`), so hostile bytes become an error, not a panic;
 //! 1. reject user classes with native methods (§4: "we do not support
 //!    user-defined classes with native methods");
 //! 2. desugar `synchronized` methods into explicit monitor blocks;
@@ -12,10 +15,13 @@
 //! 5. substitute monitor instructions with DSM handlers (§4 change 2);
 //! 6. insert access checks + volatile bracketing (§4 change 3, Figure 3);
 //! 7. rename everything into the `javasplit.*` hierarchy;
-//! 8. generate per-class serializers from the final layout (Figure 2);
-//! 9. verify the output under the rewritten-code policy.
+//! 8. verify the output under the rewritten-code policy.
+//!
+//! Figure 2's generated `DSM_serialize` methods have no pass here: the DSM
+//! codec serializes any object generically from its loaded field layout
+//! (`DsmNode::serialize_state`), reference fields as global ids.
 
-use crate::{checks, rename, serial, statics, sync, threads};
+use crate::{checks, rename, statics, sync, threads};
 use jsplit_mjvm::class::Program;
 use jsplit_mjvm::instr::AccessKind;
 use jsplit_mjvm::verifier::{self, VerifyOptions};
@@ -25,6 +31,9 @@ use std::sync::Arc;
 /// Why a program cannot be rewritten.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RewriteError {
+    /// The input program failed verification under the original-code
+    /// policy (first error).
+    InvalidInput(String),
     /// Paper §4: native methods are neither portable nor automatically
     /// transformable; only bootstrap natives (with hand-written wrappers)
     /// are allowed.
@@ -37,6 +46,7 @@ pub enum RewriteError {
 impl std::fmt::Display for RewriteError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            RewriteError::InvalidInput(e) => write!(f, "input program failed verification: {e}"),
             RewriteError::NativeUserMethod { class, method } => {
                 write!(f, "user-defined native method unsupported: {class}.{method}")
             }
@@ -62,7 +72,6 @@ pub struct RewriteStats {
     pub statics_fields: u64,
     pub volatile_wraps: u64,
     pub classes_renamed: u64,
-    pub serializers_generated: u64,
     /// Instruction counts before/after (the code-growth factor).
     pub code_size_before: usize,
     pub code_size_after: usize,
@@ -96,13 +105,14 @@ impl RewriteStats {
 #[derive(Debug)]
 pub struct Rewritten {
     pub program: Program,
-    pub serializers: serial::SerializerRegistry,
     pub stats: RewriteStats,
 }
 
 /// Rewrite an original program (which must already include the bootstrap
 /// library) into its distributed `javasplit.*` form.
 pub fn rewrite_program(original: &Program) -> Result<Rewritten, RewriteError> {
+    // 0. Input verification.
+    verifier::verify_original(original).map_err(RewriteError::InvalidInput)?;
     let mut p = original.clone();
     let mut stats = RewriteStats { code_size_before: p.code_size(), ..RewriteStats::default() };
 
@@ -166,17 +176,13 @@ pub fn rewrite_program(original: &Program) -> Result<Rewritten, RewriteError> {
     // 7. Rename into the javasplit hierarchy.
     rename::rename_program(&mut p, &mut stats);
 
-    // 8. Generated serializers (keys = final class names).
-    let serializers = serial::generate(&p);
-    stats.serializers_generated = serializers.len() as u64;
-
-    // 9. Verify.
+    // 8. Verify.
     stats.code_size_after = p.code_size();
     if let Err(errs) = verifier::verify_program(&p, VerifyOptions::REWRITTEN) {
         return Err(RewriteError::VerificationFailed(errs[0].to_string()));
     }
 
-    Ok(Rewritten { program: p, serializers, stats })
+    Ok(Rewritten { program: p, stats })
 }
 
 #[cfg(test)]
@@ -236,7 +242,6 @@ mod tests {
         assert!(rw.stats.spawns_intercepted >= 1);
         assert!(rw.stats.statics_classes >= 1);
         assert!(rw.stats.growth() > 1.0, "instrumentation must grow code");
-        assert!(rw.serializers.get("javasplit.Counter").is_some());
     }
 
     #[test]

@@ -35,9 +35,8 @@ pub fn splice(code: &[Instr], mut f: impl FnMut(usize, &Instr) -> Vec<Instr>) ->
     // Pass 2: remap branch targets (original pc -> first new pc).
     for site in branch_sites {
         let old_target = new_code[site].branch_target().unwrap();
-        let new_target = *new_pc_of
-            .get(old_target)
-            .unwrap_or_else(|| panic!("branch target {old_target} out of range"));
+        debug_assert!(old_target < new_pc_of.len(), "branch target {old_target} out of range in verified input");
+        let new_target = new_pc_of[old_target];
         new_code[site].set_branch_target(new_target);
     }
     new_code

@@ -19,7 +19,7 @@ pub fn desugar_synchronized(m: &mut MethodDef, stats: &mut RewriteStats) {
     if !m.is_synchronized || m.is_native {
         return;
     }
-    assert!(!m.is_static, "static synchronized rejected at load time");
+    debug_assert!(!m.is_static, "static synchronized rejected by input verification");
     stats.sync_methods_desugared += 1;
 
     // Entry: acquire the receiver. Exits: release before every return.

@@ -32,6 +32,7 @@ use jsplit_mjvm::class::{Program, Sig};
 use jsplit_mjvm::heap::{Gid, ObjRef, ThreadUid};
 use jsplit_mjvm::interp::Frame;
 use jsplit_mjvm::loader::{ClassId, Image, LoadError, MethodId};
+use jsplit_mjvm::verifier;
 use jsplit_mjvm::{stdlib, Value};
 use jsplit_net::{LinkParams, MsgKind, NetStats, NodeId, Transport};
 use jsplit_rewriter::{RewriteError, RewriteStats, STATICS_HOLDER};
@@ -70,7 +71,9 @@ pub struct Prepared {
     pub thread_main: MethodId,
 }
 
-/// Rewrite (JavaSplit mode), load, resolve the runtime entry points.
+/// Verify, rewrite (JavaSplit mode), load, resolve the runtime entry
+/// points. The program is outside input: whatever is wrong with it comes
+/// back as an error, never a panic.
 pub fn prepare(config: &ClusterConfig, program: &Program) -> Result<Prepared, ClusterError> {
     if config.nodes.is_empty() {
         return Err(ClusterError::Config("at least one node required".into()));
@@ -80,6 +83,7 @@ pub fn prepare(config: &ClusterConfig, program: &Program) -> Result<Prepared, Cl
     }
     let (image, rewrite, class_bytes) = match config.mode {
         Mode::Baseline => {
+            verifier::verify_original(program).map_err(|e| ClusterError::Load(LoadError::Unverified(e)))?;
             let image = Image::load(program).map_err(ClusterError::Load)?;
             (image, None, 0usize)
         }
@@ -99,13 +103,14 @@ pub fn prepare(config: &ClusterConfig, program: &Program) -> Result<Prepared, Cl
         }
     };
     let image = Arc::new(image);
-    let thread_class = image.class_id_any(stdlib::THREAD).expect("Thread class");
-    let thread_main = image
-        .resolve_method(
-            image.class_id_any(stdlib::JSRUNTIME).expect("JSRuntime"),
-            &Sig::new("threadMain", &[jsplit_mjvm::Ty::Ref], None),
-        )
-        .expect("threadMain");
+    let class = |name: &str| {
+        image.class_id_any(name).ok_or_else(|| ClusterError::Load(LoadError::UnknownClass(name.into())))
+    };
+    let thread_class = class(stdlib::THREAD)?;
+    let main_sig = Sig::new("threadMain", &[jsplit_mjvm::Ty::Ref], None);
+    let thread_main = image.resolve_method(class(stdlib::JSRUNTIME)?, &main_sig).ok_or_else(|| {
+        ClusterError::Load(LoadError::UnknownMethod { class: stdlib::JSRUNTIME.into(), sig: main_sig.to_string() })
+    })?;
     Ok(Prepared { image, rewrite, class_bytes, thread_class, thread_main })
 }
 

@@ -3,24 +3,23 @@
 //! One [`SyncEngine`] is a node's event loop: drain inbound records →
 //! derive a safe virtual-time horizon → execute local events below it →
 //! publish progress — the conservative PDES core shared by every parallel
-//! backend. What *varies* per backend is how progress crosses node
-//! boundaries, and that seam is two small traits:
+//! backend. Two loops exist, one per sync mode, and each reaches its
+//! peers through one small trait:
 //!
 //! * [`EpochPeers`] — the windowed protocol's one primitive: the per-round
 //!   slot exchange. The threads backend implements it over double-buffered
 //!   shared-memory atomics; the sockets backend as one `Slot` → `Slots`
 //!   round trip through the coordinator.
-//! * [`WirePeers`] — what the roundless async mode needs from a
-//!   message-passing fabric whose peers share no memory: outcome polling,
-//!   idle-state reports for the coordinator's termination scan, and the
-//!   final-flush rendezvous.
+//! * [`AsyncPeers`] — what the roundless loop ([`SyncEngine::run_async`])
+//!   needs: outcome polling, progress reports for the one termination rule
+//!   ([`decide_async`]) and the final-flush rendezvous. The threads backend
+//!   evaluates the rule under a lock, against per-destination record counts
+//!   bumped at send; the sockets coordinator against counts taken at relay.
 //!
-//! The in-process async mode ([`SyncEngine::run_async`]) additionally
-//! leans on [`AsyncShared`] — shared-memory slots, the §14.4 send-coverage
-//! invariant and CAS-decided termination — which has no wire analogue:
-//! over sockets the same lookahead bounds ride pure per-channel
-//! Chandy–Misra–Bryant promises and the *coordinator* detects termination
-//! ([`SyncEngine::run_async_wire`], DESIGN.md §16.3).
+//! Peers that share memory also hand the async loop an [`AsyncShared`]:
+//! published slots for the snapshot horizon, the §14.3 send-coverage acks
+//! and demand-gated doorbells. Without one (sockets) the same loop runs
+//! pure per-channel Chandy–Misra–Bryant promises (DESIGN.md §14).
 //!
 //! # Conservative virtual-time windows
 //!
@@ -91,7 +90,7 @@ use crate::node::{Effect, LocalEv, NodeRuntime};
 use crate::report::NodeResult;
 use jsplit_dsm::Msg;
 use jsplit_mjvm::heap::ThreadUid;
-use jsplit_net::{ChannelEndpoint, MsgKind, NodeId};
+use jsplit_net::{ChannelEndpoint, NodeId};
 use jsplit_trace::{
     Event, FlightRecorder, FlightTag, Metric, MetricsRegistry, NodeWallProfile, SpanKind, SpanRecorder,
     TraceEvent, TraceSink,
@@ -234,51 +233,74 @@ pub(crate) trait EpochPeers {
     ) -> bool;
 }
 
-/// What the roundless async mode needs from a fabric whose peers live
-/// in other processes (the sockets backend): the coordinator owns
-/// termination (DESIGN.md §16.3), the engine only reports and polls.
-pub(crate) trait WirePeers {
-    /// Has the coordinator announced the run's outcome? Non-blocking;
-    /// returns an [`async_done`] value once decided.
+/// One node's progress report under async sync: its bare queue head
+/// (`u64::MAX` when nothing is queued), the data records it has drained
+/// so far, its live threads and its retired ops. Filed only after a flush,
+/// so every record it accounts for is already on its way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct AsyncState {
+    pub qhead: u64,
+    pub drained: u64,
+    pub live: u64,
+    pub ops: u64,
+}
+
+/// What the roundless async loop needs from its peers (DESIGN.md §14.2).
+/// Both backends implement it around [`decide_async`]; they differ only in
+/// where the per-destination record counts are taken.
+pub(crate) trait AsyncPeers {
+    /// Has the run's outcome been decided? Non-blocking; returns an
+    /// [`async_done`] value once it has.
     fn poll_done(&mut self) -> Option<u64>;
-    /// Progress report for the coordinator's termination scan. Must be
-    /// called only after the flush that precedes it, so it rides the
-    /// stream *behind* every record it accounts for.
-    fn send_state(&mut self, qhead: u64, drained: u64, live: u64, ops: u64);
+    /// File this node's latest report with the termination rule. Returns
+    /// whether *this* report decided the run: the caller then owes parked
+    /// peers a wakeup.
+    fn send_state(&mut self, state: AsyncState) -> bool;
     /// Final-flush rendezvous: announce this node's last flush, block
-    /// until every node's leftovers have been relayed into our channel.
+    /// until every node's leftovers are in our inbound channel.
     fn flush_rendezvous(&mut self);
 }
 
-/// Cross-node state for the in-process asynchronous sync mode (DESIGN.md
-/// §14): no rounds — progress rides per-channel promises, and
-/// the only shared state is what termination detection needs.
-///
-/// Counter discipline (all `SeqCst`; the proofs in §14.3 lean on the
-/// single total order):
-/// * `spawns_sent` / `msgs_sent` are incremented *before* the record can
-///   enter a channel ([`SyncEngine::transmit`]);
-/// * a node's `live` delta is added *before* its `spawns_recv` delta at
-///   burst end, and both only after the installs they describe;
-/// * `msgs_recv` is incremented while the draining node's slot version is
-///   odd, before it republishes `next`.
+/// Run-outcome values ([`AsyncPeers::poll_done`] and the sockets backend's
+/// `Done` envelope payload).
+pub(crate) mod async_done {
+    pub const RUNNING: u64 = 0;
+    pub const FINISH: u64 = 1;
+    pub const DEADLOCK: u64 = 2;
+    pub const ABORT: u64 = 3;
+}
+
+/// The one async termination rule (DESIGN.md §14.2), over every node's
+/// latest report and `fwd_to(w)`, the data records sent toward node `w`
+/// counted before any of them could be drained. ABORT as soon as the
+/// reported ops exceed the budget; FINISH or DEADLOCK once every node has
+/// reported, is idle (`qhead == MAX`) and has drained exactly what was
+/// sent to it — nothing runnable anywhere and nothing in flight.
+/// Evaluating it on each report arrival is enough: a count only moves when
+/// a record is sent, and its receiver re-reports once it has drained it.
+pub(crate) fn decide_async(states: &[Option<AsyncState>], fwd_to: impl Fn(usize) -> u64, max_ops: u64) -> Option<u64> {
+    let ops: u64 = states.iter().flatten().map(|s| s.ops).sum();
+    if ops > max_ops {
+        return Some(async_done::ABORT);
+    }
+    let mut live = 0u64;
+    for (w, st) in states.iter().enumerate() {
+        let st = st.as_ref()?;
+        if st.qhead != u64::MAX || st.drained != fwd_to(w) {
+            return None;
+        }
+        live += st.live;
+    }
+    Some(if live == 0 { async_done::FINISH } else { async_done::DEADLOCK })
+}
+
+/// What async peers that share one address space can do better (DESIGN.md
+/// §14.1, §14.3–14.4): read each other's published queue heads for the
+/// snapshot horizon, hand send coverage over through per-pair ack cells,
+/// and ring a peer only when it is parked on something a promise unblocks.
+/// All accesses are `SeqCst`.
 pub(crate) struct AsyncShared {
-    /// Per-node `(version, next)`: `version` odd while the node is inside
-    /// a drain→process→publish burst, even while it is idle between
-    /// bursts; `next` is its earliest pending event (`u64::MAX` if none),
-    /// valid whenever `version` is even.
     pub slots: Vec<AsyncSlot>,
-    /// Live guest threads cluster-wide (sum of published per-node deltas;
-    /// deltas wrap mod 2⁶⁴, the sum is exact). Initialized to 1: the main
-    /// thread is prepaid so no checker can observe an all-zero world
-    /// before node 0 bootstraps.
-    pub live: AtomicU64,
-    pub spawns_sent: AtomicU64,
-    pub spawns_recv: AtomicU64,
-    /// Remote data records sent / drained (loopbacks never enter a
-    /// channel and are excluded; null records are not data).
-    pub msgs_sent: AtomicU64,
-    pub msgs_recv: AtomicU64,
     /// Per-pair drain acknowledgements: `acked[src·n + dst]` counts the
     /// data records from `src` that `dst` has drained into its queue. A
     /// receiver credits its cell *after* republishing its own `next`
@@ -286,18 +308,14 @@ pub(crate) struct AsyncShared {
     /// `unacked` send-time floor against the cell. Channels are FIFO per
     /// pair, so a bare count identifies exactly which sends are ack'd.
     pub acked: Vec<AtomicU64>,
-    pub ops: AtomicU64,
-    /// Run outcome, decided exactly once ([`async_done`] values).
-    pub done: AtomicU64,
-    /// Shutdown rendezvous: nodes increment after their final flush; the
-    /// final leftover drain waits for all `n`, so every sent record is
-    /// receive-accounted before endpoints are torn down.
-    pub flushed: AtomicU64,
+    /// Data records sent toward each node, bumped before the record can
+    /// enter a channel ([`SyncEngine::transmit`]): the in-process twin of
+    /// the sockets coordinator's relay counts, read by [`decide_async`].
+    pub fwd_to: Vec<AtomicU64>,
 }
 
 #[derive(Default)]
 pub(crate) struct AsyncSlot {
-    pub version: AtomicU64,
     /// Pending-aware `next` ([`SyncEngine::async_next`]): earliest queued
     /// event, clamped to the node's in-flight send floor. Horizon input.
     pub next: AtomicU64,
@@ -314,90 +332,12 @@ pub(crate) struct AsyncSlot {
     pub parked: AtomicBool,
 }
 
-/// Run-outcome values ([`AsyncShared::done`] and the sockets backend's
-/// `Done` envelope payload).
-pub(crate) mod async_done {
-    pub const RUNNING: u64 = 0;
-    pub const FINISH: u64 = 1;
-    pub const DEADLOCK: u64 = 2;
-    pub const ABORT: u64 = 3;
-}
-
 impl AsyncShared {
+    /// Every slot starts at `next = 0`, pinning peers until its node's
+    /// first iteration publishes.
     pub fn new(n: usize) -> AsyncShared {
-        AsyncShared {
-            slots: (0..n)
-                .map(|_| AsyncSlot {
-                    version: AtomicU64::new(0),
-                    next: AtomicU64::new(0),
-                    qnext: AtomicU64::new(0),
-                    parked: AtomicBool::new(false),
-                })
-                .collect(),
-            live: AtomicU64::new(1),
-            spawns_sent: AtomicU64::new(0),
-            spawns_recv: AtomicU64::new(0),
-            msgs_sent: AtomicU64::new(0),
-            msgs_recv: AtomicU64::new(0),
-            acked: (0..n * n).map(|_| AtomicU64::new(0)).collect(),
-            ops: AtomicU64::new(0),
-            done: AtomicU64::new(async_done::RUNNING),
-            flushed: AtomicU64::new(0),
-        }
-    }
-
-    /// Race to set the terminal outcome; `true` for the winning node,
-    /// which owes its peers a wakeup (they may be parked on the inbound
-    /// channel and would otherwise only notice at the next timeout).
-    pub fn decide(&self, outcome: u64) -> bool {
-        self.done.compare_exchange(async_done::RUNNING, outcome, Ordering::SeqCst, Ordering::SeqCst).is_ok()
-    }
-
-    /// Finish detection without a rendezvous (§14.3): `live == 0` with
-    /// spawn counters settled. The read order `sent, recv, live, sent` is
-    /// load-bearing: any spawn not yet fully published leaves either a
-    /// counter mismatch or a visible live thread at one of these reads.
-    pub fn finished(&self) -> bool {
-        let s1 = self.spawns_sent.load(Ordering::SeqCst);
-        let r1 = self.spawns_recv.load(Ordering::SeqCst);
-        let l = self.live.load(Ordering::SeqCst);
-        let s2 = self.spawns_sent.load(Ordering::SeqCst);
-        l == 0 && s1 == r1 && s1 == s2
-    }
-
-    /// Deadlock detection (§14.3): live threads, every published `next`
-    /// at infinity, nothing in flight — double-scanned with slot versions
-    /// even and stable so the snapshot is a consistent quiescent state.
-    /// Cold path: only runs on an idle node between parks. `vbuf` is the
-    /// caller's reusable version-snapshot buffer.
-    pub fn deadlocked(&self, vbuf: &mut Vec<u64>) -> bool {
-        vbuf.clear();
-        for s in &self.slots {
-            let v = s.version.load(Ordering::SeqCst);
-            if v % 2 == 1 || s.next.load(Ordering::SeqCst) != u64::MAX {
-                return false;
-            }
-            vbuf.push(v);
-        }
-        let ms1 = self.msgs_sent.load(Ordering::SeqCst);
-        let mr1 = self.msgs_recv.load(Ordering::SeqCst);
-        let s1 = self.spawns_sent.load(Ordering::SeqCst);
-        let r1 = self.spawns_recv.load(Ordering::SeqCst);
-        let l = self.live.load(Ordering::SeqCst);
-        if l == 0 || ms1 != mr1 || s1 != r1 {
-            return false;
-        }
-        // Stability re-scan: versions unchanged means no node drained or
-        // processed anything between the two scans, so the `next` values
-        // and counters describe one global instant.
-        for (s, &v) in self.slots.iter().zip(vbuf.iter()) {
-            if s.version.load(Ordering::SeqCst) != v {
-                return false;
-            }
-        }
-        self.msgs_sent.load(Ordering::SeqCst) == ms1
-            && self.msgs_recv.load(Ordering::SeqCst) == mr1
-            && self.spawns_sent.load(Ordering::SeqCst) == s1
+        let counters = |k: usize| (0..k).map(|_| AtomicU64::new(0)).collect();
+        AsyncShared { slots: (0..n).map(|_| AsyncSlot::default()).collect(), acked: counters(n * n), fwd_to: counters(n) }
     }
 }
 
@@ -447,8 +387,8 @@ pub(crate) struct SyncEngine {
     pub endpoint: ChannelEndpoint,
     pub hz: Horizons,
     /// In-process async-mode shared state (`None` under epoch sync and in
-    /// the sockets backend). Its presence also arms the eager global
-    /// counter increments in [`SyncEngine::transmit`].
+    /// the sockets backend). Its presence also arms the send-side counts
+    /// in [`SyncEngine::transmit`].
     pub asy: Option<Arc<AsyncShared>>,
     n_nodes: usize,
     /// Strided uid allocation: `id + k·n` — disjoint from every other node
@@ -472,7 +412,7 @@ pub(crate) struct SyncEngine {
     /// `(cumulative send index, virtual send time)`. The oldest front
     /// across all queues is the send-coverage floor every published
     /// `next` is clamped to — the invariant that keeps the async horizon
-    /// snapshot valid with records in flight (§14.4).
+    /// snapshot valid with records in flight (§14.3).
     unacked: Vec<VecDeque<(u64, u64)>>,
     /// Reused per-drain record counts per source (ack credits).
     ack_scratch: Vec<u64>,
@@ -668,13 +608,18 @@ impl SyncEngine {
     /// Execute every queued event strictly below `horizon` (shared by
     /// every sync mode), calling `every_256` after each 256th so a long
     /// burst can keep refreshing the promises peers hang on. Returns the
-    /// number of events executed.
+    /// number of events executed — early once this node alone has spent
+    /// the `max_ops` budget, which an unbounded window (a lone node) would
+    /// otherwise never give the abort decision a chance to see.
     fn run_below(&mut self, horizon: u64, mut every_256: impl FnMut(&mut Self)) -> u64 {
         let mut burst = 0u64;
         let me = self.endpoint.id;
         while let Some((time, ev)) = self.events.pop_below(horizon) {
             self.process(time, me, ev);
             burst += 1;
+            if self.node.ops > self.hz.max_ops {
+                break;
+            }
             if burst.is_multiple_of(256) {
                 every_256(self);
             }
@@ -817,7 +762,7 @@ impl SyncEngine {
     /// This node's pending-aware `next` (async sync): the earliest local
     /// event, clamped to the send time of the oldest record we shipped
     /// whose receiver has not drained it yet. Publishing this — never the
-    /// bare queue head — is the send-coverage invariant (§14.4): a record
+    /// bare queue head — is the send-coverage invariant (§14.3): a record
     /// in flight is always covered by its *sender's* published `next`,
     /// which is what keeps the snapshot horizon valid with traffic in
     /// flight, without any global quiescence check.
@@ -858,8 +803,8 @@ impl SyncEngine {
     /// is itself a promise (per-link deliveries are strictly increasing),
     /// a null record carries one explicitly.
     /// Returns the number of data records drained (null promises are not
-    /// counted — a drain that only moved promises leaves no observable
-    /// trace in the termination-detection state).
+    /// counted — a drain that only moved promises leaves the termination
+    /// report unchanged).
     fn drain_inbox_async(&mut self, chan: &mut [u64]) -> u64 {
         let mut batch = std::mem::take(&mut self.drain_scratch);
         let mut records = 0u64;
@@ -882,20 +827,15 @@ impl SyncEngine {
         self.enqueue_drained(batch);
         if records > 0 {
             if let Some(asy) = self.asy.clone() {
-                // Accounting order is load-bearing for §14.4: republish our
+                // Accounting order is load-bearing for §14.3: republish our
                 // `next` (now covering the drained events) *before*
                 // crediting the per-pair ack cells — a sender that prunes
                 // its coverage floor must already see the handoff in our
-                // published slot. (Wire mode has no shared slots: there the
-                // per-channel promise discipline alone carries coverage,
-                // DESIGN.md §16.3.)
+                // published slot. (Without shared slots the per-channel
+                // promise discipline alone carries coverage.)
                 let me = self.endpoint.id as usize;
                 let n = self.n_nodes;
-                let next = self.async_next();
-                let qhead = self.queue_head();
-                asy.slots[me].next.store(next, Ordering::SeqCst);
-                asy.slots[me].qnext.store(qhead, Ordering::SeqCst);
-                asy.msgs_recv.fetch_add(records, Ordering::SeqCst);
+                self.publish_slot(&asy);
                 for src in 0..n {
                     let k = std::mem::replace(&mut self.ack_scratch[src], 0);
                     if k == 0 {
@@ -919,67 +859,46 @@ impl SyncEngine {
         records
     }
 
-    /// Ring peers whose horizon may hang on this node's progress (async
-    /// sync). The promise is `min(pending-aware next, input horizon) +
-    /// lookahead`: a bound on the delivery time of anything we may still
-    /// send — future sends are triggered either by a queued event
-    /// (≥ `next`), by an in-flight record of ours (≥ its send time, the
-    /// `async_next` floor), or by a future arrival (≥ the input horizon),
-    /// and cost at least the lookahead in flight.
+    /// Ship this node's promise to peers whose horizon may hang on it
+    /// (async sync). The promise is `min(pending-aware next, input
+    /// horizon) + lookahead`: a bound on the delivery time of anything we
+    /// may still send — future sends are triggered either by a queued
+    /// event (≥ `next`), by an in-flight record of ours (≥ its send time,
+    /// the `async_next` floor), or by a future arrival (≥ the input
+    /// horizon), and cost at least the lookahead in flight. Only strict
+    /// increases ship: a promise never retracts. Per-pair FIFO keeps it
+    /// sound with records in flight: a promise written after a data record
+    /// can only be read after it.
     ///
-    /// Since every peer can compute the full snapshot horizon itself from
-    /// the published slots ([`SyncEngine::snapshot_horizon`]), nulls carry
-    /// no information an awake peer needs — they are *doorbells*. A
-    /// standalone null therefore ships only to a peer that is parked on a
-    /// runnable event (`qnext < ∞`; an awake peer recomputes from the
-    /// slots by itself), and only at the *crossing*: the first promise
-    /// that lifts our delivery bound past the peer's executable head.
-    /// Below the head our term cannot be what unblocks it; above the head
-    /// it already is not what blocks it — either way a frame is a wasted
-    /// wakeup. The peer whose term is the last to cross is by definition
-    /// the blocker, and its crossing frame is the wakeup that matters; a
-    /// crossing that happens while the peer is awake (ring skipped) is
-    /// covered by the peer's own pre-park snapshot peek, and any residual
-    /// race by its park timeout. Only strict increases ship: a promise
-    /// never retracts, and each frame both wakes the peer and advances
-    /// its channel clock.
-    fn refresh_promises(&mut self, asy: &AsyncShared, promised: &mut [u64], horizon: u64) {
+    /// Without shared slots, promises are the only way a peer's channel
+    /// clock advances, so every increase ships to every peer (classic eager
+    /// Chandy–Misra–Bryant). With them ([`AsyncShared`]), every peer can
+    /// compute the snapshot horizon itself ([`SyncEngine::snapshot_horizon`]),
+    /// so nulls are *doorbells*: a standalone null ships only to a peer
+    /// that is parked on a runnable event (`qnext < ∞`), and only at the
+    /// *crossing* — the first promise that lifts our delivery bound past
+    /// the peer's executable head. Below the head our term cannot be what
+    /// unblocks it; above the head it already is not what blocks it. The
+    /// peer whose term is the last to cross is by definition the blocker,
+    /// and its crossing frame is the wakeup that matters; a crossing that
+    /// happens while the peer is awake (ring skipped) is covered by the
+    /// peer's own pre-park snapshot peek, and any residual race by its
+    /// park timeout.
+    fn refresh_promises(&mut self, asy: Option<&AsyncShared>, promised: &mut [u64], horizon: u64) {
         let me = self.endpoint.id as usize;
         let promise = self.async_next().min(horizon).saturating_add(self.hz.base_ps[me]);
         for (dst, sent) in promised.iter_mut().enumerate() {
             if dst == me || promise <= *sent {
                 continue;
             }
-            let slot = &asy.slots[dst];
-            let qn = slot.qnext.load(Ordering::SeqCst);
-            // Crossing rule: `*sent ≤ qn < promise`, i.e. this frame is
-            // the one that first clears the peer's head.
-            if qn == u64::MAX || *sent > qn || promise <= qn {
-                continue;
-            }
-            if !slot.parked.load(Ordering::SeqCst) {
-                continue;
-            }
-            self.endpoint.push_null(dst as NodeId, promise);
-            *sent = promise;
-        }
-    }
-
-    /// The wire variant of [`SyncEngine::refresh_promises`]: with no shared
-    /// slots to self-serve from, promises are the *only* way a peer's
-    /// channel clock advances — so every strict increase ships to every
-    /// peer, unconditionally (classic eager Chandy–Misra–Bryant). The
-    /// promise bound is the same: anything this node may still send is
-    /// triggered by a queued event (≥ queue head) or a future arrival
-    /// (≥ the input horizon), and costs ≥ `base_ps[me]` in flight. Per-pair
-    /// FIFO keeps it sound with records in flight: a promise written after
-    /// a data record can only be read after it.
-    fn refresh_promises_wire(&mut self, promised: &mut [u64], horizon: u64) {
-        let me = self.endpoint.id as usize;
-        let promise = self.queue_head().min(horizon).saturating_add(self.hz.base_ps[me]);
-        for (dst, sent) in promised.iter_mut().enumerate() {
-            if dst == me || promise <= *sent {
-                continue;
+            if let Some(asy) = asy {
+                let slot = &asy.slots[dst];
+                let qn = slot.qnext.load(Ordering::SeqCst);
+                // Crossing rule: `*sent ≤ qn < promise`, i.e. this frame is
+                // the one that first clears the peer's head.
+                if qn == u64::MAX || *sent > qn || promise <= qn || !slot.parked.load(Ordering::SeqCst) {
+                    continue;
+                }
             }
             self.endpoint.push_null(dst as NodeId, promise);
             *sent = promise;
@@ -988,8 +907,8 @@ impl SyncEngine {
 
     /// Poke every peer with a (possibly repeated) null so that anyone
     /// parked on the inbound channel wakes immediately — owed by the node
-    /// that wins the termination race, since balanced-mode suppression
-    /// means nobody else may be about to send them anything.
+    /// whose report decided the run, since doorbell gating means nobody
+    /// else may be about to send them anything.
     fn wake_peers(&mut self, promised: &[u64]) {
         let me = self.endpoint.id as usize;
         for (dst, &sent) in promised.iter().enumerate() {
@@ -999,54 +918,65 @@ impl SyncEngine {
         }
     }
 
+    /// Publish this node's pending-aware `next` and bare queue head into
+    /// its shared slot, if either moved (the first call lifts the initial
+    /// 0 that pins every peer until this node has run).
+    fn publish_slot(&self, asy: &AsyncShared) {
+        let slot = &asy.slots[self.endpoint.id as usize];
+        let (next, qhead) = (self.async_next(), self.queue_head());
+        if slot.next.load(Ordering::SeqCst) != next || slot.qnext.load(Ordering::SeqCst) != qhead {
+            slot.next.store(next, Ordering::SeqCst);
+            slot.qnext.store(qhead, Ordering::SeqCst);
+            self.fly(FlightTag::BurstPublish, qhead, next);
+        }
+    }
+
     /// Epoch-grade horizon from the published snapshot — valid at every
     /// instant, records in flight or not. The published `next` values are
     /// fed to the §12.2 per-pair horizon rule verbatim; our own slot
     /// contributes the live pending-aware `next`.
     ///
-    /// Soundness rests on the send-coverage invariant (§14.4): a node's
+    /// Soundness rests on the send-coverage invariant (§14.3): a node's
     /// published `next` is at all times a lower bound on (a) every event
     /// in its queue — drains republish before acking, loopbacks land
-    /// above the section's processing point — and (b) the send time of
+    /// above the event being processed — and (b) the send time of
     /// every record it has shipped that is still undrained (`async_next`
     /// clamps to the `unacked` floor, and the floor only lifts after the
     /// receiver's published `next` covers the record — the ack-after-
     /// republish order in [`SyncEngine::drain_inbox_async`]). With every
     /// in-flight record covered by its sender, any future send by node
     /// `i` originates at ≥ its published `next_i`, and the §12.2
-    /// induction goes through unchanged — no quiescence, no version
-    /// stability, no counter bracketing. A straggler in a busy cluster
-    /// advances its horizon with `n` atomic loads per burst, waking
-    /// nobody.
+    /// induction goes through unchanged — no quiescence, no counter
+    /// bracketing. A straggler in a busy cluster advances its horizon with
+    /// `n` atomic loads per burst, waking nobody.
     fn snapshot_horizon(&self, asy: &AsyncShared, next_me: u64) -> u64 {
         let me = self.endpoint.id as usize;
         self.hz.horizon(me, |i| if i == me { next_me } else { asy.slots[i].next.load(Ordering::SeqCst) })
     }
 
-    /// The in-process body under `--sync async` (DESIGN.md §14): no
-    /// rounds. Each iteration drains whatever has arrived,
-    /// advances the safe horizon from the per-peer channel clocks,
-    /// executes the burst of events strictly below it, publishes
-    /// termination-detection state, ships pending frames plus null
-    /// promises, and parks on the inbound channel only when it has nothing
-    /// left to do. Requires [`SyncEngine::asy`].
-    pub fn run_async(mut self) -> NodeOutcome {
+    /// The body under `--sync async` on every fabric (DESIGN.md §14): no
+    /// rounds. Each iteration drains whatever has arrived, advances the
+    /// safe horizon, executes the burst of events strictly below it, ships
+    /// pending frames plus null promises, and — when it has nothing left
+    /// to run — files a progress report with `peers` and parks on the
+    /// inbound channel. The horizon is the minimum of the per-peer channel
+    /// clocks, raised by the snapshot horizon when peers share an
+    /// [`AsyncShared`] (the engine's one fabric branch).
+    pub fn run_async(mut self, peers: &mut dyn AsyncPeers) -> NodeOutcome {
+        /// Retired-op quantum between busy-path reports: the only thing
+        /// they feed is the `max_ops` abort, so window granularity is enough.
+        const OPS_QUANTUM: u64 = 1 << 20;
         let me = self.endpoint.id as usize;
-        let asy = self.asy.clone().expect("async shared state");
+        let asy = self.asy.clone();
         let n = self.n_nodes;
         // chan[p] = channel clock for peer p: no future record from p can
         // deliver below it. Own entry pinned at ∞ so `min` skips it.
         let mut chan = vec![0u64; n];
         chan[me] = u64::MAX;
         let mut promised = vec![0u64; n];
-        let mut vbuf: Vec<u64> = Vec::with_capacity(n);
-        // The main thread is prepaid in `AsyncShared::live`; baseline the
-        // console node at 1 so its bootstrap burst publishes a zero delta.
-        let mut last_live: u64 = if me == CONSOLE_NODE as usize { 1 } else { 0 };
-        let mut last_spawns_recv = 0u64;
-        let mut last_ops = 0u64;
         let mut horizon = 0u64;
-        let mut version = 0u64;
+        let mut drained = 0u64;
+        let mut reported: Option<AsyncState> = None;
         let outcome;
         // Watchdog fault injection: sleep with our initial slot (next = 0)
         // still published — every peer's horizon pins on our promise until
@@ -1055,25 +985,23 @@ impl SyncEngine {
             std::thread::sleep(std::time::Duration::from_millis(ms));
         }
         loop {
-            // --- Odd section: drain, execute, publish. Checkers treat the
-            // whole burst as one atomic step.
-            asy.slots[me].version.store(version + 1, Ordering::SeqCst);
-            let drained = self.drain_inbox_async(&mut chan);
-            self.prune_acked(&asy);
-            self.mark(SpanKind::InboxDrain);
+            let records = self.drain_inbox_async(&mut chan);
+            drained += records;
             // (A lone node's only clock is its own, pinned at ∞.)
             let mut h = chan.iter().copied().min().unwrap_or(u64::MAX);
-            if n > 1 {
-                // The snapshot horizon is valid at every instant (§14.4
-                // send coverage) — the self-serve path that lets a
-                // straggler climb through its own windows without a null
-                // round-trip or a peer wakeup. Channel clocks can still
-                // exceed it briefly (a data delivery outruns its sender's
-                // republished `next`), so take the max of both.
-                let next_me = self.async_next();
-                let h2 = self.snapshot_horizon(&asy, next_me);
-                h = h.max(h2);
+            if let Some(asy) = &asy {
+                self.prune_acked(asy);
+                if n > 1 {
+                    // The snapshot horizon is valid at every instant (§14.3
+                    // send coverage) — the self-serve path that lets a
+                    // straggler climb through its own windows without a
+                    // null round-trip or a peer wakeup. Channel clocks can
+                    // still exceed it briefly (a data delivery outruns its
+                    // sender's republished `next`), so take the max of both.
+                    h = h.max(self.snapshot_horizon(asy, self.async_next()));
+                }
             }
+            self.mark(SpanKind::InboxDrain);
             if h > horizon {
                 self.horizon_advances += 1;
                 if let Some(p) = &mut self.profiler {
@@ -1088,220 +1016,100 @@ impl SyncEngine {
             // A long burst must not starve peers whose horizon hangs on
             // our promise (the skew scenario): refresh periodically as
             // `next` climbs, not just at burst end.
-            let burst = self.run_below(horizon, |eng| eng.refresh_promises(&asy, &mut promised, horizon));
+            let burst = self.run_below(horizon, |eng| eng.refresh_promises(asy.as_deref(), &mut promised, horizon));
             if burst > 0 {
                 self.windows += 1;
             }
             self.mark(SpanKind::Execute);
-            let next = self.async_next();
-            if drained == 0 && burst == 0 && asy.slots[me].next.load(Ordering::SeqCst) == next {
-                // Quiet iteration: only null promises moved, nothing the
-                // termination checkers observe changed. (A differing
-                // published `next` disqualifies: an idle node's very first
-                // iteration must promote the slot's initial 0 to ∞, or its
-                // unpublished state drags every peer's fast-path horizon
-                // down to one link latency for the whole run.) Revert the
-                // version to the previous even value instead of closing a
-                // new section — otherwise an idle cluster creeping its
-                // horizons through a null cascade would bump versions
-                // forever and starve the deadlock detector's stability
-                // re-scan.
-                asy.slots[me].version.store(version, Ordering::SeqCst);
-            } else {
-                // Publish counter deltas: live strictly before spawns_recv
-                // (§14.3 install rule); deltas wrap mod 2⁶⁴ so the global
-                // sums stay exact through decrements.
-                let live_now = self.node.live() as u64;
-                if live_now != last_live {
-                    asy.live.fetch_add(live_now.wrapping_sub(last_live), Ordering::SeqCst);
-                    last_live = live_now;
-                }
-                let installed = self.node.placement.installed();
-                if installed != last_spawns_recv {
-                    asy.spawns_recv.fetch_add(installed - last_spawns_recv, Ordering::SeqCst);
-                    last_spawns_recv = installed;
-                }
-                if self.node.ops != last_ops {
-                    asy.ops.fetch_add(self.node.ops - last_ops, Ordering::SeqCst);
-                    last_ops = self.node.ops;
-                }
-                let qhead = self.queue_head();
-                asy.slots[me].next.store(next, Ordering::SeqCst);
-                asy.slots[me].qnext.store(qhead, Ordering::SeqCst);
-                // --- Close the odd section; from here the published
-                // snapshot is consistent and we only move frames and
-                // promises.
-                version += 2;
-                asy.slots[me].version.store(version, Ordering::SeqCst);
-                self.fly(FlightTag::BurstPublish, version, next);
-                self.publish_metrics(horizon, next, qhead);
+            if let Some(asy) = &asy {
+                self.publish_slot(asy);
             }
-            self.refresh_promises(&asy, &mut promised, horizon);
+            if records > 0 || burst > 0 {
+                // (Quiet iterations publish from the park below.)
+                self.publish_metrics(horizon, self.async_next(), self.queue_head());
+                self.pump_metrics(false);
+            }
+            self.refresh_promises(asy.as_deref(), &mut promised, horizon);
+            // Flush *before* any report: it must follow every record it
+            // accounts for, or the rule could see "all drained" with our
+            // records still in the pending buffers (a false quiescence).
             self.endpoint.flush();
             self.mark(SpanKind::FrameFlush);
-            let done = asy.done.load(Ordering::SeqCst);
-            if done != async_done::RUNNING {
-                outcome = done;
+            if let Some(o) = peers.poll_done() {
+                outcome = o;
                 break;
             }
-            if asy.ops.load(Ordering::SeqCst) > self.hz.max_ops {
-                if asy.decide(async_done::ABORT) {
-                    self.wake_peers(&promised);
-                }
-                continue;
-            }
-            // Executable-work check on the bare queue head: the published
-            // `next` may sit below it (pinned by the in-flight floor), and
+            let st = AsyncState {
+                qhead: self.queue_head(),
+                drained,
+                live: self.node.live() as u64,
+                ops: self.node.ops,
+            };
+            // Executable work on the bare queue head: the published `next`
+            // may sit below it (pinned by the in-flight floor), and
             // spinning on that would busy-wait for an ack instead of
-            // parking for it.
-            if self.queue_head() < horizon {
-                // More work is already executable (the burst refreshed our
-                // own view mid-flight): loop straight around.
-                continue;
-            }
-            // Idle: we ran out of horizon. Try to detect termination, then
-            // park on the inbound channel until a peer's data or promise
-            // (or the done flag, within the timeout) moves us.
-            if asy.finished() {
-                if asy.decide(async_done::FINISH) {
+            // parking for it. A node past the op budget stops running.
+            let busy = st.qhead < horizon && st.ops <= self.hz.max_ops;
+            // Only an empty queue can complete the rule's FINISH/DEADLOCK
+            // test, and only a node over the budget is owed an ABORT right
+            // away; anything else just feeds the abort, once per op
+            // quantum. A report left stale by a later drain cannot decide:
+            // its `drained` trails the count of the records drained since.
+            let owed = st.qhead == u64::MAX || st.ops > self.hz.max_ops;
+            if reported != Some(st) && (owed || st.ops - reported.map_or(0, |r| r.ops) >= OPS_QUANTUM) {
+                reported = Some(st);
+                if peers.send_state(st) {
                     self.wake_peers(&promised);
+                    continue;
                 }
+            }
+            if busy {
                 continue;
             }
-            if asy.deadlocked(&mut vbuf) {
-                if asy.decide(async_done::DEADLOCK) {
-                    self.wake_peers(&promised);
-                }
-                continue;
-            }
-            self.mark(SpanKind::Decide);
             // A burst that raised our published `next` usually raises the
             // snapshot horizon with it (the self-echo term): peek before
             // parking and spin straight into the next window if it moved —
-            // this is the self-serve climb that replaces a null round-trip
-            // per window with a handful of atomic loads.
-            if n > 1 && self.snapshot_horizon(&asy, self.async_next()) > horizon {
-                continue;
+            // the self-serve climb that replaces a null round-trip per
+            // window with a handful of atomic loads.
+            if let Some(asy) = &asy {
+                if n > 1 && self.snapshot_horizon(asy, self.async_next()) > horizon {
+                    continue;
+                }
             }
-            // The parked bit is the demand signal `refresh_promises` gates
-            // standalone nulls on; raise it only for the wait itself. The
-            // registry's gauges refresh right before parking so the
-            // watchdog judges the park against current values (quiet
-            // iterations skip the burst publish but may have climbed the
-            // horizon through nulls).
-            let qhead = self.queue_head();
-            self.publish_metrics(horizon, self.async_next(), qhead);
-            self.park((horizon, qhead), (SpanKind::Decide, SpanKind::HorizonWait), |endpoint, before_park| {
+            // Park until a peer's data or promise (or the outcome, within
+            // the timeout) moves us. The parked bit is the demand signal
+            // `refresh_promises` gates doorbells on; raise it only for the
+            // wait itself. The registry's gauges refresh right before
+            // parking so the watchdog judges the park against current
+            // values.
+            self.publish_metrics(horizon, self.async_next(), st.qhead);
+            self.park((horizon, st.qhead), (SpanKind::Decide, SpanKind::HorizonWait), |endpoint, before_park| {
                 before_park();
-                asy.slots[me].parked.store(true, Ordering::SeqCst);
+                let parked = asy.as_ref().map(|a| &a.slots[me].parked);
+                if let Some(p) = parked {
+                    p.store(true, Ordering::SeqCst);
+                }
                 endpoint.wait_inbound(std::time::Duration::from_millis(1));
-                asy.slots[me].parked.store(false, Ordering::SeqCst);
+                if let Some(p) = parked {
+                    p.store(false, Ordering::SeqCst);
+                }
                 true
             });
         }
-        // Two-phase shutdown: ship anything still pending, rendezvous on
-        // the flush counter, then drain leftovers so receive accounting
-        // matches the sim (which records both ends at send time). The
-        // drained events are dropped unprocessed — exactly the events the
-        // sim discards after its termination condition trips.
+        // Two-phase shutdown: ship anything still pending, rendezvous,
+        // then drain leftovers so receive accounting matches the sim
+        // (which records both ends at send time). The drained events are
+        // dropped unprocessed — exactly the events the sim discards after
+        // its termination condition trips.
         self.fly(FlightTag::Decide, outcome, 0);
         self.endpoint.flush();
-        asy.flushed.fetch_add(1, Ordering::SeqCst);
-        while asy.flushed.load(Ordering::SeqCst) < n as u64 {
-            std::thread::yield_now();
-        }
+        peers.flush_rendezvous();
         self.drain_inbox_async(&mut chan);
         self.fly(
             FlightTag::FlushRendezvous,
             self.endpoint.frame_stats.frames_sent,
             self.endpoint.frame_stats.msgs_framed,
         );
-        self.finish_outcome(outcome == async_done::DEADLOCK, outcome == async_done::ABORT)
-    }
-
-    /// The message-passing body under `--sync async` (DESIGN.md §16.3):
-    /// pure per-channel Chandy–Misra–Bryant. The horizon is the minimum of
-    /// the per-peer channel clocks alone — no shared snapshot exists —
-    /// advanced by data deliveries and by the eagerly shipped promises of
-    /// [`SyncEngine::refresh_promises_wire`]; termination belongs to the
-    /// coordinator, which counts every record it relays and quiesces the
-    /// cluster from the workers' idle [`WirePeers::send_state`] reports.
-    pub fn run_async_wire(mut self, peers: &mut dyn WirePeers) -> NodeOutcome {
-        let me = self.endpoint.id as usize;
-        let n = self.n_nodes;
-        let mut chan = vec![0u64; n];
-        chan[me] = u64::MAX;
-        let mut promised = vec![0u64; n];
-        let mut horizon = 0u64;
-        /// Retired-op quantum between busy-path state reports: the only
-        /// thing they feed is the coordinator's `max_ops` abort scan, so
-        /// window granularity is enough (the threads backend is no finer).
-        const OPS_QUANTUM: u64 = 1 << 20;
-        let mut drained_total = 0u64;
-        let mut last_state: Option<(u64, u64, u64, u64)> = None;
-        let mut ops_at_state = 0u64;
-        let outcome;
-        loop {
-            drained_total += self.drain_inbox_async(&mut chan);
-            let h = chan.iter().copied().min().unwrap_or(u64::MAX);
-            if h > horizon {
-                self.horizon_advances += 1;
-                horizon = h;
-            }
-            // Long bursts must not starve peers hanging on our promise.
-            let burst = self.run_below(horizon, |eng| eng.refresh_promises_wire(&mut promised, horizon));
-            if burst > 0 {
-                self.windows += 1;
-                self.publish_metrics(horizon, self.async_next(), self.queue_head());
-                // (Quiet iterations ship their row from the park below.)
-                self.pump_metrics(false);
-            }
-            self.refresh_promises_wire(&mut promised, horizon);
-            // Flush *before* any state report: the report must ride the
-            // stream behind every record it accounts for, or the
-            // coordinator could observe "all drained" with our records
-            // still in the pending buffers (a false quiescence).
-            self.endpoint.flush();
-            if let Some(o) = peers.poll_done() {
-                outcome = o;
-                break;
-            }
-            if self.queue_head() < horizon {
-                // Still busy. Feed the coordinator's abort scan on a coarse
-                // quantum so a runaway burst sequence is still caught.
-                if self.node.ops - ops_at_state >= OPS_QUANTUM {
-                    let st = (self.queue_head(), drained_total, self.node.live() as u64, self.node.ops);
-                    peers.send_state(st.0, st.1, st.2, st.3);
-                    last_state = Some(st);
-                    ops_at_state = self.node.ops;
-                }
-                continue;
-            }
-            // Idle: report (on change) and park. The coordinator decides
-            // termination; its Done doorbell lands in our inbound channel
-            // via the ingress pump, so the park always wakes for it.
-            let st = (self.queue_head(), drained_total, self.node.live() as u64, self.node.ops);
-            if last_state != Some(st) {
-                peers.send_state(st.0, st.1, st.2, st.3);
-                last_state = Some(st);
-                ops_at_state = self.node.ops;
-            }
-            // Refresh gauges right before parking so the coordinator's
-            // watchdog judges the park against current values.
-            self.publish_metrics(horizon, self.async_next(), st.0);
-            self.park((horizon, st.0), (SpanKind::Decide, SpanKind::HorizonWait), |endpoint, before_park| {
-                before_park();
-                endpoint.wait_inbound(std::time::Duration::from_millis(1));
-                true
-            });
-        }
-        // Shutdown mirrors the in-process mode's two phases, with the
-        // coordinator as the rendezvous: flush leftovers, announce, wait
-        // for every peer's leftovers to be relayed to us, drain them so
-        // receive accounting matches the sim, then report.
-        self.endpoint.flush();
-        peers.flush_rendezvous();
-        self.drain_inbox_async(&mut chan);
         self.finish_outcome(outcome == async_done::DEADLOCK, outcome == async_done::ABORT)
     }
 }
@@ -1328,24 +1136,18 @@ impl Host for SyncEngine {
     /// straight back into the local queue.
     fn transmit(&mut self, at: u64, step: u64, src: NodeId, dst: NodeId, msg: Msg) {
         let kind = msg.kind();
-        if let Some(a) = &self.asy {
-            // Async termination counters go up *before* the record can
-            // enter a channel (`endpoint.transmit` may auto-flush a full
-            // frame): a checker that has not seen the increment cannot
-            // have seen the message either — the send-before-flight rule
-            // §14.3 leans on.
-            if kind == MsgKind::Spawn {
-                a.spawns_sent.fetch_add(1, Ordering::SeqCst);
-            }
-            if dst != src {
-                a.msgs_sent.fetch_add(1, Ordering::SeqCst);
-                // Send-coverage bookkeeping (§14.4): until the receiver
-                // acks the drain, every published `next` of ours is clamped
-                // to this record's send time, so the horizon snapshot keeps
-                // covering it while it is in flight.
-                self.sent_to[dst as usize] += 1;
-                self.unacked[dst as usize].push_back((self.sent_to[dst as usize], at));
-            }
+        if let Some(a) = self.asy.as_ref().filter(|_| dst != src) {
+            // The termination count goes up *before* the record can enter
+            // a channel (`endpoint.transmit` may auto-flush a full frame):
+            // a rule that has not seen the increment cannot see the record
+            // drained either — the send-before-flight order §14.2 leans on.
+            a.fwd_to[dst as usize].fetch_add(1, Ordering::SeqCst);
+            // Send-coverage bookkeeping (§14.3): until the receiver acks
+            // the drain, every published `next` of ours is clamped to this
+            // record's send time, so the horizon snapshot keeps covering it
+            // while it is in flight.
+            self.sent_to[dst as usize] += 1;
+            self.unacked[dst as usize].push_back((self.sent_to[dst as usize], at));
         }
         let (deliver, local) = self.endpoint.transmit(at, step, dst, kind, &mut |w| msg.encode_into(w));
         if let Some(wire) = local {
@@ -1391,6 +1193,7 @@ impl Host for SyncEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jsplit_net::MsgKind;
 
     #[test]
     fn horizon_keeps_self_echo_and_ignores_idle_peers() {
@@ -1408,6 +1211,25 @@ mod tests {
         assert_eq!(hz.horizon(0, one_idle), 1_200 + 500);
         // A single node has no peers: one unbounded window.
         assert_eq!(Horizons::new(vec![700], u64::MAX).horizon(0, |_| 5), u64::MAX);
+    }
+
+    #[test]
+    fn async_decision_requires_full_quiescence() {
+        let m = u64::MAX;
+        let st = |qhead, drained, live, ops| Some(AsyncState { qhead, drained, live, ops });
+        let sent = |v: &'static [u64]| move |w: usize| v[w];
+        // Missing state: no decision.
+        assert_eq!(decide_async(&[st(m, 0, 0, 1), None], sent(&[0, 0]), m), None);
+        // Busy node: no decision.
+        assert_eq!(decide_async(&[st(5, 0, 0, 1), st(m, 0, 0, 1)], sent(&[0, 0]), m), None);
+        // Undrained record: no decision.
+        assert_eq!(decide_async(&[st(m, 2, 0, 1), st(m, 0, 0, 1)], sent(&[3, 0]), m), None);
+        // All idle and drained, no live threads: finish.
+        assert_eq!(decide_async(&[st(m, 2, 0, 1), st(m, 1, 0, 1)], sent(&[2, 1]), m), Some(async_done::FINISH));
+        // Same but a live (blocked) thread somewhere: deadlock.
+        assert_eq!(decide_async(&[st(m, 2, 1, 1), st(m, 1, 0, 1)], sent(&[2, 1]), m), Some(async_done::DEADLOCK));
+        // Op budget blown: abort, even with states missing.
+        assert_eq!(decide_async(&[st(5, 0, 0, 100), None], sent(&[0, 0]), 99), Some(async_done::ABORT));
     }
 
     use proptest::prelude::*;

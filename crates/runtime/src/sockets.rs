@@ -21,15 +21,13 @@
 //!   its destination — and per-stream FIFO again delivers those frames to
 //!   each worker *before* its `Slots`. The whole window is inbound when
 //!   `Slots` arrives (DESIGN.md §16.3).
-//! * the async mode runs pure per-channel Chandy–Misra–Bryant promises
-//!   ([`SyncEngine::run_async_wire`]); the in-process mode's shared
-//!   send-coverage counters have no wire analogue, so *the coordinator*
-//!   owns termination: it counts the non-null records it relays toward
-//!   each worker ([`jsplit_net::transport::frame_data_records`]) and
-//!   declares the run over when every worker is idle (`qhead == MAX`) and
-//!   has drained exactly what was relayed to it — a report rides each
-//!   worker's stream *behind* every record it accounts for, so the count
-//!   comparison can never observe false quiescence (DESIGN.md §16.3).
+//! * the async loop ([`SyncEngine::run_async`]) runs without shared slots,
+//!   on pure per-channel Chandy–Misra–Bryant promises, and [`AsyncPeers`]
+//!   puts its one termination rule ([`decide_async`]) in *the
+//!   coordinator*: it counts the non-null records it relays toward each
+//!   worker ([`jsplit_net::transport::frame_data_records`]) and evaluates
+//!   the rule on every `State` report — which rides each worker's stream
+//!   *behind* every record it accounts for (DESIGN.md §14.2).
 //!
 //! Handshake: a worker dials in (bounded retry with exponential backoff)
 //! and sends `Hello { magic, version, node_id, config_hash }`; the
@@ -61,7 +59,7 @@
 use crate::balance::Balancer;
 use crate::config::{Backend, ClusterConfig, Mode, NodeSpec, SyncMode};
 use crate::driver::{self, ClusterError, Prepared};
-use crate::engine::{async_done, fold_slot, EpochPeers, EpochSlot, Horizons, SyncEngine, WirePeers};
+use crate::engine::{decide_async, fold_slot, AsyncPeers, AsyncState, EpochPeers, EpochSlot, Horizons, SyncEngine};
 use crate::env::CONSOLE_NODE;
 use crate::node::NodeRuntime;
 use crate::report::{NodeResult, RunReport};
@@ -229,6 +227,9 @@ fn encode_vm_error(w: &mut Writer, e: &VmError) {
         VmError::VolatileStackEmpty => {
             w.u8(9);
         }
+        VmError::ArrayTooLarge(s) => {
+            w.u8(10).i64(*s);
+        }
     }
 }
 
@@ -246,6 +247,7 @@ fn decode_vm_error(r: &mut Reader) -> Result<VmError, CodecError> {
         7 => VmError::Unquickened(r.str()?),
         8 => VmError::TypeMismatch(r.str()?),
         9 => VmError::VolatileStackEmpty,
+        10 => VmError::ArrayTooLarge(r.i64()?),
         _ => return Err(CodecError("bad VmError tag")),
     })
 }
@@ -365,7 +367,7 @@ fn decode_node_result(bytes: &[u8]) -> Result<NodeResult, CodecError> {
 /// go out directly; the ingress pump routes inbound `Data` into the
 /// endpoint's frame channel and everything else into `ctrl`). Implements
 /// both engine seams — [`EpochPeers`] as one envelope round trip, and
-/// [`WirePeers`] for the coordinator-terminated async mode. Connection
+/// [`AsyncPeers`] with the coordinator deciding termination. Connection
 /// loss panics, matching [`TcpFrameLink`]: a worker without its
 /// coordinator has no recovery path, and the process exit *is* the error
 /// signal the coordinator acts on.
@@ -439,7 +441,7 @@ impl EpochPeers for WirePeerLink {
     }
 }
 
-impl WirePeers for WirePeerLink {
+impl AsyncPeers for WirePeerLink {
     fn poll_done(&mut self) -> Option<u64> {
         match self.poll_ctrl()? {
             Envelope::Done { outcome } => Some(outcome as u64),
@@ -447,8 +449,10 @@ impl WirePeers for WirePeerLink {
         }
     }
 
-    fn send_state(&mut self, qhead: u64, drained: u64, live: u64, ops: u64) {
-        self.send(&Envelope::State { qhead, drained, live, ops });
+    /// The coordinator decides, and its `Done` doorbell wakes every worker.
+    fn send_state(&mut self, st: AsyncState) -> bool {
+        self.send(&Envelope::State { qhead: st.qhead, drained: st.drained, live: st.live, ops: st.ops });
+        false
     }
 
     fn flush_rendezvous(&mut self) {
@@ -722,7 +726,7 @@ fn run_worker_body(
     let mut link = WirePeerLink { sock: stream.try_clone().map_err(sock_err)?, ctrl: ctrl_rx, me };
     let outcome = match config.sync {
         SyncMode::Epoch => eng.run_epoch(&mut link),
-        SyncMode::Async => eng.run_async_wire(&mut link),
+        SyncMode::Async => eng.run_async(&mut link),
     };
     let rep = NodeResult {
         setup_ps,
@@ -980,7 +984,7 @@ impl SocketsDriver {
 
         let mut fwd_to = vec![0u64; n];
         let mut epoch = EpochRound::new(n);
-        let mut states: Vec<Option<(u64, u64, u64, u64)>> = vec![None; n];
+        let mut states: Vec<Option<AsyncState>> = vec![None; n];
         let mut done_sent = false;
         let mut flushed = 0usize;
         let mut report_blobs: Vec<Option<Vec<u8>>> = vec![None; n];
@@ -1043,9 +1047,9 @@ impl SocketsDriver {
                     }
                 }
                 Envelope::State { qhead, drained, live, ops } => {
-                    states[from as usize] = Some((qhead, drained, live, ops));
+                    states[from as usize] = Some(AsyncState { qhead, drained, live, ops });
                     if !done_sent {
-                        if let Some(outcome) = decide_async(&states, &fwd_to, self.config.max_ops) {
+                        if let Some(outcome) = decide_async(&states, |w| fwd_to[w], self.config.max_ops) {
                             done_sent = true;
                             broadcast(&mut streams, &Envelope::Done { outcome: outcome as u8 })?;
                         }
@@ -1176,30 +1180,6 @@ impl EpochRound {
         self.round += 1;
         Ok(Some(folded))
     }
-}
-
-/// The async-mode termination scan (DESIGN.md §16.3), evaluated on every
-/// `State` arrival: FINISH/DEADLOCK when every worker has reported, is
-/// idle (`qhead == MAX`) and has drained exactly what was relayed toward
-/// it; ABORT as soon as the cluster-wide retired-op count (over the states
-/// present so far) exceeds the budget. Re-evaluating only on `State`
-/// arrivals is sufficient: `fwd_to` changes only when data is relayed, and
-/// a worker that drains new data always re-reports (its `drained` tuple
-/// component changed).
-fn decide_async(states: &[Option<(u64, u64, u64, u64)>], fwd_to: &[u64], max_ops: u64) -> Option<u64> {
-    let ops: u64 = states.iter().flatten().map(|s| s.3).sum();
-    if ops > max_ops {
-        return Some(async_done::ABORT);
-    }
-    let mut live = 0u64;
-    for (w, st) in states.iter().enumerate() {
-        let &(qhead, drained, l, _) = st.as_ref()?;
-        if qhead != u64::MAX || drained != fwd_to[w] {
-            return None;
-        }
-        live += l;
-    }
-    Some(if live == 0 { async_done::FINISH } else { async_done::DEADLOCK })
 }
 
 #[cfg(test)]
@@ -1349,6 +1329,20 @@ mod tests {
         assert_eq!(decode_node_result(&encode_node_result(&rep2)).unwrap(), rep2);
     }
 
+    #[test]
+    fn every_vm_error_tag_round_trips() {
+        // The sample report pins tags 0–9's bytes; the heap-limit trap
+        // (tag 10) rides here so the pinned digest stays put.
+        for e in [VmError::VolatileStackEmpty, VmError::ArrayTooLarge((1 << 24) + 1), VmError::NegativeArraySize(-3)] {
+            let mut w = Writer::new();
+            encode_vm_error(&mut w, &e);
+            let bytes = w.into_inner();
+            let mut r = Reader::new(&bytes);
+            assert_eq!(decode_vm_error(&mut r).unwrap(), e);
+            r.finish().unwrap();
+        }
+    }
+
     /// The coordinator's fold: the n-th `Slot` of the round in flight
     /// yields every node's post-drain head; anything the lockstep rules
     /// out is refused, not folded.
@@ -1389,34 +1383,5 @@ mod tests {
             assert!(unpack_slots(bad, 4, &mut out).is_err());
             assert_eq!(out, [EpochSlot::IDLE; 2], "a refused envelope must not be half-applied");
         }
-    }
-
-    #[test]
-    fn async_decision_requires_full_quiescence() {
-        let m = u64::MAX;
-        // Missing state: no decision.
-        assert_eq!(decide_async(&[Some((m, 0, 0, 1)), None], &[0, 0], u64::MAX), None);
-        // Busy worker: no decision.
-        assert_eq!(
-            decide_async(&[Some((5, 0, 0, 1)), Some((m, 0, 0, 1))], &[0, 0], u64::MAX),
-            None
-        );
-        // Undrained relay: no decision.
-        assert_eq!(
-            decide_async(&[Some((m, 2, 0, 1)), Some((m, 0, 0, 1))], &[3, 0], u64::MAX),
-            None
-        );
-        // All idle and drained, no live threads: finish.
-        assert_eq!(
-            decide_async(&[Some((m, 2, 0, 1)), Some((m, 1, 0, 1))], &[2, 1], u64::MAX),
-            Some(async_done::FINISH)
-        );
-        // Same but a live (blocked) thread somewhere: deadlock.
-        assert_eq!(
-            decide_async(&[Some((m, 2, 1, 1)), Some((m, 1, 0, 1))], &[2, 1], u64::MAX),
-            Some(async_done::DEADLOCK)
-        );
-        // Op budget blown: abort, even with states missing.
-        assert_eq!(decide_async(&[Some((5, 0, 0, 100)), None], &[0, 0], 99), Some(async_done::ABORT));
     }
 }

@@ -4,20 +4,21 @@
 //! workstations exchanging messages), where the sim driver is its
 //! deterministic reference model.
 //!
-//! The conservative-sync protocol itself — the drain → horizon → execute →
-//! publish loop, the per-pair horizon rule, the async send-coverage machinery
-//! and the termination proofs — lives in [`crate::engine`], backend-
-//! independent. This module is the *instantiation* over one address space:
+//! The conservative-sync protocol itself — both loops, the per-pair horizon
+//! rule, the async send-coverage machinery and the one async termination
+//! rule — lives in [`crate::engine`], backend-independent. This module is
+//! the *instantiation* over one address space:
 //!
 //! * frames cross [`ChannelEndpoint`] in-process channels,
 //! * the epoch protocol's one primitive ([`crate::engine::EpochPeers`]) is
 //!   shared-memory: seqlock-style [`NodeSlot`]s, double-buffered by round
 //!   parity (plain stores + an epoch-counter release store; waiters spin
 //!   briefly, then park on a condvar),
-//! * async mode shares an [`engine::AsyncShared`] directly — published
-//!   slots, per-pair ack cells and CAS-decided termination, which only
-//!   exist because the peers *can* share memory (the sockets backend
-//!   replaces all of it with coordinator-side counting, DESIGN.md §16.3).
+//! * the async loop's [`AsyncPeers`] is an in-process twin of the sockets
+//!   coordinator: a locked table of the nodes' latest reports, evaluated
+//!   with [`decide_async`] against send counts (DESIGN.md §14.2), beside an
+//!   [`AsyncShared`] for what only peers sharing memory can do (published
+//!   slots, per-pair ack cells, demand-gated doorbells).
 //!
 //! ## Tracing and profiling
 //!
@@ -34,11 +35,15 @@
 //! exactly; disabled runs pay one `Option` branch per site.
 //!
 //! Restrictions vs the sim driver: no mid-run joins, and the `max_ops`
-//! abort guard is enforced at window granularity rather than per event.
+//! abort guard is enforced at window granularity rather than per event
+//! (a node stops running once it alone is over budget).
 
 use crate::config::{ClusterConfig, SyncMode};
 use crate::driver::{self, ClusterError, Prepared};
-use crate::engine::{fold_slot, AsyncShared, EpochPeers, EpochSlot, Horizons, NodeOutcome, SyncEngine};
+use crate::engine::{
+    async_done, decide_async, fold_slot, AsyncPeers, AsyncShared, AsyncState, EpochPeers, EpochSlot, Horizons,
+    NodeOutcome, SyncEngine,
+};
 use crate::env::CONSOLE_NODE;
 use crate::node::NodeRuntime;
 use crate::report::RunReport;
@@ -168,6 +173,57 @@ impl EpochPeers for ThreadPeers {
     }
 }
 
+/// The async termination state every node thread shares: the run's
+/// [`AsyncShared`] (whose `fwd_to` counts are bumped at send), each node's
+/// latest report, the outcome word and the final-flush counter.
+struct AsyncTable {
+    asy: Arc<AsyncShared>,
+    max_ops: u64,
+    states: Mutex<Vec<Option<AsyncState>>>,
+    outcome: AtomicU64,
+    flushed: AtomicU64,
+}
+
+/// The in-process [`AsyncPeers`]: one node's handle on the [`AsyncTable`].
+struct ThreadAsyncPeers {
+    table: Arc<AsyncTable>,
+    me: usize,
+}
+
+impl AsyncPeers for ThreadAsyncPeers {
+    fn poll_done(&mut self) -> Option<u64> {
+        Some(self.table.outcome.load(Ordering::SeqCst)).filter(|&o| o != async_done::RUNNING)
+    }
+
+    /// File the report and evaluate the rule under the lock, so exactly one
+    /// report decides. A count read here that misses a record's increment
+    /// means that record was sent after its sender's last report was filed
+    /// — the in-process form of the coordinator's relay order.
+    fn send_state(&mut self, st: AsyncState) -> bool {
+        let t = &*self.table;
+        let mut states = t.states.lock().unwrap();
+        states[self.me] = Some(st);
+        if t.outcome.load(Ordering::SeqCst) != async_done::RUNNING {
+            return false;
+        }
+        let Some(outcome) = decide_async(&states, |w| t.asy.fwd_to[w].load(Ordering::SeqCst), t.max_ops) else {
+            return false;
+        };
+        t.outcome.store(outcome, Ordering::SeqCst);
+        true
+    }
+
+    /// Every node's final flush precedes its increment, so once all `n`
+    /// are counted every leftover record is in its receiver's channel.
+    fn flush_rendezvous(&mut self) {
+        let t = &*self.table;
+        t.flushed.fetch_add(1, Ordering::SeqCst);
+        while t.flushed.load(Ordering::SeqCst) < t.asy.fwd_to.len() as u64 {
+            std::thread::yield_now();
+        }
+    }
+}
+
 /// The multi-threaded backend.
 pub struct ThreadsDriver {
     config: ClusterConfig,
@@ -219,8 +275,16 @@ impl ThreadsDriver {
         let n = self.nodes.len();
         let shared = Shared::new(n);
         // Async sync mode swaps the epoch loop for the roundless burst
-        // loop, sharing termination state directly.
-        let asy = (self.config.sync == SyncMode::Async).then(|| Arc::new(AsyncShared::new(n)));
+        // loop, with the termination table in place of the coordinator.
+        let table = (self.config.sync == SyncMode::Async).then(|| {
+            Arc::new(AsyncTable {
+                asy: Arc::new(AsyncShared::new(n)),
+                max_ops: self.config.max_ops,
+                states: Mutex::new(vec![None; n]),
+                outcome: AtomicU64::new(async_done::RUNNING),
+                flushed: AtomicU64::new(0),
+            })
+        });
         // Live telemetry: registry + flight recorder shared with the node
         // threads, sampler/watchdog on a side-band thread. All `None`
         // without `--metrics` — the hot paths then pay one untaken branch.
@@ -242,16 +306,16 @@ impl ThreadsDriver {
         for (me, (node, endpoint)) in self.nodes.into_iter().zip(self.endpoints).enumerate() {
             let shared = shared.clone();
             let wrap = wrap.clone();
+            let table = table.clone();
             let mut eng = SyncEngine::new(node, endpoint, &self.config);
-            eng.asy = asy.clone();
+            eng.asy = table.as_ref().map(|t| t.asy.clone());
             eng.metrics = registry.clone();
             eng.flight = flight.clone();
             handles.push(std::thread::spawn(move || {
                 eng.start(spans);
-                if eng.asy.is_some() {
-                    eng.run_async()
-                } else {
-                    eng.run_epoch(&mut wrap(ThreadPeers { shared, me }))
+                match table {
+                    Some(table) => eng.run_async(&mut ThreadAsyncPeers { table, me }),
+                    None => eng.run_epoch(&mut wrap(ThreadPeers { shared, me })),
                 }
             }));
         }

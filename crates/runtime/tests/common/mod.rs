@@ -1,7 +1,9 @@
 //! Helpers the integration suites share (each uses its own subset).
 #![allow(dead_code)]
 
+use jsplit_mjvm::builder::ProgramBuilder;
 use jsplit_mjvm::class::Program;
+use jsplit_mjvm::instr::Ty;
 use jsplit_runtime::config::SocketsConfig;
 use jsplit_runtime::{Balancer, RunReport};
 
@@ -55,4 +57,60 @@ pub fn assert_reports_match(ctx: &str, a: &RunReport, b: &RunReport) {
     assert_eq!(a.class_bytes, b.class_bytes, "{ctx}: shipped class bytes diverged");
     assert_eq!(a.dsm_per_node, b.dsm_per_node, "{ctx}: per-node DSM stats diverged");
     assert_eq!(a.net_per_node, b.net_per_node, "{ctx}: per-node net stats diverged");
+}
+
+/// `main` loops forever: only the `max_ops` guard ends the run.
+pub fn runaway() -> Program {
+    let mut pb = ProgramBuilder::new("M");
+    pb.class("M", "java.lang.Object", |cb| {
+        cb.static_method("main", &[], None, |m| {
+            let top = m.new_label();
+            m.bind(top);
+            m.goto(top);
+        });
+    });
+    pb.build_with_stdlib()
+}
+
+/// Two threads, two locks, opposite order — with a sleep to force the
+/// interleaving that deadlocks. The runtime must report it rather than
+/// hang.
+pub fn lock_order_deadlock() -> Program {
+    let mut pb = ProgramBuilder::new("M");
+    pb.class("W", "java.lang.Thread", |cb| {
+        cb.field("a", Ty::Ref).field("b", Ty::Ref);
+        cb.method("<init>", &[Ty::Ref, Ty::Ref], None, |m| {
+            m.load(0).invokespecial("java.lang.Thread", "<init>", &[], None);
+            m.load(0).load(1).putfield("W", "a");
+            m.load(0).load(2).putfield("W", "b").ret();
+        });
+        cb.method("run", &[], None, |m| {
+            m.load(0).getfield("W", "a").monitor_enter();
+            m.const_i64(30).invokestatic("java.lang.Thread", "sleep", &[Ty::I64], None);
+            m.load(0).getfield("W", "b").monitor_enter();
+            m.load(0).getfield("W", "b").monitor_exit();
+            m.load(0).getfield("W", "a").monitor_exit();
+            m.ret();
+        });
+    });
+    pb.class("M", "java.lang.Object", |cb| {
+        cb.static_method("main", &[], None, |m| {
+            m.construct("java.lang.Object", &[], |_| {}).store(0);
+            m.construct("java.lang.Object", &[], |_| {}).store(1);
+            m.construct("W", &[Ty::Ref, Ty::Ref], |m| {
+                m.load(0).load(1);
+            })
+            .store(2);
+            m.construct("W", &[Ty::Ref, Ty::Ref], |m| {
+                m.load(1).load(0);
+            })
+            .store(3);
+            m.load(2).invokevirtual("start", &[], None);
+            m.load(3).invokevirtual("start", &[], None);
+            m.load(2).invokevirtual("join", &[], None);
+            m.load(3).invokevirtual("join", &[], None);
+            m.ret();
+        });
+    });
+    pb.build_with_stdlib()
 }

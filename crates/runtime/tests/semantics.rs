@@ -10,6 +10,8 @@ use jsplit_mjvm::instr::{Cmp, Ty};
 use jsplit_runtime::exec::run_cluster;
 use jsplit_runtime::ClusterConfig;
 
+mod common;
+
 fn js(nodes: usize, p: &Program) -> jsplit_runtime::RunReport {
     run_cluster(ClusterConfig::javasplit(JvmProfile::SunSim, nodes), p).expect("cluster")
 }
@@ -217,61 +219,14 @@ fn traps_kill_the_thread_and_surface_in_the_report() {
 
 #[test]
 fn max_ops_guard_aborts_runaway_programs() {
-    let mut pb = ProgramBuilder::new("M");
-    pb.class("M", "java.lang.Object", |cb| {
-        cb.static_method("main", &[], None, |m| {
-            let top = m.new_label();
-            m.bind(top);
-            m.goto(top); // infinite loop
-        });
-    });
     let cfg = ClusterConfig::javasplit(JvmProfile::SunSim, 1).with_max_ops(100_000);
-    let r = run_cluster(cfg, &pb.build_with_stdlib()).expect("cluster");
+    let r = run_cluster(cfg, &common::runaway()).expect("cluster");
     assert!(r.aborted);
     assert!(r.ops >= 100_000);
 }
 
 #[test]
 fn remote_deadlock_is_detected() {
-    // Two threads, two locks, opposite order — with a sleep to force the
-    // interleaving that deadlocks. The runtime must report it rather than
-    // hang.
-    let mut pb = ProgramBuilder::new("M");
-    pb.class("W", "java.lang.Thread", |cb| {
-        cb.field("a", Ty::Ref).field("b", Ty::Ref);
-        cb.method("<init>", &[Ty::Ref, Ty::Ref], None, |m| {
-            m.load(0).invokespecial("java.lang.Thread", "<init>", &[], None);
-            m.load(0).load(1).putfield("W", "a");
-            m.load(0).load(2).putfield("W", "b").ret();
-        });
-        cb.method("run", &[], None, |m| {
-            m.load(0).getfield("W", "a").monitor_enter();
-            m.const_i64(30).invokestatic("java.lang.Thread", "sleep", &[Ty::I64], None);
-            m.load(0).getfield("W", "b").monitor_enter();
-            m.load(0).getfield("W", "b").monitor_exit();
-            m.load(0).getfield("W", "a").monitor_exit();
-            m.ret();
-        });
-    });
-    pb.class("M", "java.lang.Object", |cb| {
-        cb.static_method("main", &[], None, |m| {
-            m.construct("java.lang.Object", &[], |_| {}).store(0);
-            m.construct("java.lang.Object", &[], |_| {}).store(1);
-            m.construct("W", &[Ty::Ref, Ty::Ref], |m| {
-                m.load(0).load(1);
-            })
-            .store(2);
-            m.construct("W", &[Ty::Ref, Ty::Ref], |m| {
-                m.load(1).load(0);
-            })
-            .store(3);
-            m.load(2).invokevirtual("start", &[], None);
-            m.load(3).invokevirtual("start", &[], None);
-            m.load(2).invokevirtual("join", &[], None);
-            m.load(3).invokevirtual("join", &[], None);
-            m.ret();
-        });
-    });
-    let r = js(2, &pb.build_with_stdlib());
+    let r = js(2, &common::lock_order_deadlock());
     assert!(r.deadlocked, "classic lock-order deadlock must be detected");
 }

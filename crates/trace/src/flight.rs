@@ -28,11 +28,11 @@ pub enum FlightTag {
     HorizonClimb,
     /// Epoch-mode slot publish. a = round, b = published next-event (ps).
     EpochPublish,
-    /// Async-mode burst publish. a = version, b = published next (ps).
+    /// Async-mode slot publish. a = published queue head (ps), b = published next (ps).
     BurstPublish,
     /// Outbound flush rendezvous / frame ship. a = frames so far, b = msgs so far.
     FlushRendezvous,
-    /// Termination/deadlock decision observed. a = 1 finished / 2 deadlocked, b = 0.
+    /// Termination decision observed. a = 1 finished / 2 deadlocked / 3 aborted, b = epoch round (0 under async).
     Decide,
 }
 

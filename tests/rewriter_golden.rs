@@ -3,9 +3,14 @@
 //! hierarchy, the injected access checks, the substituted synchronization
 //! handlers and thread-start sites, and the statics companion.
 
+use javasplit::dsm::protocol::WVal;
+use javasplit::dsm::{DsmConfig, DsmNode, ProtocolMode, WireState};
 use javasplit::mjvm::builder::ProgramBuilder;
 use javasplit::mjvm::disasm;
+use javasplit::mjvm::heap::{Heap, ObjPayload};
 use javasplit::mjvm::instr::Ty;
+use javasplit::mjvm::loader::Image;
+use javasplit::mjvm::Value;
 use javasplit::rewriter::rewrite_program;
 
 fn sample() -> javasplit::mjvm::class::Program {
@@ -68,16 +73,41 @@ fn thread_start_site_substituted() {
     assert!(!start.contains("start0"), "{start}");
 }
 
+/// Figure 2's generated `DSM_serialize` is, here, the DSM codec walking the
+/// loaded field layout of the rewritten class: a `Point` travels as its
+/// instance fields in declaration order, and a `Thread`'s `target`
+/// reference as the global id of the object it names (`writeGlobalIdOf`),
+/// which sharing it in passing assigns — never as a deep copy.
 #[test]
 fn generated_serializers_match_figure2() {
     let rw = rewrite_program(&sample()).expect("rewrite");
-    let ser = rw.serializers.get("javasplit.demo.Point").expect("serializer");
-    let names: Vec<&str> = ser.fields.iter().map(|(n, _)| &**n).collect();
+    let image = Image::load(&rw.program).expect("load");
+    let mut heap = Heap::new();
+    let mut dsm = DsmNode::new(0, DsmConfig { mode: ProtocolMode::MtsHlrc, disable_local_locks: false, array_chunk: None });
+    let mut alloc = |name: &str| {
+        let class = image.class_id(name).expect(name);
+        let c = image.class(class);
+        (heap.alloc_object(class, c.field_names.len(), c.zeroed_fields()), class, c)
+    };
+    let (point, point_class, pc) = alloc("javasplit.demo.Point");
+    let names: Vec<&str> = pc.field_names.iter().map(|n| &**n).collect();
     assert_eq!(names, ["x", "flag"]);
-    assert_eq!(ser.byte_size(), 8);
-    let thread_ser = rw.serializers.get("javasplit.java.lang.Thread").unwrap();
-    // target is a reference field: serialized as a gid.
-    assert_eq!(thread_ser.ref_slots().count(), 1);
+    let (thread, _, tc) = alloc("javasplit.java.lang.Thread");
+    let target = tc.field_slot("target").expect("Thread.target") as usize;
+    let set = |heap: &mut Heap, obj, slot: usize, v| match &mut heap.get_mut(obj).payload {
+        ObjPayload::Fields(fs) => fs[slot] = v,
+        _ => unreachable!("plain objects carry fields"),
+    };
+    set(&mut heap, point, 0, Value::I32(7));
+    set(&mut heap, point, 1, Value::I32(1));
+    set(&mut heap, thread, target, Value::Ref(point));
+
+    assert_eq!(dsm.serialize_state(&mut heap, point), WireState::Fields(vec![WVal::I32(7), WVal::I32(1)]));
+    assert!(heap.get(point).dsm.gid.is_none(), "serializing an object does not share it");
+    let WireState::Fields(fields) = dsm.serialize_state(&mut heap, thread) else { panic!("a Thread is a plain object") };
+    assert_eq!(fields.len(), tc.field_names.len());
+    let gid = heap.get(point).dsm.gid.expect("the referenced Point is shared as it crosses");
+    assert_eq!(fields[target], WVal::Ref(gid, point_class.0));
 }
 
 #[test]
