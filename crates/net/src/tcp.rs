@@ -54,9 +54,9 @@ pub const ANY_NODE: u16 = u16::MAX;
 /// Upper bound on a single envelope body (corrupt-stream guard).
 pub const MAX_ENVELOPE: usize = 256 * 1024 * 1024;
 
-/// Values of an epoch slot publish: `next_event`, `live`, `spawns_sent`,
-/// `spawns_recv`, `ops` — the exact quintuple the threads backend stores
-/// into its shared-memory `NodeSlot`.
+/// Values of an epoch slot post: `next_event`, `live`, `spawns_sent`,
+/// `spawns_recv`, `ops` — the quintuple every node posts to the run's
+/// rendezvous, over the wire or, in the threads backend, under a lock.
 pub type SlotWire = [u64; 5];
 
 /// `Welcome.flags` bit: arm the per-object DSM sharing profiler.

@@ -41,12 +41,15 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-/// Errors preparing a cluster run.
+/// Errors preparing or running a cluster run.
 #[derive(Debug)]
 pub enum ClusterError {
     Rewrite(RewriteError),
     Load(LoadError),
     Config(String),
+    /// A worker of a running cluster is gone: its connection dropped, or
+    /// it panicked (`cause` carries the panic message).
+    PeerLost { node: NodeId, cause: String },
 }
 
 impl std::fmt::Display for ClusterError {
@@ -55,6 +58,7 @@ impl std::fmt::Display for ClusterError {
             ClusterError::Rewrite(e) => write!(f, "rewrite failed: {e}"),
             ClusterError::Load(e) => write!(f, "load failed: {e}"),
             ClusterError::Config(s) => write!(f, "bad configuration: {s}"),
+            ClusterError::PeerLost { node, cause } => write!(f, "worker {node} lost: {cause}"),
         }
     }
 }

@@ -7,14 +7,17 @@
 //! peers through one small trait:
 //!
 //! * [`EpochPeers`] — the windowed protocol's one primitive: the per-round
-//!   slot exchange. The threads backend implements it over double-buffered
-//!   shared-memory atomics; the sockets backend as one `Slot` → `Slots`
-//!   round trip through the coordinator.
+//!   slot exchange.
 //! * [`AsyncPeers`] — what the roundless loop ([`SyncEngine::run_async`])
 //!   needs: outcome polling, progress reports for the one termination rule
-//!   ([`decide_async`]) and the final-flush rendezvous. The threads backend
-//!   evaluates the rule under a lock, against per-destination record counts
-//!   bumped at send; the sockets coordinator against counts taken at relay.
+//!   ([`decide_async`]) and the final-flush rendezvous.
+//!
+//! Whatever the nodes agree on — the folded round, the run's outcome, the
+//! end of the final flush — one pure [`Rendezvous`] decides. Both fabrics
+//! only carry posts to it and answers back: the threads backend runs it
+//! under a lock, with per-destination record counts bumped at send; the
+//! sockets coordinator runs it in its relay loop, with counts taken at
+//! relay.
 //!
 //! Peers that share memory also hand the async loop an [`AsyncShared`]:
 //! published slots for the snapshot horizon, the §14.3 send-coverage acks
@@ -67,7 +70,7 @@
 //! every node needs every node's *post-drain* queue head `next_i`, yet
 //! nobody has drained when the slots cross: each node publishes its
 //! pre-drain head plus `min_out[d]`, the earliest delivery time of any
-//! record it framed for `d` in the closing window, and [`fold_slot`]
+//! record it framed for `d` in the closing window, and [`Rendezvous`]
 //! rebuilds `next_i = min(head_i, min_s min_out_s[i])` — exactly `i`'s
 //! queue head once it drains, because the exchange returns only after
 //! every peer's flush is in `i`'s inbound channel.
@@ -169,7 +172,7 @@ impl Horizons {
 
 /// One node's per-round aggregates under epoch sync: the values every node
 /// publishes before its drain and reads, folded, from every peer before
-/// deciding. The quintuple is what crosses backends — shared-memory atomics
+/// deciding. The quintuple is what crosses backends — a post under a lock
 /// in the threads backend, an explicit `Slot` wire record over sockets.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct EpochSlot {
@@ -200,18 +203,6 @@ impl EpochSlot {
     }
 }
 
-/// Fold node `from`'s published round record into the round's view `acc`
-/// (which starts as all [`EpochSlot::IDLE`]): its counters land in its own
-/// entry, its pre-drain head and each `min_out[d]` only ever lower a
-/// `next_event`. Order-independent, so once all `n` records are in, every
-/// folder — each thread, or the sockets coordinator — holds the same view.
-pub(crate) fn fold_slot(acc: &mut [EpochSlot], from: usize, slot: EpochSlot, min_out: impl Iterator<Item = u64>) {
-    acc[from] = EpochSlot { next_event: acc[from].next_event.min(slot.next_event), ..slot };
-    for (a, m) in acc.iter_mut().zip(min_out) {
-        a.next_event = a.next_event.min(m);
-    }
-}
-
 /// The epoch protocol's synchronization seam: one rendezvous per round
 /// (module docs, "One exchange per epoch round").
 pub(crate) trait EpochPeers {
@@ -233,6 +224,23 @@ pub(crate) trait EpochPeers {
     ) -> bool;
 }
 
+/// The epoch round's termination rule (DESIGN.md §12.1), which every node
+/// evaluates on the same folded round: FINISH once no thread is live or in
+/// flight (a main that exits right after `start()` must not end the run),
+/// ABORT past the op budget, DEADLOCK when live threads have no event
+/// anywhere — what was sent was flushed before the exchange and drained
+/// after it, so nothing can ever run again.
+pub(crate) fn decide_epoch(slots: &[EpochSlot], max_ops: u64) -> Option<u64> {
+    let sum = |f: fn(&EpochSlot) -> u64| slots.iter().map(f).sum::<u64>();
+    if sum(|s| s.live) == 0 && sum(|s| s.spawns_sent) == sum(|s| s.spawns_recv) {
+        Some(run_outcome::FINISH)
+    } else if sum(|s| s.ops) > max_ops {
+        Some(run_outcome::ABORT)
+    } else {
+        slots.iter().all(|s| s.next_event == u64::MAX).then_some(run_outcome::DEADLOCK)
+    }
+}
+
 /// One node's progress report under async sync: its bare queue head
 /// (`u64::MAX` when nothing is queued), the data records it has drained
 /// so far, its live threads and its retired ops. Filed only after a flush,
@@ -246,11 +254,11 @@ pub(crate) struct AsyncState {
 }
 
 /// What the roundless async loop needs from its peers (DESIGN.md §14.2).
-/// Both backends implement it around [`decide_async`]; they differ only in
+/// Both backends implement it around a [`Rendezvous`]; they differ only in
 /// where the per-destination record counts are taken.
 pub(crate) trait AsyncPeers {
     /// Has the run's outcome been decided? Non-blocking; returns an
-    /// [`async_done`] value once it has.
+    /// [`run_outcome`] value once it has.
     fn poll_done(&mut self) -> Option<u64>;
     /// File this node's latest report with the termination rule. Returns
     /// whether *this* report decided the run: the caller then owes parked
@@ -261,9 +269,10 @@ pub(crate) trait AsyncPeers {
     fn flush_rendezvous(&mut self);
 }
 
-/// Run-outcome values ([`AsyncPeers::poll_done`] and the sockets backend's
-/// `Done` envelope payload).
-pub(crate) mod async_done {
+/// Run-outcome values: what [`decide_epoch`] and [`decide_async`] return,
+/// [`AsyncPeers::poll_done`] reports and the sockets backend's `Done`
+/// envelope carries.
+pub(crate) mod run_outcome {
     pub const RUNNING: u64 = 0;
     pub const FINISH: u64 = 1;
     pub const DEADLOCK: u64 = 2;
@@ -281,7 +290,7 @@ pub(crate) mod async_done {
 pub(crate) fn decide_async(states: &[Option<AsyncState>], fwd_to: impl Fn(usize) -> u64, max_ops: u64) -> Option<u64> {
     let ops: u64 = states.iter().flatten().map(|s| s.ops).sum();
     if ops > max_ops {
-        return Some(async_done::ABORT);
+        return Some(run_outcome::ABORT);
     }
     let mut live = 0u64;
     for (w, st) in states.iter().enumerate() {
@@ -291,7 +300,92 @@ pub(crate) fn decide_async(states: &[Option<AsyncState>], fwd_to: impl Fn(usize)
         }
         live += st.live;
     }
-    Some(if live == 0 { async_done::FINISH } else { async_done::DEADLOCK })
+    Some(if live == 0 { run_outcome::FINISH } else { run_outcome::DEADLOCK })
+}
+
+/// The one place the nodes of a run agree (DESIGN.md §12.1, §14.2): the
+/// epoch round's fold, the async termination decision and the final-flush
+/// count — pure, no I/O. The sockets coordinator feeds it the envelopes
+/// its relay loop dequeues; the threads backend keeps it under a lock.
+/// Posts apply one at a time, so exactly one completes a round, decides
+/// the run or closes the flush.
+pub(crate) struct Rendezvous {
+    /// The epoch round in flight. Rounds are lockstep — no node can post
+    /// `r+1` before round `r` is handed back — so one accumulator serves.
+    round: u64,
+    posted: Vec<bool>,
+    acc: Vec<EpochSlot>,
+    /// Every node's latest async report.
+    states: Vec<Option<AsyncState>>,
+    max_ops: u64,
+    decided: bool,
+    flushed: usize,
+}
+
+impl Rendezvous {
+    pub fn new(n: usize, max_ops: u64) -> Rendezvous {
+        Rendezvous {
+            round: 1,
+            posted: vec![false; n],
+            acc: vec![EpochSlot::IDLE; n],
+            states: vec![None; n],
+            max_ops,
+            decided: false,
+            flushed: 0,
+        }
+    }
+
+    /// Fold node `from`'s round record into the round in flight; the n-th
+    /// post returns the folded round (valid until the next round's first
+    /// post) and opens the next. A record the lockstep rules out — wrong
+    /// round, a second post, a `min_out` not sized to the cluster — is
+    /// refused (the caller names the node).
+    pub fn post_slot(&mut self, from: usize, round: u64, slot: EpochSlot, min_out: &[u64]) -> Result<Option<&[EpochSlot]>, String> {
+        let n = self.acc.len();
+        if round != self.round || self.posted[from] {
+            return Err(format!("posted a slot for round {round} while round {} awaits others", self.round));
+        }
+        if min_out.len() != n {
+            return Err(format!("posted a slot with {} min_out entries in a {n}-node cluster", min_out.len()));
+        }
+        if !self.posted.contains(&true) {
+            self.acc.fill(EpochSlot::IDLE);
+        }
+        // The record's counters land in its own entry; its pre-drain head
+        // and each `min_out[d]` only ever lower a `next_event`. That is
+        // order-independent: the fold is the same whoever posts last.
+        self.acc[from] = EpochSlot { next_event: self.acc[from].next_event.min(slot.next_event), ..slot };
+        for (a, &m) in self.acc.iter_mut().zip(min_out) {
+            a.next_event = a.next_event.min(m);
+        }
+        self.posted[from] = true;
+        if self.posted.contains(&false) {
+            return Ok(None);
+        }
+        self.posted.fill(false);
+        self.round += 1;
+        Ok(Some(&self.acc))
+    }
+
+    /// File node `from`'s latest report and evaluate [`decide_async`]:
+    /// returns the outcome to the one post that decides the run, `None` to
+    /// every other.
+    pub fn post_state(&mut self, from: usize, state: AsyncState, fwd_to: impl Fn(usize) -> u64) -> Option<u64> {
+        self.states[from] = Some(state);
+        if self.decided {
+            return None;
+        }
+        let outcome = decide_async(&self.states, fwd_to, self.max_ops)?;
+        self.decided = true;
+        Some(outcome)
+    }
+
+    /// Count one node's final flush; true on the n-th, when every node's
+    /// leftovers are on their way.
+    pub fn post_flushed(&mut self) -> bool {
+        self.flushed += 1;
+        self.flushed == self.states.len()
+    }
 }
 
 /// What async peers that share one address space can do better (DESIGN.md
@@ -634,12 +728,10 @@ impl SyncEngine {
     pub fn run_epoch(mut self, peers: &mut dyn EpochPeers) -> NodeOutcome {
         let me = self.endpoint.id as usize;
         let n = self.n_nodes;
-        let mut deadlocked = false;
-        let mut aborted = false;
         let mut round: u64 = 0;
         let mut slots = vec![EpochSlot::default(); n];
         let mut min_out = vec![u64::MAX; n];
-        loop {
+        let outcome = loop {
             round += 1;
             // Span accounting (when on) is boundary-chained: each `mark`
             // closes the segment since the previous boundary, so the
@@ -676,34 +768,8 @@ impl SyncEngine {
             self.mark(SpanKind::InboxDrain);
             let next = slots[me].next_event;
             debug_assert!(self.queue_head() <= next, "folded next {next} below the drained queue head");
-            let mut live = 0u64;
-            let mut sent = 0u64;
-            let mut recv = 0u64;
-            let mut ops = 0u64;
-            let mut min_next = u64::MAX;
-            for s in &slots {
-                live += s.live;
-                sent += s.spawns_sent;
-                recv += s.spawns_recv;
-                ops += s.ops;
-                min_next = min_next.min(s.next_event);
-            }
-            // Spawned-but-undelivered threads count as live: a main that
-            // exits immediately after `start()` must not end the run.
-            if live == 0 && sent == recv {
-                break;
-            }
-            if ops > self.hz.max_ops {
-                aborted = true;
-                break;
-            }
-            if min_next == u64::MAX {
-                // Live threads, no scheduled events anywhere, empty
-                // channels (anything sent last round was flushed before
-                // the exchange and just drained): nothing can ever run
-                // again.
-                deadlocked = true;
-                break;
+            if let Some(outcome) = decide_epoch(&slots, self.hz.max_ops) {
+                break outcome;
             }
             self.windows += 1;
             // The safe horizon: no message can be delivered to this node
@@ -711,23 +777,25 @@ impl SyncEngine {
             let horizon = self.hz.horizon(me, |i| slots[i].next_event);
             if let Some(p) = &mut self.profiler {
                 p.mark(SpanKind::Decide);
-                if horizon != u64::MAX && min_next != u64::MAX {
+                // (Some node has an event: the round did not deadlock.)
+                let min_next = slots.iter().map(|s| s.next_event).min().unwrap_or(u64::MAX);
+                if horizon != u64::MAX {
                     p.window_ps.record(horizon - min_next);
                 }
             }
             self.publish_metrics(horizon, next, next);
             self.pump_metrics(false);
             self.run_below(horizon, |_| {});
-        }
-        self.fly(FlightTag::Decide, if deadlocked { 2 } else if aborted { 3 } else { 1 }, round);
-        self.finish_outcome(deadlocked, aborted)
+        };
+        self.fly(FlightTag::Decide, outcome, round);
+        self.finish_outcome(outcome)
     }
 
     /// Publish the closing sample, close the final profiling segment (the
     /// decision that broke the loop), reconcile against the independently
     /// measured thread wall time, and package the outcome (shared by every
     /// sync mode).
-    fn finish_outcome(mut self, deadlocked: bool, aborted: bool) -> NodeOutcome {
+    fn finish_outcome(mut self, outcome: u64) -> NodeOutcome {
         // End-of-run counters, so whole-run mean rates come out right (the
         // horizon gauge goes to ∞: the run is over, nothing lags anything);
         // forced past the cross-process pump's rate limit.
@@ -748,8 +816,8 @@ impl SyncEngine {
             net_tail: self.endpoint.trace.take(),
         });
         let result = NodeResult {
-            deadlocked,
-            aborted,
+            deadlocked: outcome == run_outcome::DEADLOCK,
+            aborted: outcome == run_outcome::ABORT,
             slab_high_water: self.events.high_water(),
             windows: self.windows,
             horizon_advances: self.horizon_advances,
@@ -1110,7 +1178,7 @@ impl SyncEngine {
             self.endpoint.frame_stats.frames_sent,
             self.endpoint.frame_stats.msgs_framed,
         );
-        self.finish_outcome(outcome == async_done::DEADLOCK, outcome == async_done::ABORT)
+        self.finish_outcome(outcome)
     }
 }
 
@@ -1225,11 +1293,62 @@ mod tests {
         // Undrained record: no decision.
         assert_eq!(decide_async(&[st(m, 2, 0, 1), st(m, 0, 0, 1)], sent(&[3, 0]), m), None);
         // All idle and drained, no live threads: finish.
-        assert_eq!(decide_async(&[st(m, 2, 0, 1), st(m, 1, 0, 1)], sent(&[2, 1]), m), Some(async_done::FINISH));
+        assert_eq!(decide_async(&[st(m, 2, 0, 1), st(m, 1, 0, 1)], sent(&[2, 1]), m), Some(run_outcome::FINISH));
         // Same but a live (blocked) thread somewhere: deadlock.
-        assert_eq!(decide_async(&[st(m, 2, 1, 1), st(m, 1, 0, 1)], sent(&[2, 1]), m), Some(async_done::DEADLOCK));
+        assert_eq!(decide_async(&[st(m, 2, 1, 1), st(m, 1, 0, 1)], sent(&[2, 1]), m), Some(run_outcome::DEADLOCK));
         // Op budget blown: abort, even with states missing.
-        assert_eq!(decide_async(&[st(5, 0, 0, 100), None], sent(&[0, 0]), 99), Some(async_done::ABORT));
+        assert_eq!(decide_async(&[st(5, 0, 0, 100), None], sent(&[0, 0]), 99), Some(run_outcome::ABORT));
+    }
+
+    /// The epoch fold: the n-th post of the round in flight yields every
+    /// node's post-drain head; anything the lockstep rules out is refused,
+    /// not folded.
+    #[test]
+    fn rendezvous_folds_min_out_and_refuses_what_lockstep_rules_out() {
+        let m = u64::MAX;
+        let mut rv = Rendezvous::new(3, m);
+        let mut post = |from, round, slot, min_out: &[u64]| {
+            rv.post_slot(from, round, EpochSlot::from_array(slot), min_out)
+                .map(|done| done.map(|s| s.iter().map(|s| s.to_array()).collect::<Vec<_>>()))
+        };
+        assert_eq!(post(1, 1, [400, 2, 0, 0, 7], &[m, m, 250]), Ok(None));
+        // Not the round in flight, a second post, a mis-sized `min_out`.
+        let err = post(0, 2, [0; 5], &[m; 3]).unwrap_err();
+        assert!(err.contains("round 2") && err.contains("round 1"), "{err}");
+        assert!(post(1, 1, [0; 5], &[m; 3]).is_err());
+        for bad in [&[m; 2][..], &[m; 4][..], &[][..]] {
+            let err = post(0, 1, [0; 5], bad).unwrap_err();
+            assert!(err.contains("min_out") && err.contains("3-node"), "{err}");
+        }
+        assert_eq!(post(2, 1, [300, 3, 1, 1, 8], &[700, m, m]), Ok(None));
+        let folded = post(0, 1, [m, 1, 0, 0, 6], &[m, 900, m]).unwrap().expect("third post completes the round");
+        assert_eq!(folded, vec![[700, 1, 0, 0, 6], [400, 2, 0, 0, 7], [250, 3, 1, 1, 8]]);
+        // The accumulator starts over: round 1 is history, round 2 is clean.
+        assert!(post(0, 1, [0; 5], &[m; 3]).is_err());
+        assert_eq!(post(0, 2, [5, 0, 0, 0, 0], &[m; 3]), Ok(None));
+        assert_eq!(post(1, 2, [m, 0, 0, 0, 0], &[m; 3]), Ok(None));
+        let folded = post(2, 2, [m, 0, 0, 0, 0], &[m; 3]).unwrap().unwrap();
+        assert_eq!(folded, vec![[5, 0, 0, 0, 0], [m, 0, 0, 0, 0], [m, 0, 0, 0, 0]]);
+    }
+
+    /// Only the first deciding report carries the outcome — later ones,
+    /// deciding or not, get nothing — and only the n-th flush closes.
+    #[test]
+    fn rendezvous_decides_once_and_closes_the_flush_on_the_nth() {
+        let idle = |drained| AsyncState { qhead: u64::MAX, drained, live: 0, ops: 1 };
+        let sent = |w: usize| [1, 0][w];
+        let mut rv = Rendezvous::new(2, 1_000);
+        // One record is on its way to node 0: nothing decides until node 0
+        // reports it drained and idle.
+        assert_eq!(rv.post_state(0, idle(0), sent), None);
+        assert_eq!(rv.post_state(1, idle(0), sent), None);
+        assert_eq!(rv.post_state(0, AsyncState { qhead: 5, ..idle(1) }, sent), None);
+        assert_eq!(rv.post_state(0, idle(1), sent), Some(run_outcome::FINISH));
+        assert_eq!(rv.post_state(1, idle(0), sent), None, "a second deciding report");
+        assert_eq!(rv.post_state(0, AsyncState { ops: 2_000, ..idle(1) }, sent), None, "an over-budget report after the decision");
+        assert!(!rv.post_flushed());
+        assert!(rv.post_flushed());
+        assert!(!rv.post_flushed(), "only the n-th flush closes");
     }
 
     use proptest::prelude::*;
@@ -1267,12 +1386,16 @@ mod tests {
             for &s in &window {
                 send(&mut mesh, s);
             }
-            let mut folded = vec![EpochSlot::IDLE; n];
+            let mut rv = Rendezvous::new(n, u64::MAX);
+            let mut folded = Vec::new();
             let mut min_out = vec![0u64; n];
             for (i, ep) in mesh.iter_mut().enumerate() {
                 ep.flush();
                 ep.take_min_out(&mut min_out);
-                fold_slot(&mut folded, i, EpochSlot { next_event: queues[i].head(), ..EpochSlot::IDLE }, min_out.iter().copied());
+                let slot = EpochSlot { next_event: queues[i].head(), ..EpochSlot::IDLE };
+                if let Some(round) = rv.post_slot(i, 1, slot, &min_out).unwrap() {
+                    folded = round.to_vec();
+                }
             }
             for &s in &early {
                 send(&mut mesh, s);

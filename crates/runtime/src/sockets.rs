@@ -10,24 +10,18 @@
 //!   relayed by a star coordinator (workers never dial each other — the
 //!   coordinator is the switch, which keeps deployment to "every worker
 //!   knows one address"),
-//! * the epoch protocol's one primitive ([`EpochPeers`]) is one `Slot` →
-//!   `Slots` round trip, the coordinator folding every `min_out` into the
-//!   slots it broadcasts ([`EpochRound`]). The ordering argument that
-//!   replaces the threads backend's Release/Acquire pair is two FIFOs
-//!   composed: each worker's window data precedes its `Slot` on its own
-//!   stream, the coordinator's relay loop is one thread draining one mpsc
-//!   queue whose per-producer FIFO keeps that order, so when the n-th
-//!   `Slot` is dequeued every window frame has already been written toward
-//!   its destination — and per-stream FIFO again delivers those frames to
-//!   each worker *before* its `Slots`. The whole window is inbound when
-//!   `Slots` arrives (DESIGN.md §16.3).
+//! * the coordinator's relay loop feeds every `Slot`, `State` and
+//!   `Flushed` it dequeues to one [`Rendezvous`] — the decision core the
+//!   threads backend runs under a lock — and broadcasts its answers
+//!   (`Slots`, `Done`, `Shutdown`). Two FIFOs composed order them: a
+//!   worker's frames precede its control envelope on its own stream and in
+//!   the loop's one mpsc queue, so each broadcast is written behind every
+//!   frame it follows — a worker holding `Slots` has the whole window
+//!   inbound (DESIGN.md §16.3),
 //! * the async loop ([`SyncEngine::run_async`]) runs without shared slots,
-//!   on pure per-channel Chandy–Misra–Bryant promises, and [`AsyncPeers`]
-//!   puts its one termination rule ([`decide_async`]) in *the
-//!   coordinator*: it counts the non-null records it relays toward each
-//!   worker ([`jsplit_net::transport::frame_data_records`]) and evaluates
-//!   the rule on every `State` report — which rides each worker's stream
-//!   *behind* every record it accounts for (DESIGN.md §14.2).
+//!   on pure per-channel Chandy–Misra–Bryant promises; the per-destination
+//!   record counts termination needs are taken at relay
+//!   ([`jsplit_net::transport::frame_data_records`], DESIGN.md §14.2).
 //!
 //! Handshake: a worker dials in (bounded retry with exponential backoff)
 //! and sends `Hello { magic, version, node_id, config_hash }`; the
@@ -38,16 +32,12 @@
 //! the same bytes, so rewrite output, image layout and gid assignment are
 //! identical across processes without shipping any derived state.
 //!
-//! Live telemetry crosses processes: the coordinator owns the registry,
-//! sampler and watchdog, and each worker ships its own registry row as a
-//! `Metrics` envelope from its engine thread (rate-limited to the
-//! coordinator's sampling interval) — the merged NDJSON stream and
-//! [`RunReport::telemetry`] come out schema-identical to the threads
-//! backend's. The per-object sharing profiler and the flight recorder are
-//! armed the same way, via `Welcome { flags }`; a worker that panics sends
-//! a `Fault` envelope carrying the panic message and its flight-recorder
-//! tail, so the coordinator reports the real cause instead of a bare
-//! connection drop.
+//! Live telemetry crosses processes (DESIGN.md §18.4): the coordinator
+//! owns the registry, sampler and watchdog; each worker ships its registry
+//! row as a `Metrics` envelope, so the merged stream is schema-identical
+//! to the threads backend's. A worker that panics sends a `Fault` carrying
+//! the panic message and its flight-recorder tail; that, or a dropped
+//! connection, fails the run with [`ClusterError::PeerLost`] naming it.
 //!
 //! Restrictions vs the threads backend: no mid-run joins, no tracing, no
 //! wall profiling (those merge per-node in-memory buffers; over sockets
@@ -59,7 +49,7 @@
 use crate::balance::Balancer;
 use crate::config::{Backend, ClusterConfig, Mode, NodeSpec, SyncMode};
 use crate::driver::{self, ClusterError, Prepared};
-use crate::engine::{decide_async, fold_slot, AsyncPeers, AsyncState, EpochPeers, EpochSlot, Horizons, SyncEngine};
+use crate::engine::{AsyncPeers, AsyncState, EpochPeers, EpochSlot, Horizons, Rendezvous, SyncEngine};
 use crate::env::CONSOLE_NODE;
 use crate::node::NodeRuntime;
 use crate::report::{NodeResult, RunReport};
@@ -71,8 +61,7 @@ use jsplit_mjvm::heap::ThreadUid;
 use jsplit_mjvm::interp::VmError;
 use jsplit_net::codec::{CodecError, Reader, Writer};
 use jsplit_net::tcp::{
-    self, Envelope, HandshakeExpect, SlotWire, TcpFrameLink, ANY_NODE, MAGIC, VERSION, WF_FLIGHT,
-    WF_OBJPROF,
+    self, Envelope, HandshakeExpect, TcpFrameLink, ANY_NODE, MAGIC, VERSION, WF_FLIGHT, WF_OBJPROF,
 };
 use jsplit_net::transport::{frame_data_records, FrameStats};
 use jsplit_net::{ChannelEndpoint, Frame, NetStats, NodeId, SoloSetup};
@@ -596,7 +585,7 @@ pub fn run_worker(
                     flight: flight2.map(|f| f.render()).unwrap_or_default(),
                 },
             );
-            Err(ClusterError::Config(format!("worker {me} panicked: {message}")))
+            Err(ClusterError::PeerLost { node: me, cause: format!("panicked: {message}") })
         }
     }
 }
@@ -983,15 +972,10 @@ impl SocketsDriver {
         drop(tx);
 
         let mut fwd_to = vec![0u64; n];
-        let mut epoch = EpochRound::new(n);
-        let mut states: Vec<Option<AsyncState>> = vec![None; n];
-        let mut done_sent = false;
-        let mut flushed = 0usize;
+        let mut rv = Rendezvous::new(n, self.config.max_ops);
         let mut report_blobs: Vec<Option<Vec<u8>>> = vec![None; n];
         let mut reports_in = 0usize;
-        let werr = |id: u16, e: io::Error| {
-            ClusterError::Config(format!("sockets coordinator: write to worker {id} failed: {e}"))
-        };
+        let werr = |id: u16, e: io::Error| ClusterError::PeerLost { node: id, cause: format!("write failed: {e}") };
         let broadcast = |streams: &mut [TcpStream], env: &Envelope| -> Result<(), ClusterError> {
             for (id, s) in streams.iter_mut().enumerate() {
                 tcp::write_envelope(s, env).map_err(|e| werr(id as u16, e))?;
@@ -1008,9 +992,7 @@ impl SocketsDriver {
                     if let Some(t) = telemetry.take() {
                         t.finish();
                     }
-                    return Err(ClusterError::Config(format!(
-                        "sockets coordinator: worker {from} disconnected before reporting: {e}"
-                    )));
+                    return Err(ClusterError::PeerLost { node: from, cause: format!("disconnected before reporting: {e}") });
                 }
             };
             match env {
@@ -1039,25 +1021,22 @@ impl SocketsDriver {
                     tcp::write_data(&mut streams[d], src, dst, &frame).map_err(|e| werr(dst, e))?;
                 }
                 Envelope::Slot { round, slot, min_out } => {
-                    let folded = epoch.post(from as usize, round, slot, &min_out).map_err(|e| {
+                    let folded = rv.post_slot(from as usize, round, EpochSlot::from_array(slot), &min_out).map_err(|e| {
                         ClusterError::Config(format!("sockets coordinator: worker {from} {e}"))
                     })?;
-                    if let Some(slots) = folded {
+                    if let Some(folded) = folded {
+                        let slots = folded.iter().map(|s| s.to_array()).collect();
                         broadcast(&mut streams, &Envelope::Slots { round, slots })?;
                     }
                 }
                 Envelope::State { qhead, drained, live, ops } => {
-                    states[from as usize] = Some(AsyncState { qhead, drained, live, ops });
-                    if !done_sent {
-                        if let Some(outcome) = decide_async(&states, |w| fwd_to[w], self.config.max_ops) {
-                            done_sent = true;
-                            broadcast(&mut streams, &Envelope::Done { outcome: outcome as u8 })?;
-                        }
+                    let st = AsyncState { qhead, drained, live, ops };
+                    if let Some(outcome) = rv.post_state(from as usize, st, |w| fwd_to[w]) {
+                        broadcast(&mut streams, &Envelope::Done { outcome: outcome as u8 })?;
                     }
                 }
                 Envelope::Flushed => {
-                    flushed += 1;
-                    if flushed == n {
+                    if rv.post_flushed() {
                         // All leftovers are relayed (each worker's frames
                         // precede its Flushed); Shutdown lands behind them
                         // on every stream.
@@ -1081,14 +1060,14 @@ impl SocketsDriver {
                         }
                     }
                 }
-                Envelope::Fault { node, message, flight } => {
+                Envelope::Fault { message, flight, .. } => {
                     if !flight.is_empty() {
-                        eprintln!("jsplit sockets: worker {node} flight recorder:\n{flight}");
+                        eprintln!("jsplit sockets: worker {from} flight recorder:\n{flight}");
                     }
                     if let Some(t) = telemetry.take() {
                         t.finish();
                     }
-                    return Err(ClusterError::Config(format!("worker {node} panicked: {message}")));
+                    return Err(ClusterError::PeerLost { node: from, cause: format!("panicked: {message}") });
                 }
                 other => {
                     return Err(ClusterError::Config(format!(
@@ -1138,47 +1117,6 @@ impl SocketsDriver {
             }
         }
         Ok(RunReport::assemble(&self.config, self.prepared, started, reports, None, None, telemetry_summary))
-    }
-}
-
-/// The coordinator's side of the epoch exchange. Rounds are lockstep — no
-/// worker can post round `r+1` before it has been sent the round-`r`
-/// `Slots` — so one accumulator serves the whole run.
-struct EpochRound {
-    /// The round in flight.
-    round: u64,
-    posted: Vec<bool>,
-    acc: Vec<EpochSlot>,
-}
-
-impl EpochRound {
-    fn new(n: usize) -> EpochRound {
-        EpochRound { round: 1, posted: vec![false; n], acc: vec![EpochSlot::IDLE; n] }
-    }
-
-    /// Fold worker `from`'s `Slot` into the round in flight; the n-th one
-    /// yields the folded slots to broadcast and opens the next round. A
-    /// record the lockstep rules out — wrong round, a second post, a
-    /// `min_out` not sized to the cluster — is refused (the caller names
-    /// the worker).
-    fn post(&mut self, from: usize, round: u64, slot: SlotWire, min_out: &[u64]) -> Result<Option<Vec<SlotWire>>, String> {
-        let n = self.acc.len();
-        if round != self.round || self.posted[from] {
-            return Err(format!("posted a slot for round {round} while round {} awaits others", self.round));
-        }
-        if min_out.len() != n {
-            return Err(format!("posted a slot with {} min_out entries in a {n}-node cluster", min_out.len()));
-        }
-        fold_slot(&mut self.acc, from, EpochSlot::from_array(slot), min_out.iter().copied());
-        self.posted[from] = true;
-        if !self.posted.iter().all(|&p| p) {
-            return Ok(None);
-        }
-        let folded = self.acc.iter().map(|s| s.to_array()).collect();
-        self.acc.fill(EpochSlot::IDLE);
-        self.posted.fill(false);
-        self.round += 1;
-        Ok(Some(folded))
     }
 }
 
@@ -1341,33 +1279,6 @@ mod tests {
             assert_eq!(decode_vm_error(&mut r).unwrap(), e);
             r.finish().unwrap();
         }
-    }
-
-    /// The coordinator's fold: the n-th `Slot` of the round in flight
-    /// yields every node's post-drain head; anything the lockstep rules
-    /// out is refused, not folded.
-    #[test]
-    fn epoch_round_folds_min_out_and_refuses_what_lockstep_rules_out() {
-        let m = u64::MAX;
-        let mut epoch = EpochRound::new(3);
-        assert_eq!(epoch.post(1, 1, [400, 2, 0, 0, 7], &[m, m, 250]), Ok(None));
-        // Not the round in flight, a second post, a mis-sized `min_out`.
-        let err = epoch.post(0, 2, [0; 5], &[m; 3]).unwrap_err();
-        assert!(err.contains("round 2") && err.contains("round 1"), "{err}");
-        assert!(epoch.post(1, 1, [0; 5], &[m; 3]).is_err());
-        for bad in [&[m; 2][..], &[m; 4][..], &[][..]] {
-            let err = epoch.post(0, 1, [0; 5], bad).unwrap_err();
-            assert!(err.contains("min_out") && err.contains("3-node"), "{err}");
-        }
-        assert_eq!(epoch.post(2, 1, [300, 3, 1, 1, 8], &[700, m, m]), Ok(None));
-        let folded = epoch.post(0, 1, [m, 1, 0, 0, 6], &[m, 900, m]).unwrap().expect("third post completes the round");
-        assert_eq!(folded, vec![[700, 1, 0, 0, 6], [400, 2, 0, 0, 7], [250, 3, 1, 1, 8]]);
-        // The accumulator starts over: round 1 is history, round 2 is clean.
-        assert!(epoch.post(0, 1, [0; 5], &[m; 3]).is_err());
-        assert_eq!(epoch.post(0, 2, [5, 0, 0, 0, 0], &[m; 3]), Ok(None));
-        assert_eq!(epoch.post(1, 2, [m, 0, 0, 0, 0], &[m; 3]), Ok(None));
-        let folded = epoch.post(2, 2, [m, 0, 0, 0, 0], &[m; 3]).unwrap().unwrap();
-        assert_eq!(folded, vec![[5, 0, 0, 0, 0], [m, 0, 0, 0, 0], [m, 0, 0, 0, 0]]);
     }
 
     /// A worker takes exactly `n` slots for the round it posted, or fails

@@ -5,34 +5,28 @@
 //! deterministic reference model.
 //!
 //! The conservative-sync protocol itself — both loops, the per-pair horizon
-//! rule, the async send-coverage machinery and the one async termination
-//! rule — lives in [`crate::engine`], backend-independent. This module is
-//! the *instantiation* over one address space:
+//! rule, the async send-coverage machinery and the one [`Rendezvous`] the
+//! nodes agree through — lives in [`crate::engine`], backend-independent.
+//! This module is the *instantiation* over one address space:
 //!
 //! * frames cross [`ChannelEndpoint`] in-process channels,
-//! * the epoch protocol's one primitive ([`crate::engine::EpochPeers`]) is
-//!   shared-memory: seqlock-style [`NodeSlot`]s, double-buffered by round
-//!   parity (plain stores + an epoch-counter release store; waiters spin
-//!   briefly, then park on a condvar),
-//! * the async loop's [`AsyncPeers`] is an in-process twin of the sockets
-//!   coordinator: a locked table of the nodes' latest reports, evaluated
-//!   with [`decide_async`] against send counts (DESIGN.md §14.2), beside an
-//!   [`AsyncShared`] for what only peers sharing memory can do (published
-//!   slots, per-pair ack cells, demand-gated doorbells).
+//! * each node thread holds a [`Seat`] at one [`Meeting`] — the run's
+//!   [`Rendezvous`] under a lock, where the sockets backend has its
+//!   coordinator — which is both its [`EpochPeers`] and its [`AsyncPeers`].
+//!   A node thread that panics abandons the meeting: its waiting peers
+//!   unwind too, and [`ThreadsDriver::run`] re-raises the first panic,
+//! * the async loop also gets an [`AsyncShared`] (published slots, ack
+//!   cells, doorbells, send counts) — what only shared memory can do.
 //!
 //! ## Tracing and profiling
 //!
-//! Virtual-time tracing works here too: each node records its own events
-//! into a private `TraceSink` (no cross-thread synchronization), and the
-//! driver merges the per-node streams at join through
-//! [`jsplit_trace::canonicalize`] — the same normal form the sim driver
-//! applies to its global recording — so a traced threads run produces a
-//! byte-identical event stream to the sim backend (asserted by the
-//! differential trace test). Wall-clock profiling ([`ClusterConfig`]'s
-//! `profile`) adds a per-node [`SpanRecorder`]: boundary-timestamp marks
-//! around each phase of the epoch loop (flush / spin / condvar / drain /
-//! decide / execute), so the span categories tile each thread's wall time
-//! exactly; disabled runs pay one `Option` branch per site.
+//! Each node records virtual-time events into a private `TraceSink`; the
+//! driver merges the streams at join through [`jsplit_trace::canonicalize`],
+//! the sim's normal form, so a traced run is byte-identical to the sim's
+//! (asserted by the differential trace test). Wall-clock profiling
+//! ([`ClusterConfig`]'s `profile`) adds a per-node [`SpanRecorder`] whose
+//! boundary marks (flush / spin / condvar / drain / decide / execute) tile
+//! each thread's wall time; disabled runs pay one branch per site.
 //!
 //! Restrictions vs the sim driver: no mid-run joins, and the `max_ops`
 //! abort guard is enforced at window granularity rather than per event
@@ -41,8 +35,8 @@
 use crate::config::{ClusterConfig, SyncMode};
 use crate::driver::{self, ClusterError, Prepared};
 use crate::engine::{
-    async_done, decide_async, fold_slot, AsyncPeers, AsyncShared, AsyncState, EpochPeers, EpochSlot, Horizons,
-    NodeOutcome, SyncEngine,
+    run_outcome, AsyncPeers, AsyncShared, AsyncState, EpochPeers, EpochSlot, Horizons, NodeOutcome, Rendezvous,
+    SyncEngine,
 };
 use crate::env::CONSOLE_NODE;
 use crate::node::NodeRuntime;
@@ -50,105 +44,101 @@ use crate::report::RunReport;
 use crate::telemetry::Telemetry;
 use jsplit_net::{ChannelEndpoint, MeshSetup};
 use jsplit_trace::{FlightRecorder, MetricsRegistry, WallProfile};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-/// One round's published record: the five [`EpochSlot`] values, then the
-/// node's `n` `min_out` entries. Field stores are plain (`Relaxed`); the
-/// owning slot's `epoch` release store makes them visible, seqlock style.
-type Bank = Vec<AtomicU64>;
+/// [`Meeting::done_round`] once the n-th final flush is in: past every
+/// epoch round.
+const ALL_FLUSHED: u64 = u64::MAX;
 
-/// Per-node aggregates, published once per round into the bank of the
-/// round's parity — a reader that has observed `epoch ≥ r` reads round-`r`
-/// values from `banks[r % 2]`. Two banks are exactly enough: with one
-/// rendezvous per round a fast node may publish `r+1` while a peer still
-/// reads `r` (the other bank), but it cannot reach its `r+2` publish before
-/// leaving exchange `r+1`, which waits for that peer's `r+1` publish — made
-/// only after the peer finished reading `r`.
-struct NodeSlot {
-    banks: [Bank; 2],
-    /// Publication counter: the latest round this node has published.
-    epoch: AtomicU64,
+/// The meeting every node thread of a run shares: its one [`Rendezvous`]
+/// under a lock, plus what lets a waiter skip the lock.
+struct Meeting {
+    rv: Mutex<Rendezvous>,
+    /// The last folded epoch round, five cells per node. One buffer is
+    /// enough: round `r`'s is overwritten only when round `r+1` completes,
+    /// which needs every node's `r+1` post — made after it read round `r`.
+    folded: Vec<AtomicU64>,
+    /// The last completed meeting (an epoch round, or [`ALL_FLUSHED`]),
+    /// stored under the lock after `folded`: the spin target.
+    done_round: AtomicU64,
+    cv: Condvar,
+    /// The async outcome ([`run_outcome`]), so polling takes no lock.
+    outcome: AtomicU64,
+    /// `1 + id` of the first node whose thread died (`0`: none).
+    abandoned: AtomicUsize,
+    asy: Arc<AsyncShared>,
 }
 
-struct Shared {
-    slots: Vec<NodeSlot>,
-    /// Blocking fallback for the epoch wait: a publisher that stored its
-    /// epoch takes this lock and notifies; a waiter whose short spin
-    /// failed re-checks under the lock and parks. On machines with a core
-    /// per node the spin almost always wins; on oversubscribed hosts
-    /// parking beats a `yield_now` storm.
-    epoch_lock: Mutex<()>,
-    epoch_cv: Condvar,
-}
-
-impl Shared {
-    fn new(n: usize) -> Arc<Shared> {
-        let bank = || (0..5 + n).map(|_| AtomicU64::new(0)).collect();
-        Arc::new(Shared {
-            slots: (0..n).map(|_| NodeSlot { banks: [bank(), bank()], epoch: AtomicU64::new(0) }).collect(),
-            epoch_lock: Mutex::new(()),
-            epoch_cv: Condvar::new(),
+impl Meeting {
+    fn new(n: usize, max_ops: u64) -> Arc<Meeting> {
+        Arc::new(Meeting {
+            rv: Mutex::new(Rendezvous::new(n, max_ops)),
+            folded: (0..5 * n).map(|_| AtomicU64::new(0)).collect(),
+            done_round: AtomicU64::new(0),
+            cv: Condvar::new(),
+            outcome: AtomicU64::new(run_outcome::RUNNING),
+            abandoned: AtomicUsize::new(0),
+            asy: Arc::new(AsyncShared::new(n)),
         })
     }
 
-    /// Publish node `me`'s epoch counter for `round` and wake parked
-    /// waiters. The lock round-trip *between* the store and the notify is
-    /// what closes the lost-wakeup window: a waiter that missed the store
-    /// in its spin holds the lock from its re-check until it parks, so this
-    /// publisher either sees the re-check succeed (waiter never parks) or
-    /// blocks here until the waiter is parked and notifiable.
-    fn publish_epoch(&self, me: usize, round: u64) {
-        self.slots[me].epoch.store(round, Ordering::Release);
-        drop(self.epoch_lock.lock().unwrap());
-        self.epoch_cv.notify_all();
+    /// Poisoning is moot: the one panic under the lock (a refused post)
+    /// leaves the rendezvous whole, and the dying node abandons the run.
+    fn lock(&self) -> MutexGuard<'_, Rendezvous> {
+        self.rv.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn epochs_published(&self, round: u64) -> bool {
-        self.slots.iter().all(|s| s.epoch.load(Ordering::Acquire) >= round)
+    /// The node whose thread died first, if one did.
+    fn culprit(&self) -> Option<usize> {
+        self.abandoned.load(Ordering::Acquire).checked_sub(1)
     }
 
-    /// Wait until every node has published `round`: a short spin, then a
-    /// parked (untimed) condvar wait. Returns whether the wait parked.
-    /// `before_park` runs once, after the spin budget is exhausted and
-    /// before the parking path's locked re-check — the epoch loop hangs
-    /// its profiling mark there, and the regression test holds a node back
-    /// there to force the publish-between-spin-and-park interleaving. The
-    /// wait is untimed on purpose: the publish protocol above makes a
-    /// missed wakeup impossible, and a timeout costs a spurious-wakeup
-    /// storm per round on oversubscribed hosts.
-    fn wait_epochs(&self, round: u64, before_park: &mut dyn FnMut()) -> bool {
-        let mut spins = 0u32;
-        let mut parked = false;
-        while !self.epochs_published(round) {
-            if spins < 64 {
-                spins += 1;
-                std::hint::spin_loop();
-            } else {
-                if !parked {
-                    parked = true;
-                    before_park();
-                }
-                let guard = self.epoch_lock.lock().unwrap();
-                if self.epochs_published(round) {
-                    break;
-                }
-                drop(self.epoch_cv.wait(guard).unwrap());
-            }
+    /// Nothing a dead node owed will ever come: its waiters unwind too.
+    fn check_abandoned(&self, me: usize) {
+        if let Some(k) = self.culprit() {
+            panic!("node {me}: node {k} panicked, abandoning the run");
         }
-        parked
+    }
+
+    /// Mark meeting `round` complete and wake every waiter — stored under
+    /// the lock a parking waiter re-checks under, so no wakeup is lost.
+    fn complete(&self, rv: MutexGuard<'_, Rendezvous>, round: u64) {
+        self.done_round.store(round, Ordering::Release);
+        drop(rv);
+        self.cv.notify_all();
+    }
+
+    /// Wait until meeting `round` is complete: a short spin, then an
+    /// untimed condvar park (a timeout would cost a spurious-wakeup storm
+    /// per round on oversubscribed hosts). `before_park` runs once, between
+    /// the two — the epoch loop's profiling mark, and where the regression
+    /// test holds a node back. Returns whether the spin failed.
+    fn wait(&self, me: usize, round: u64, before_park: &mut dyn FnMut()) -> bool {
+        let done = || self.done_round.load(Ordering::Acquire) >= round;
+        for _ in 0..64 {
+            if done() {
+                return false;
+            }
+            std::hint::spin_loop();
+        }
+        before_park();
+        let mut rv = self.lock();
+        while !done() {
+            self.check_abandoned(me);
+            rv = self.cv.wait(rv).unwrap_or_else(PoisonError::into_inner);
+        }
+        true
     }
 }
 
-/// The shared-memory instantiation of the epoch exchange. The publish's
-/// release store pairs with the wait's acquire loads; the fold then runs
-/// over all `n` banks on every reader, identically.
-struct ThreadPeers {
-    shared: Arc<Shared>,
+/// One node's handle on the [`Meeting`]: its epoch and async peers both.
+struct Seat {
+    meeting: Arc<Meeting>,
     me: usize,
 }
 
-impl EpochPeers for ThreadPeers {
+impl EpochPeers for Seat {
     fn exchange(
         &mut self,
         round: u64,
@@ -157,69 +147,66 @@ impl EpochPeers for ThreadPeers {
         out: &mut [EpochSlot],
         before_park: &mut dyn FnMut(),
     ) -> bool {
-        let parity = (round % 2) as usize;
-        let mine = &self.shared.slots[self.me].banks[parity];
-        for (cell, &v) in mine.iter().zip(slot.to_array().iter().chain(min_out)) {
-            cell.store(v, Ordering::Relaxed);
+        let m = &*self.meeting;
+        let mut rv = m.lock();
+        match rv.post_slot(self.me, round, *slot, min_out) {
+            Ok(None) => drop(rv),
+            // The post that completes the round stores its fold once, for
+            // every reader.
+            Ok(Some(folded)) => {
+                for (cell, v) in m.folded.iter().zip(folded.iter().flat_map(|s| s.to_array())) {
+                    cell.store(v, Ordering::Relaxed);
+                }
+                m.complete(rv, round);
+            }
+            Err(e) => panic!("node {}: {e}", self.me),
         }
-        self.shared.publish_epoch(self.me, round);
-        let parked = self.shared.wait_epochs(round, before_park);
-        out.fill(EpochSlot::IDLE);
-        for (from, s) in self.shared.slots.iter().enumerate() {
-            let v = |i: usize| s.banks[parity][i].load(Ordering::Relaxed);
-            fold_slot(out, from, EpochSlot::from_array(std::array::from_fn(v)), (5..5 + out.len()).map(v));
+        let parked = m.wait(self.me, round, before_park);
+        for (o, cells) in out.iter_mut().zip(m.folded.chunks(5)) {
+            *o = EpochSlot::from_array(std::array::from_fn(|i| cells[i].load(Ordering::Relaxed)));
         }
         parked
     }
 }
 
-/// The async termination state every node thread shares: the run's
-/// [`AsyncShared`] (whose `fwd_to` counts are bumped at send), each node's
-/// latest report, the outcome word and the final-flush counter.
-struct AsyncTable {
-    asy: Arc<AsyncShared>,
-    max_ops: u64,
-    states: Mutex<Vec<Option<AsyncState>>>,
-    outcome: AtomicU64,
-    flushed: AtomicU64,
-}
-
-/// The in-process [`AsyncPeers`]: one node's handle on the [`AsyncTable`].
-struct ThreadAsyncPeers {
-    table: Arc<AsyncTable>,
-    me: usize,
-}
-
-impl AsyncPeers for ThreadAsyncPeers {
+impl AsyncPeers for Seat {
     fn poll_done(&mut self) -> Option<u64> {
-        Some(self.table.outcome.load(Ordering::SeqCst)).filter(|&o| o != async_done::RUNNING)
+        self.meeting.check_abandoned(self.me);
+        Some(self.meeting.outcome.load(Ordering::Acquire)).filter(|&o| o != run_outcome::RUNNING)
     }
 
-    /// File the report and evaluate the rule under the lock, so exactly one
-    /// report decides. A count read here that misses a record's increment
-    /// means that record was sent after its sender's last report was filed
-    /// — the in-process form of the coordinator's relay order.
+    /// A count read under the lock that misses a record's increment means
+    /// that record was sent after its sender's last report was filed — the
+    /// in-process form of the coordinator's relay order.
     fn send_state(&mut self, st: AsyncState) -> bool {
-        let t = &*self.table;
-        let mut states = t.states.lock().unwrap();
-        states[self.me] = Some(st);
-        if t.outcome.load(Ordering::SeqCst) != async_done::RUNNING {
-            return false;
-        }
-        let Some(outcome) = decide_async(&states, |w| t.asy.fwd_to[w].load(Ordering::SeqCst), t.max_ops) else {
-            return false;
-        };
-        t.outcome.store(outcome, Ordering::SeqCst);
-        true
+        let m = &*self.meeting;
+        let decided = m.lock().post_state(self.me, st, |w| m.asy.fwd_to[w].load(Ordering::SeqCst));
+        decided.inspect(|&o| m.outcome.store(o, Ordering::Release)).is_some()
     }
 
-    /// Every node's final flush precedes its increment, so once all `n`
-    /// are counted every leftover record is in its receiver's channel.
+    /// Every node's final flush precedes its post, so once all `n` are in
+    /// every leftover record is in its receiver's channel.
     fn flush_rendezvous(&mut self) {
-        let t = &*self.table;
-        t.flushed.fetch_add(1, Ordering::SeqCst);
-        while t.flushed.load(Ordering::SeqCst) < t.asy.fwd_to.len() as u64 {
-            std::thread::yield_now();
+        let m = &*self.meeting;
+        let mut rv = m.lock();
+        if rv.post_flushed() {
+            m.complete(rv, ALL_FLUSHED);
+        } else {
+            drop(rv);
+        }
+        m.wait(self.me, ALL_FLUSHED, &mut || {});
+    }
+}
+
+impl Drop for Seat {
+    /// A dying node thread would strand its peers at the next meeting:
+    /// mark the run abandoned (the first death wins) and wake every waiter.
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let m = &*self.meeting;
+            let _ = m.abandoned.compare_exchange(0, self.me + 1, Ordering::AcqRel, Ordering::Acquire);
+            drop(m.lock());
+            m.cv.notify_all();
         }
     }
 }
@@ -263,28 +250,19 @@ impl ThreadsDriver {
     }
 
     /// Run to completion: one OS thread per node, then merge the outcomes
-    /// into the same [`RunReport`] shape the sim driver produces.
+    /// into the same [`RunReport`] shape the sim driver produces. A node
+    /// thread's panic is re-raised here, once every node has stopped.
     pub fn run(self) -> RunReport {
         self.run_with(|peers| peers)
     }
 
     /// [`Self::run`] with each node's epoch peers passed through `wrap` —
     /// the seam the skewed-schedule test drives the engine through.
-    fn run_with<P: EpochPeers>(self, wrap: impl Fn(ThreadPeers) -> P + Clone + Send + 'static) -> RunReport {
+    fn run_with<P: EpochPeers>(self, wrap: impl Fn(Seat) -> P + Clone + Send + 'static) -> RunReport {
         let started = std::time::Instant::now();
         let n = self.nodes.len();
-        let shared = Shared::new(n);
-        // Async sync mode swaps the epoch loop for the roundless burst
-        // loop, with the termination table in place of the coordinator.
-        let table = (self.config.sync == SyncMode::Async).then(|| {
-            Arc::new(AsyncTable {
-                asy: Arc::new(AsyncShared::new(n)),
-                max_ops: self.config.max_ops,
-                states: Mutex::new(vec![None; n]),
-                outcome: AtomicU64::new(async_done::RUNNING),
-                flushed: AtomicU64::new(0),
-            })
-        });
+        let meeting = Meeting::new(n, self.config.max_ops);
+        let sync = self.config.sync;
         // Live telemetry: registry + flight recorder shared with the node
         // threads, sampler/watchdog on a side-band thread. All `None`
         // without `--metrics` — the hot paths then pay one untaken branch.
@@ -304,30 +282,39 @@ impl ThreadsDriver {
 
         let mut handles = Vec::with_capacity(n);
         for (me, (node, endpoint)) in self.nodes.into_iter().zip(self.endpoints).enumerate() {
-            let shared = shared.clone();
+            // Taken before the thread starts: whatever kills the thread
+            // drops the seat, and with it abandons the meeting.
+            let mut seat = Seat { meeting: meeting.clone(), me };
             let wrap = wrap.clone();
-            let table = table.clone();
             let mut eng = SyncEngine::new(node, endpoint, &self.config);
-            eng.asy = table.as_ref().map(|t| t.asy.clone());
+            // Async sync swaps the epoch loop for the roundless burst loop,
+            // which also reads and feeds the shared slots and send counts.
+            eng.asy = (sync == SyncMode::Async).then(|| meeting.asy.clone());
             eng.metrics = registry.clone();
             eng.flight = flight.clone();
             handles.push(std::thread::spawn(move || {
                 eng.start(spans);
-                match table {
-                    Some(table) => eng.run_async(&mut ThreadAsyncPeers { table, me }),
-                    None => eng.run_epoch(&mut wrap(ThreadPeers { shared, me })),
+                match sync {
+                    SyncMode::Async => eng.run_async(&mut seat),
+                    SyncMode::Epoch => eng.run_epoch(&mut wrap(seat)),
                 }
             }));
         }
-        // Joined in spawn order, so slice index = node id.
-        let mut outcomes: Vec<NodeOutcome> =
-            handles.into_iter().map(|h| h.join().expect("node thread panicked")).collect();
+        // Every node is joined, in spawn order (slice index = node id).
+        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
         // Stop the sampler (it takes one closing sample of the final
         // published counters) and fold the time series into the report.
         let telemetry = telemetry.map(Telemetry::finish);
         if let Some(f) = &flight {
             jsplit_trace::disarm_panic_dump(f);
         }
+        // Every thread that dies drops its seat while panicking, so the
+        // meeting names the first death: re-raise its panic, not a peer's
+        // echo of it.
+        if let Some(k) = meeting.culprit() {
+            std::panic::resume_unwind(joined.into_iter().nth(k).and_then(Result::err).expect("the culprit panicked"));
+        }
+        let mut outcomes: Vec<NodeOutcome> = joined.into_iter().map(|j| j.expect("no node panicked")).collect();
         // Class distribution was accounted centrally in `new`.
         outcomes[CONSOLE_NODE as usize].result.setup_ps = self.setup_ps;
         // Merge the per-node streams into the sim's canonical normal form:
@@ -356,7 +343,7 @@ mod tests {
     use std::time::Duration;
 
     /// Node `me`'s synthetic round-`r` record: every value names its round,
-    /// so a reader handed another round's bank cannot go unnoticed, and
+    /// so a reader handed another round's fold cannot go unnoticed, and
     /// some `min_out` entries undercut the heads they fold into.
     fn record(me: usize, r: u64, n: usize) -> (EpochSlot, Vec<u64>) {
         let v = |k: u64| r * 1_000 + 100 + me as u64 * 10 + k;
@@ -364,38 +351,36 @@ mod tests {
         (slot, (0..n).map(|d| r * 1_000 + (me * 7 + d * 3 + r as usize) as u64 % 20 * 10).collect())
     }
 
+    /// Round `r`'s fold, written out: each node's own counters, its head
+    /// lowered by every sender's `min_out` toward it.
     fn folded(r: u64, n: usize) -> Vec<EpochSlot> {
-        let mut want = vec![EpochSlot::IDLE; n];
-        for from in 0..n {
-            let (slot, min_out) = record(from, r, n);
-            fold_slot(&mut want, from, slot, min_out.into_iter());
-        }
-        want
+        let records: Vec<_> = (0..n).map(|from| record(from, r, n)).collect();
+        let lowest = |i: usize| records.iter().map(|(_, min_out)| min_out[i]).fold(records[i].0.next_event, u64::min);
+        (0..n).map(|i| EpochSlot { next_event: lowest(i), ..records[i].0 }).collect()
     }
 
-    /// The double buffer never tears, and no wakeup is lost. Every round
-    /// is forced through the one interleaving a single bank per node
-    /// cannot survive: node 2 holds its publish until node 1 is in its park
-    /// hook; node 1 stays there until node 0 — racing, no delay — has read
-    /// round `r` and published `r+1`; only then does node 1 read `r`. With
-    /// one bank that publish lands on the values node 1 is about to read.
-    /// The same schedule is the lost-wakeup regression: node 2 always
-    /// publishes *between* node 1's exhausted spin and its park (only the
-    /// locked re-check sees it), and while node 0 is already parked (only
-    /// the notify wakes it) — and the wait is untimed, so before the
-    /// re-check + publish-side lock round-trip existed this hung.
+    /// No wakeup is lost, and the one result buffer is never overwritten
+    /// under a reader. Every round is forced through the same interleaving:
+    /// node 2 holds its post until node 1 is in its park hook; node 1 stays
+    /// there until node 0 — racing, no delay — has read round `r` and
+    /// posted `r+1`; only then does node 1 read `r`, which must still be
+    /// round `r`'s fold. The same schedule is the lost-wakeup regression:
+    /// node 2's post always completes the round *between* node 1's
+    /// exhausted spin and its park (only the locked re-check sees it), and
+    /// while node 0 is already parked (only the notify wakes it) — and the
+    /// wait is untimed, so a lost wakeup hangs.
     #[test]
     fn forced_skew_neither_tears_a_slot_nor_loses_a_wakeup() {
         const N: usize = 3;
         const ROUNDS: u64 = 2_000;
-        let shared = Shared::new(N);
+        let meeting = Meeting::new(N, u64::MAX);
         let (in_hook_tx, in_hook_rx) = mpsc::channel::<()>();
         let (published_tx, published_rx) = mpsc::channel::<u64>();
         let (torn_tx, torn_rx) = mpsc::channel();
         let (mut published_rx, mut in_hook_rx) = (Some(published_rx), Some(in_hook_rx));
         for me in 0..N {
-            let mut peers = ThreadPeers { shared: shared.clone(), me };
-            // Node 0 announces its publishes, node 1 waits on them in its
+            let mut peers = Seat { meeting: meeting.clone(), me };
+            // Node 0 announces its posts, node 1 waits on them in its
             // hook, node 2 waits for node 1 to be there.
             let published_tx = (me == 0).then(|| published_tx.clone());
             let published_rx = published_rx.take_if(|_| me == 1);
@@ -403,8 +388,8 @@ mod tests {
             let (in_hook_tx, torn_tx) = (in_hook_tx.clone(), torn_tx.clone());
             std::thread::spawn(move || {
                 let mut out = [EpochSlot::IDLE; N];
-                // A panic mid-run would strand the peers in their next
-                // exchange: note the first torn round instead.
+                // A panic mid-run would abandon the meeting: note the
+                // first torn round instead.
                 let mut torn = None;
                 for r in 1..=ROUNDS {
                     if let Some(node_1_in_hook) = &in_hook_rx {
@@ -428,18 +413,92 @@ mod tests {
             });
         }
         for _ in 0..N {
-            let (me, torn) = torn_rx.recv_timeout(Duration::from_secs(30)).expect("a node hung: epoch publish lost");
-            assert_eq!(torn, None, "node {me} read a torn round");
+            let (me, torn) = torn_rx.recv_timeout(Duration::from_secs(30)).expect("a node hung: wakeup lost");
+            assert_eq!(torn, None, "node {me} read another round's fold");
         }
     }
 
-    /// [`ThreadPeers`] under the most skewed schedule one exchange per
+    /// The message a thread's panic carried.
+    fn panic_text(p: Box<dyn std::any::Any + Send>) -> String {
+        match p.downcast::<String>() {
+            Ok(s) => *s,
+            Err(p) => p.downcast_ref::<&str>().map(|s| s.to_string()).unwrap_or_default(),
+        }
+    }
+
+    /// A node thread that dies before posting must not strand its peers:
+    /// nodes 0 and 2 wait on it in the epoch exchange, then in the async
+    /// outcome poll and final flush, and every one of them unwinds —
+    /// naming node 1 — within the deadline.
+    #[test]
+    fn a_dead_node_unwinds_every_waiter() {
+        for sync in [SyncMode::Epoch, SyncMode::Async] {
+            let meeting = Meeting::new(3, u64::MAX);
+            let (tx, rx) = mpsc::channel();
+            for me in 0..3 {
+                let mut seat = Seat { meeting: meeting.clone(), me };
+                let tx = tx.clone();
+                std::thread::spawn(move || {
+                    let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || match (me, sync) {
+                        (1, _) => {
+                            // Let the peers reach their waits first.
+                            std::thread::sleep(Duration::from_millis(50));
+                            panic!("node 1 dies before posting");
+                        }
+                        (_, SyncMode::Epoch) => {
+                            seat.exchange(1, &EpochSlot::IDLE, &[u64::MAX; 3], &mut [EpochSlot::IDLE; 3], &mut || {});
+                        }
+                        (0, SyncMode::Async) => {
+                            seat.send_state(AsyncState { qhead: u64::MAX, drained: 0, live: 0, ops: 0 });
+                            while seat.poll_done().is_none() {
+                                std::thread::sleep(Duration::from_millis(1));
+                            }
+                        }
+                        (_, SyncMode::Async) => seat.flush_rendezvous(),
+                    }));
+                    let _ = tx.send((me, died.map_err(panic_text)));
+                });
+            }
+            for _ in 0..3 {
+                let (me, died) = rx.recv_timeout(Duration::from_secs(10)).unwrap_or_else(|_| panic!("{sync:?}: a waiter hung"));
+                let text = died.expect_err("every wait on a dead node must unwind");
+                let cause = if me == 1 { "node 1 dies" } else { "node 1 panicked" };
+                assert!(text.contains(cause), "{sync:?}: node {me} unwound with {text:?}");
+            }
+        }
+    }
+
+    /// The driver joins every node and re-raises the panic of the node
+    /// that died, not a waiting peer's echo of it.
+    #[test]
+    fn a_node_panic_fails_the_run_with_its_own_message() {
+        struct Dies(Seat);
+        impl EpochPeers for Dies {
+            fn exchange(&mut self, r: u64, s: &EpochSlot, m: &[u64], o: &mut [EpochSlot], p: &mut dyn FnMut()) -> bool {
+                assert!(self.0.me != 1 || r < 3, "node 1 dies in round 3");
+                self.0.exchange(r, s, m, o, p)
+            }
+        }
+        use jsplit_apps::tsp;
+        let program = tsp::program(tsp::TspParams { n: 8, seed: 42, depth: 2, threads: 8 });
+        let config = ClusterConfig::javasplit(jsplit_mjvm::cost::JvmProfile::SunSim, 3).with_backend(Backend::Threads);
+        let driver = ThreadsDriver::new(config, &program).expect("threads setup");
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| driver.run_with(Dies)));
+            let _ = tx.send(run.err().map(panic_text));
+        });
+        let text = rx.recv_timeout(Duration::from_secs(20)).expect("the run hung on a dead node");
+        assert_eq!(text.as_deref(), Some("node 1 dies in round 3"));
+    }
+
+    /// A [`Seat`] under the most skewed schedule one exchange per
     /// round allows: the slow node sits on every exchange result until
     /// each peer has run the window, flushed and entered the next
     /// exchange, so its round-`r` drain always finds the peers' round-`r+1`
     /// frames already inbound.
     struct Skewed {
-        inner: ThreadPeers,
+        inner: Seat,
         slow: usize,
         /// Last round each node entered (`u64::MAX` once it left the run).
         entered: Arc<Vec<AtomicU64>>,

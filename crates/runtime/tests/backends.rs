@@ -473,17 +473,30 @@ fn async_trace_is_byte_identical_and_wall_profile_tiles() {
 /// The convoy kernel: 16 nodes, one ~12x-slower straggler. Under epoch
 /// sync every round is paced by the straggler (the round convoy); async
 /// lets the 15 fast nodes run ahead and park. Both must match the sim.
-///
-/// The wall-clock claim is core-count-gated, mirroring the CI convoy
-/// guard's warn-don't-fail stance on the 1-core container: with real
-/// parallelism the convoy is real wall time and async must win outright;
-/// on an oversubscribed few-core host a round convoy costs almost
-/// nothing (blocked threads donate their core to the straggler, making
-/// epoch near-optimal there), so async only has to stay within a 2x
-/// regression band — enough to catch a horizon stall, which shows up as
-/// an order of magnitude, not a fraction.
 #[test]
-fn async_beats_epoch_on_the_skewed_kernel() {
+fn skewed_kernel_matches_the_sim_under_both_sync_modes() {
+    let p = jsplit_apps::micro::skewed_block_array_kernel(1600, 16, 400);
+    let sim = run(Backend::Sim, ProtocolMode::MtsHlrc, 16, &p);
+    assert_reports_match("skew epoch-vs-sim", &sim, &run(Backend::Threads, ProtocolMode::MtsHlrc, 16, &p));
+    assert_reports_match("skew async-vs-sim", &sim, &run_async(ProtocolMode::MtsHlrc, 16, &p));
+}
+
+/// The convoy race in wall-clock time, best of two runs per mode. A wall
+/// ratio means nothing while other tests share the cores, so this runs
+/// only alone: `cargo test --release --test backends -- --ignored
+/// --test-threads=1` (a CI step does).
+///
+/// The claim is core-count-gated, mirroring the CI convoy guard's
+/// warn-don't-fail stance on the 1-core container: with real parallelism
+/// the convoy is real wall time and async must win outright; on an
+/// oversubscribed few-core host a round convoy costs almost nothing
+/// (blocked threads donate their core to the straggler, making epoch
+/// near-optimal there), so async only has to stay within a 2x regression
+/// band — enough to catch a horizon stall, which shows up as an order of
+/// magnitude, not a fraction.
+#[test]
+#[ignore = "wall-clock ratio: run alone, with --ignored --test-threads=1"]
+fn async_keeps_pace_with_epoch_on_the_skewed_kernel() {
     let p = jsplit_apps::micro::skewed_block_array_kernel(1600, 16, 400);
     let sim = run(Backend::Sim, ProtocolMode::MtsHlrc, 16, &p);
     let mut epoch_best = f64::INFINITY;

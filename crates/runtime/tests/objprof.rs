@@ -151,7 +151,7 @@ fn objprof_reconciles_with_dsm_totals() {
 }
 
 /// A worker that panics mid-run must not look like a silent disconnect:
-/// the coordinator's error carries the worker's id and its real panic
+/// the coordinator's `PeerLost` carries the worker's id and its real panic
 /// message, relayed through the `Fault` envelope.
 #[test]
 fn worker_panic_message_reaches_the_coordinator() {
@@ -166,11 +166,11 @@ fn worker_panic_message_reaches_the_coordinator() {
     );
     std::env::remove_var("JSPLIT_TEST_WORKER_PANIC");
     drop(lock);
-    let err = result.expect_err("a dead worker must fail the run");
-    let ClusterError::Config(msg) = err else { panic!("expected Config error") };
-    assert!(msg.contains("worker 2 panicked"), "error must blame the worker: {msg}");
-    assert!(
-        msg.contains("injected test panic in worker 2"),
-        "error must carry the real panic message: {msg}"
-    );
+    match result.expect_err("a dead worker must fail the run") {
+        ClusterError::PeerLost { node, cause } => {
+            assert_eq!(node, 2, "error must blame the worker: {cause}");
+            assert!(cause.contains("injected test panic in worker 2"), "error must carry the real panic message: {cause}");
+        }
+        other => panic!("expected PeerLost, got {other:?}"),
+    }
 }

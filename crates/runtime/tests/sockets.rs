@@ -265,6 +265,25 @@ fn coordinator_rejects_malformed_slots() {
     assert!(msg.contains("worker 0") && msg.contains("round 2"), "error should name the worker and the round: {msg}");
 }
 
+/// A worker that completes the handshake and then closes its socket is a
+/// lost peer, not bad configuration: the run fails promptly with
+/// `PeerLost` naming it.
+#[test]
+fn coordinator_reports_a_vanished_worker_as_lost() {
+    let (mut workers, done) = coordinator_with_hand_driven_workers();
+    drop(workers.remove(0));
+    let err = done
+        .recv_timeout(Duration::from_secs(10))
+        .expect("coordinator must fail promptly")
+        .expect_err("a lost worker must fail the run");
+    match err {
+        ClusterError::PeerLost { node, cause } => assert_eq!(node, 0, "{cause}"),
+        other => panic!("expected PeerLost for node 0, got {other:?}"),
+    }
+    // Worker 1's stream stays open until the verdict is in.
+    drop(workers);
+}
+
 fn connect_retry(addr: SocketAddr) -> TcpStream {
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {

@@ -32,8 +32,8 @@ pub enum SpanKind {
     InboxDrain,
     /// Aggregating the round's slots, computing the horizon.
     Decide,
-    /// In the epoch exchange up to the first park: publishing the slot and
-    /// spinning on peer `epoch` counters (seqlock fast path).
+    /// In the epoch exchange up to the first park: posting the slot and
+    /// spinning on the round's completion (the fast path).
     SlotSpin,
     /// Parked in the epoch exchange after the spin budget ran out.
     CondvarWait,
